@@ -211,9 +211,12 @@ def ila_wf(
 
     With the common stream enabled, the split with no common power is
     always a feasible competitor, so both the joint allocation and the
-    pinned-common allocation are solved and the better stationary point is
-    returned (ties go to the pinned one, which makes the two transmission
-    modes coincide exactly when rate splitting brings nothing).
+    pinned-common allocation are solved.  The joint one is returned only
+    when it converged and either the pinned run did not, or it keeps the
+    common stream on with a strictly higher sum SE.  A joint run that ends
+    with no common power is the pinned problem reached by another path, so
+    it loses, and the two transmission modes then coincide exactly (same
+    powers and iteration count) when rate splitting brings nothing.
     """
     opts = options or IlaWfOptions()
     if opts.freeze_common:
@@ -224,7 +227,9 @@ def ila_wf(
     joint = _ila_wf_run(moments, rho_total, sigma2, config, opts)
     baseline_se = se_report(baseline.powers, moments, config).sum_se
     joint_se = se_report(joint.powers, moments, config).sum_se
-    if joint.converged and (joint_se > baseline_se or not baseline.converged):
+    if joint.converged and (
+        not baseline.converged or (joint.powers.rho_c > 0 and joint_se > baseline_se)
+    ):
         return joint
     return baseline
 

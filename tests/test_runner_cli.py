@@ -60,6 +60,19 @@ def test_rs_never_below_no_rs_head_to_head():
     assert np.median(gaps) >= 0.0
 
 
+def test_rs_row_equals_no_rs_row_when_common_stream_stays_off():
+    """At this point the joint run ends with no common power, a tie within
+    rounding; the pinned run wins it, so both rows report the same
+    allocation and the same iteration count."""
+    config = ScenarioConfig(M=24, K=4, rho_total_dbm=0.0, seed=0)
+    seed = derive_point_seed(config.seed, 1)
+    rs = run_point(config, "rs", seed)
+    nr = run_point(config, "no_rs", seed)
+    assert rs.rho_c == 0.0
+    assert rs.iterations == nr.iterations
+    assert rs.sum_se == nr.sum_se
+
+
 def test_run_sweep_row_count_and_order(tmp_path):
     spec = SweepSpec(axis="power_dbm", values=(0.0, 10.0, 20.0, 30.0, 40.0),
                      drops=3, modes=("rs", "no_rs"))
