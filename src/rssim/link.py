@@ -78,16 +78,18 @@ def stream_denominators(powers: PowerVector, moments: MomentTable, sigma2: float
     return den_private, num_private, den_common, num_common
 
 
-def _guard_denominator(value: float, scale: float, sigma2: float, context: str) -> float:
-    if value > 0:
-        return value
-    if value > -1e-12 * max(scale, sigma2):
-        # pure cancellation noise; pin to a positive sliver of the noise floor
-        return 1e-12 * sigma2
-    raise NumericalError(
-        f"{context}: denominator {value:.3e} violates the variance "
-        "nonnegativity invariant of the moment table"
-    )
+def _guard_denominator(value, scale, sigma2: float, context: str):
+    """Elementwise: pin pure cancellation noise, values in
+    (-1e-12 * max(scale, sigma2), 0], to 1e-12 * sigma2; raise below it."""
+    value = np.asarray(value, dtype=float)
+    broken = ~(value > -1e-12 * np.maximum(scale, sigma2))
+    if broken.any():
+        where = f"[{int(np.argmax(broken))}]" if value.ndim else ""
+        raise NumericalError(
+            f"{context}{where}: denominator {value[broken].flat[0]:.3e} violates the "
+            "variance nonnegativity invariant of the moment table"
+        )
+    return np.where(value > 0, value, 1e-12 * sigma2)
 
 
 def gamma_private(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
@@ -117,9 +119,12 @@ def se_report(powers: PowerVector, moments: MomentTable, config: ScenarioConfig)
     coherence block.
     """
     sigma2 = config.noise_mw
-    K = moments.K
-    g_p = np.array([gamma_private(k, powers, moments, sigma2) for k in range(K)])
-    g_c = np.array([gamma_common(k, powers, moments, sigma2) for k in range(K)])
+    den_p, _, den_c, _ = stream_denominators(powers, moments, sigma2)
+    own = np.abs(moments.g_private) ** 2
+    g_p = powers.rho * own / _guard_denominator(den_p, den_c, sigma2, "gamma_private")
+    g_c = powers.rho_c * np.abs(moments.g_common) ** 2 / _guard_denominator(
+        den_c, den_c, sigma2, "gamma_common"
+    )
     l_min = int(np.argmin(g_c))
     prelog = config.prelog
     se_p = prelog * np.log2(1.0 + g_p)

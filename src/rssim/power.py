@@ -7,6 +7,10 @@ stream's sensitivity are linearized at the current point, and the
 resulting concave single-variable problems have water-filling solutions.
 A Lagrange multiplier enforcing the total power budget is driven by
 bisection, one halving of the bracket per outer sweep.
+
+The coefficients come as arrays from ``linearization_terms``, which
+``rssim validate`` checks against finite differences; only the literal
+phase's Gauss-Seidel sweep evaluates them stream by stream.
 """
 
 from dataclasses import dataclass, field, replace
@@ -28,8 +32,6 @@ class IlaWfOptions:
     power_tol: float = 1e-9       # relative power movement at convergence
     budget_tol: float = 1e-6      # allowed relative budget violation
     mu_upper: float = 1e5         # initial multiplier bracket top, 1/mW
-    mu_rel_tol: float = 1e-6      # multiplier bracket width at convergence
-    mu_abs_floor: float = 1e-9    # bracket scale when the budget is slack (mu -> 0)
     nested_bisection: bool = False
     freeze_common: bool = False   # pin rho_c to 0 (baseline without rate splitting)
 
@@ -101,7 +103,6 @@ def linearization_terms(
     rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int
 ) -> LinearizationTerms:
     """Evaluate every linearization coefficient at one power point."""
-    K = moments.K
     G = moments.G_private
     own = np.abs(moments.g_private) ** 2
     delta_c = common_channel_variance(moments)
@@ -179,17 +180,13 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     signal_coefficient / num - sigma2_coefficient - mu vanish; returns the
     private residual vector and the common residual (None when rho_c = 0).
     """
-    K = moments.K
     _, num_p, _, num_c = stream_denominators(powers, moments, sigma2)
     l_min = _bottleneck(powers.rho_c, powers.rho, moments, sigma2) if powers.rho_c > 0 else 0
-    res_private = np.empty(K)
-    for k in range(K):
-        _, s2 = _private_update_terms(k, powers.rho_c, powers.rho, moments, sigma2, l_min)
-        res_private[k] = np.diagonal(moments.G_private)[k] / num_p[k] - s2 - mu
+    terms = linearization_terms(powers, moments, sigma2, l_min)
+    res_private = np.diagonal(moments.G_private) / num_p - terms.sigma2_private - mu
     res_common = None
     if powers.rho_c > 0:
-        _, s2c = _common_update_terms(powers.rho_c, powers.rho, moments, sigma2, l_min)
-        res_common = float(moments.G_common[l_min] / num_c[l_min] - s2c - mu)
+        res_common = float(moments.G_common[l_min] / num_c[l_min] - terms.sigma2_common - mu)
     return res_private, res_common
 
 
@@ -210,13 +207,10 @@ def ila_wf(
     """Run the alternating water-filling allocation to a stationary point.
 
     With the common stream enabled, the split with no common power is
-    always a feasible competitor, so both the joint allocation and the
-    pinned-common allocation are solved.  The joint one is returned only
-    when it converged and either the pinned run did not, or it keeps the
-    common stream on with a strictly higher sum SE.  A joint run that ends
-    with no common power is the pinned problem reached by another path, so
-    it loses, and the two transmission modes then coincide exactly (same
-    powers and iteration count) when rate splitting brings nothing.
+    always a feasible competitor and both runs are solved.  The joint run
+    wins only if it converged and either the pinned run did not or it keeps
+    the common stream on at a strictly higher sum SE, so the two modes
+    coincide exactly (powers and iterations) when rate splitting brings nothing.
     """
     opts = options or IlaWfOptions()
     if opts.freeze_common:
@@ -423,51 +417,47 @@ def _ila_wf_run(
     )
 
 
-def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, opts, freeze_common=None):
+def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, opts, freeze_common):
     """One linearization with the multiplier bisected to the exact budget.
 
-    The linearized surrogate is separable and concave, so for fixed
-    coefficients the water-filled total is nonincreasing in mu and the
-    budget equation has a unique root.  Returns (rho_c, rho, mu).
+    The coefficients come from one linearization_terms call and each trial
+    multiplier water-fills all streams as one array.  The surrogate is
+    separable and concave, so for fixed coefficients the water-filled total
+    is nonincreasing in mu and the budget root is unique.  Returns (rho_c, rho, mu).
     """
-    if freeze_common is None:
-        freeze_common = opts.freeze_common
     K = len(rho)
-    terms = [
-        _private_update_terms(k, rho_c, rho, moments, sigma2, l_min) for k in range(K)
-    ]
-    terms_c = None if freeze_common else _common_update_terms(rho_c, rho, moments, sigma2, l_min)
-
-    def fill_one(mu, s1, s2):
-        try:
-            return waterfill(mu, s1, max(s2, 0.0))
-        except NumericalError:
-            # zero slope at zero price: unbounded linearized demand
-            return 10.0 * rho_total
+    terms = linearization_terms(PowerVector(rho_c, rho), moments, sigma2, l_min)
+    s1, s2 = terms.sigma1_private, terms.sigma2_private
+    if np.any(s1 <= 0):
+        raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
+    common = not freeze_common and terms.sigma1_common > 0
+    if common:  # the common stream rides along as entry K
+        s1 = np.append(s1, terms.sigma1_common)
+        s2 = np.append(s2, terms.sigma2_common)
+    inv_s1 = 1.0 / s1
+    slope = np.maximum(s2, 0.0)
 
     def fill(mu):
-        new_rho = np.array([fill_one(mu, s1, s2) for s1, s2 in terms])
-        new_c = 0.0
-        if terms_c is not None and terms_c[0] > 0:
-            new_c = fill_one(mu, terms_c[0], terms_c[1])
-        return new_c, new_rho
+        return np.maximum(1.0 / (mu + slope) - inv_s1, 0.0)
 
-    new_c, new_rho = fill(0.0)
-    if new_c + new_rho.sum() <= rho_total:
-        return new_c, new_rho, 0.0  # budget slack even at zero price
-    lo, hi = 0.0, opts.mu_upper
-    new_c, new_rho = fill(hi)
-    while new_c + new_rho.sum() > rho_total and hi < 1e15:
-        hi *= 2.0
-        new_c, new_rho = fill(hi)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        new_c, new_rho = fill(mid)
-        if new_c + new_rho.sum() > rho_total:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) < 1e-14 * max(hi, 1e-300):
-            break
-    new_c, new_rho = fill(hi)
-    return new_c, new_rho, hi
+    def total(levels):
+        return levels[K] + levels[:K].sum() if common else levels.sum()
+
+    with np.errstate(divide="ignore"):
+        levels = fill(0.0)
+    levels[slope == 0] = 10.0 * rho_total  # zero slope at zero price: unbounded demand
+    mu = 0.0  # unless the budget binds, it is slack even at zero price
+    if total(levels) > rho_total:
+        lo, hi = 0.0, opts.mu_upper
+        while total(fill(hi)) > rho_total and hi < 1e15:
+            hi *= 2.0
+        for _ in range(500):
+            mid = 0.5 * (lo + hi)
+            if total(fill(mid)) > rho_total:
+                lo = mid
+            else:
+                hi = mid
+            if (hi - lo) < 1e-14 * max(hi, 1e-300):
+                break
+        levels, mu = fill(hi), hi
+    return (float(levels[K]) if common else 0.0), levels[:K], mu

@@ -32,6 +32,12 @@ def test_unknown_key_named():
         parse_config("rho_max = 10\n")
 
 
+@pytest.mark.parametrize("key", ["mu_rel_tol", "mu_abs_floor"])
+def test_removed_solver_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1e-6\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("M = 10\nM = 20\n")

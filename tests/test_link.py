@@ -104,6 +104,25 @@ def test_denominator_guard_raises_on_bad_table():
     powers = PowerVector(0.0, np.array([1.0]))
     with pytest.raises(NumericalError, match="variance"):
         gamma_private(0, powers, table, 1e-12)
+    with pytest.raises(NumericalError, match="variance"):
+        se_report(powers, table, ScenarioConfig(M=4, K=1))
+
+
+def test_se_report_vectors_match_per_ue_sinrs():
+    config, _, cov, model = make_scenario(M=16, K=10, seed=5)
+    table = closed_form_moments(model, solve_weights_for(config, model), "circular")
+    rng = np.random.default_rng(4)
+    rho_total = config.rho_total_mw
+    for rho_c in (0.0, 0.1 * rho_total, 0.4 * rho_total):
+        rho = rng.uniform(0.0, 1.0, config.K) * rho_total / config.K
+        rho[rng.random(config.K) < 0.3] = 0.0
+        powers = PowerVector(rho_c, rho)
+        report = se_report(powers, table, config)
+        sigma2 = config.noise_mw
+        per_ue_p = [gamma_private(k, powers, table, sigma2) for k in range(config.K)]
+        per_ue_c = [gamma_common(k, powers, table, sigma2) for k in range(config.K)]
+        np.testing.assert_allclose(report.gamma_private, per_ue_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.gamma_common, per_ue_c, rtol=1e-12, atol=0)
 
 
 def test_budget_validation():

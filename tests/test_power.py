@@ -7,6 +7,9 @@ from rssim.link import PowerVector, se_report
 from rssim.moments import MomentTable, closed_form_moments
 from rssim.power import (
     IlaWfOptions,
+    _budget_exact_sweep,
+    _common_update_terms,
+    _private_update_terms,
     ila_wf,
     linearization_terms,
     stationarity_residuals,
@@ -16,7 +19,7 @@ from rssim.precoding import build_common_weight_problem, solve_common_weights
 from rssim.scenario import CovarianceSet, ScenarioConfig, local_scattering_covariance
 from rssim.validation import linearization_fd_errors
 
-from conftest import solve_weights_for
+from conftest import make_scenario, solve_weights_for
 
 
 def rs_table(config, model):
@@ -79,6 +82,111 @@ def test_linearization_matches_finite_differences(small_setup):
     point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
     worst = linearization_fd_errors(point, table, config.noise_mw, rho_total, 0)
     assert worst <= 1e-5
+
+
+def random_points(K, rho_total, seed):
+    """Power points with some private powers at zero, mostly rho_c > 0."""
+    rng = np.random.default_rng(seed)
+    points = [PowerVector(0.2 * rho_total, np.zeros(K))]
+    for i in range(6):
+        rho = rng.uniform(0.0, 1.0, K) * rho_total / K
+        rho[rng.random(K) < 0.3] = 0.0
+        points.append(PowerVector(0.0 if i == 0 else rng.uniform(0.0, 0.3) * rho_total, rho))
+    return points
+
+
+@pytest.fixture(scope="module")
+def coefficient_cases(small_setup):
+    """(table, sigma2, rho_total) at K=3 and at K=10."""
+    config, _, model, weights = small_setup
+    config10, _, _, model10 = make_scenario(M=16, K=10, seed=5)
+    return [
+        (closed_form_moments(model, weights, "circular"), config.noise_mw, config.rho_total_mw),
+        (rs_table(config10, model10), config10.noise_mw, config10.rho_total_mw),
+    ]
+
+
+def test_linearization_arrays_match_per_stream_terms(coefficient_cases):
+    for table, sigma2, rho_total in coefficient_cases:
+        K = table.K
+        for point in random_points(K, rho_total, seed=K):
+            for l_min in range(K):
+                terms = linearization_terms(point, table, sigma2, l_min)
+                per_stream = np.array([
+                    _private_update_terms(k, point.rho_c, point.rho, table, sigma2, l_min)
+                    for k in range(K)
+                ])
+                np.testing.assert_allclose(terms.sigma1_private, per_stream[:, 0], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(terms.sigma2_private, per_stream[:, 1], rtol=1e-12, atol=0)
+                s1c, s2c = _common_update_terms(point.rho_c, point.rho, table, sigma2, l_min)
+                assert terms.sigma1_common == pytest.approx(s1c, rel=1e-12, abs=0)
+                assert terms.sigma2_common == pytest.approx(s2c, rel=1e-12, abs=0)
+
+
+def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
+    """Reference budget-exact step: per-stream coefficients, scalar water-filling."""
+    K = len(point.rho)
+    terms = [_private_update_terms(k, point.rho_c, point.rho, table, sigma2, l_min) for k in range(K)]
+    s1c, s2c = _common_update_terms(point.rho_c, point.rho, table, sigma2, l_min)
+    common = not freeze and s1c > 0
+    if common:
+        terms.append((s1c, s2c))
+
+    def total(mu):
+        levels = []
+        for s1, s2 in terms:
+            try:
+                levels.append(waterfill(mu, s1, max(s2, 0.0)))
+            except NumericalError:
+                levels.append(10.0 * rho_total)
+        return (levels[K] if common else 0.0) + np.sum(levels[:K]), levels
+
+    if total(0.0)[0] <= rho_total:
+        return total(0.0)[1], 0.0
+    lo, hi = 0.0, IlaWfOptions().mu_upper
+    while total(hi)[0] > rho_total and hi < 1e15:
+        hi *= 2.0
+    while hi - lo >= 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if total(mid)[0] > rho_total else (lo, mid)
+    return total(hi)[1], hi
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_budget_step_matches_scalar_water_filling(coefficient_cases, freeze):
+    for table, sigma2, rho_total in coefficient_cases:
+        K = table.K
+        for point in random_points(K, rho_total, seed=K + 1):
+            rho_c, rho, mu = _budget_exact_sweep(
+                point.rho_c, point.rho, table, sigma2, rho_total, 0, IlaWfOptions(), freeze
+            )
+            levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, freeze)
+            assert mu == pytest.approx(mu_ref, rel=1e-10)
+            np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
+            assert rho_c == pytest.approx(levels[K] if len(levels) > K else 0.0, rel=1e-9, abs=1e-12 * rho_total)
+
+
+def test_budget_step_zero_slope_at_zero_price_is_unbounded():
+    # no self-interference and no other stream: at zero price the linearized
+    # demand is unbounded, so the multiplier is bisected to the budget
+    table = MomentTable(
+        g_private=np.array([1.0 + 0j]), G_private=np.array([[1.0]]),
+        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
+    )
+    with np.errstate(all="raise"):
+        rho_c, rho, mu = _budget_exact_sweep(0.0, np.array([2.0]), table, 1.0, 5.0, 0, IlaWfOptions(), True)
+    assert rho_c == 0.0
+    assert mu == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1/mu - 1/sigma1 = budget
+    assert rho[0] == pytest.approx(5.0, rel=1e-12)
+
+
+def test_budget_step_rejects_nonpositive_sigma1():
+    table = MomentTable(
+        g_private=np.zeros(1, dtype=complex), G_private=np.zeros((1, 1)),
+        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
+    )
+    with pytest.raises(ValueError, match="sigma1"):
+        _budget_exact_sweep(0.0, np.array([1.0]), table, 1.0, 5.0, 0, IlaWfOptions(), True)
 
 
 def test_ila_wf_initialization_state(small_setup):
