@@ -79,8 +79,8 @@ def stream_denominators(powers: PowerVector, moments: MomentTable, sigma2: float
 
 
 def _guard_denominator(value, scale, sigma2: float, context: str):
-    """Elementwise: pin pure cancellation noise, values in
-    (-1e-12 * max(scale, sigma2), 0], to 1e-12 * sigma2; raise below it."""
+    """Pin denominators in (-1e-12 * max(scale, sigma2), 0], pure cancellation
+    noise, to 1e-12 * sigma2 and raise below that; works elementwise."""
     value = np.asarray(value, dtype=float)
     broken = ~(value > -1e-12 * np.maximum(scale, sigma2))
     if broken.any():

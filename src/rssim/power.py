@@ -446,7 +446,7 @@ def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, opts, fre
     with np.errstate(divide="ignore"):
         levels = fill(0.0)
     levels[slope == 0] = 10.0 * rho_total  # zero slope at zero price: unbounded demand
-    mu = 0.0  # unless the budget binds, it is slack even at zero price
+    mu = 0.0  # stays zero when the budget is slack even at zero price
     if total(levels) > rho_total:
         lo, hi = 0.0, opts.mu_upper
         while total(fill(hi)) > rho_total and hi < 1e15:

@@ -109,7 +109,7 @@ def test_denominator_guard_raises_on_bad_table():
 
 
 def test_se_report_vectors_match_per_ue_sinrs():
-    config, _, cov, model = make_scenario(M=16, K=10, seed=5)
+    config, _, _, model = make_scenario(M=16, K=10, seed=5)
     table = closed_form_moments(model, solve_weights_for(config, model), "circular")
     rng = np.random.default_rng(4)
     rho_total = config.rho_total_mw
@@ -123,6 +123,13 @@ def test_se_report_vectors_match_per_ue_sinrs():
         per_ue_c = [gamma_common(k, powers, table, sigma2) for k in range(config.K)]
         np.testing.assert_allclose(report.gamma_private, per_ue_p, rtol=1e-12, atol=0)
         np.testing.assert_allclose(report.gamma_common, per_ue_c, rtol=1e-12, atol=0)
+    # a denominator slightly below zero by cancellation is pinned in both paths
+    config = ScenarioConfig(M=4, K=1)
+    table = table_from([1.0], [[1.0 - 1e-12]])
+    powers = PowerVector(0.0, np.array([1000.0]))
+    pinned = gamma_private(0, powers, table, config.noise_mw)
+    assert pinned == 1000.0 / (1e-12 * config.noise_mw)
+    assert se_report(powers, table, config).gamma_private[0] == pinned
 
 
 def test_budget_validation():
