@@ -4,9 +4,10 @@ Every UE transmits the same pilot, so the BS sees one contaminated
 observation per coherence block and all K estimates are linear functions
 of it.  That makes the estimates mutually correlated: the cross-covariance
 of estimates i and k is R_i Q^{-1} R_k, with Q the covariance of the
-observation.  The model object precomputes Q, its Cholesky factor, the
-estimate covariances Phi_i, all pairwise cross-covariances, and the trace
-tables that the closed-form moment engine consumes.
+observation.  The model object keeps Q, its Cholesky factor, X_k = Q^{-1} R_k,
+the estimate covariances Phi_k = R_k X_k and the trace tables that the
+closed-form moment engine consumes, all in O(K M^2) memory; the pairwise
+cross-covariances R_i X_k are built only on demand.
 """
 
 from dataclasses import dataclass, field
@@ -31,11 +32,12 @@ class EstimationModel:
     rho_tr: float
     Q: np.ndarray                  # (M, M)
     Q_factor: tuple                # scipy cho_factor of Q
-    Phi: np.ndarray                # (K, M, M), Phi_i = R_i Q^{-1} R_i
-    cross: np.ndarray              # (K, K, M, M), C[i, k] = R_i Q^{-1} R_k
-    cross_trace: np.ndarray        # (K, K) complex, tr(C[i, k])
+    X: np.ndarray                  # (K, M, M), X_k = Q^{-1} R_k
+    Phi: np.ndarray                # (K, M, M), Phi_k = R_k X_k
+    cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(R_i X_k)
     phi_trace: np.ndarray          # (K,) real, tr(Phi_i)
     r_phi_trace: np.ndarray        # (K, K) real, [k, i] = tr(R_k Phi_i)
+    _cross: np.ndarray | None = field(default=None, repr=False)
     _triple_trace: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -51,16 +53,31 @@ class EstimationModel:
         return scipy.linalg.cho_solve(self.Q_factor, b)
 
     @property
+    def cross(self) -> np.ndarray:
+        """(K, K, M, M) tensor [i, k] = R_i Q^{-1} R_k, built lazily for the oracles."""
+        if self._cross is None:
+            self._cross = self.cov.R[:, None] @ self.X[None, :]
+        return self._cross
+
+    @property
     def triple_trace(self) -> np.ndarray:
         """(K, K, K) table [i, j, k] = tr(R_i Q^{-1} R_j R_k).
 
-        Needed only by the common-precoder moments; built lazily and cached.
+        Needed only by the per-pair moments; built lazily and cached, one j
+        at a time as tr(R_i X_j R_k) = <(R_i X_j)^T, R_k>, in O(K M^2) memory.
         """
         if self._triple_trace is None:
-            self._triple_trace = np.einsum(
-                "ijmn,knm->ijk", self.cross, self.cov.R, optimize=True
+            R = self.cov.R
+            self._triple_trace = np.stack(
+                [_pair_traces(R @ self.X[j], R) for j in range(self.K)], axis=1
             )
         return self._triple_trace
+
+
+def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i, k] = tr(A_i B_k) for stacks of square matrices, as one
+    (K, M^2) x (M^2, K) product of the flattened A_i and B_k^T."""
+    return A.reshape(A.shape[0], -1) @ B.transpose(0, 2, 1).reshape(B.shape[0], -1).T
 
 
 @dataclass
@@ -82,7 +99,7 @@ class ChannelBatch:
 
 
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
-    """Assemble Q, its factorization, and all estimate (cross-)covariances."""
+    """Assemble Q, its factorization, X_k = Q^{-1} R_k, Phi_k and the trace tables."""
     if rho_tr <= 0:
         raise ValueError("rho_tr must be positive")
     K, M = cov.K, cov.M
@@ -91,27 +108,19 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
         q_factor = scipy.linalg.cho_factor(Q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps Q PD
         raise NumericalError(f"observation covariance is not positive definite: {exc}") from exc
-    # X[k] = Q^{-1} R_k, shared by Phi and all cross terms
     X = scipy.linalg.cho_solve(q_factor, cov.R.transpose(1, 0, 2).reshape(M, K * M))
     X = X.reshape(M, K, M).transpose(1, 0, 2)
-    cross = np.empty((K, K, M, M), dtype=complex)
-    for i in range(K):
-        for k in range(K):
-            cross[i, k] = cov.R[i] @ X[k]
-    Phi = np.stack([cross[i, i] for i in range(K)])
-    cross_trace = np.einsum("ikmm->ik", cross)
-    phi_trace = np.real(np.einsum("imm->i", Phi))
-    r_phi_trace = np.real(np.einsum("kmn,inm->ki", cov.R, Phi))
+    Phi = cov.R @ X
     return EstimationModel(
         cov=cov,
         rho_tr=rho_tr,
         Q=Q,
         Q_factor=q_factor,
+        X=X,
         Phi=Phi,
-        cross=cross,
-        cross_trace=cross_trace,
-        phi_trace=phi_trace,
-        r_phi_trace=r_phi_trace,
+        cross_trace=_pair_traces(cov.R, X),
+        phi_trace=np.real(np.einsum("imm->i", Phi)),
+        r_phi_trace=np.real(_pair_traces(cov.R, Phi)),
     )
 
 

@@ -83,10 +83,12 @@ class QuarticMomentSpec:
             raise ValueError("B must be finite")
 
 
-def _real_trace(value: complex, context: str) -> float:
-    if abs(value.imag) > REAL_TRACE_TOL * max(1.0, abs(value.real)):
-        raise NumericalError(f"{context}: trace has unexpected imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real_trace(value, context: str):
+    value = np.asarray(value)
+    imag = np.abs(value.imag)
+    if np.any(imag > REAL_TRACE_TOL * np.maximum(1.0, np.abs(value.real))):
+        raise NumericalError(f"{context}: trace has unexpected imaginary part {imag.max():.3e}")
+    return value.real if value.ndim else float(value.real)
 
 
 def mr_gain(k: int, model: EstimationModel) -> float:
@@ -158,15 +160,23 @@ def estimate_pair_moment(
         return complex(value)
     if variant != "real":
         raise ValueError(f"unknown quartic variant {variant!r}")
-    R = model.cov.R
-    beta = model.cov.beta
-    root = psd_sqrt(model.Phi[k])
-    w = ridge_solve(R[k], root, scale=beta[k])
-    B = (root.conj().T @ R[i]) @ w
-    excess = root @ np.diag(np.diag(B)) @ root.conj().T
+    return complex(value + _real_excess(k, i, j, model))
+
+
+def _real_excess(k: int, i: int, j: int, model: EstimationModel) -> complex:
+    """The real variant's diag(B) excess in the pair moment (k, i, j)."""
+    R, beta = model.cov.R, model.cov.beta
+    spec = quartic_spec(k, i, model)
+    excess = spec.phi_root @ np.diag(np.diag(spec.B)) @ spec.phi_root.conj().T
     rinv_ri_excess = ridge_solve(R[i], R[j], scale=beta[i]) @ excess
-    trailing = ridge_solve(R[k], R[i], scale=beta[k])
-    return complex(value + np.trace(rinv_ri_excess @ trailing))
+    return np.trace(rinv_ri_excess @ ridge_solve(R[k], R[i], scale=beta[k]))
+
+
+def _real_correction(k: int, weights: np.ndarray, model: EstimationModel) -> complex:
+    """sum_{i != j} w_i w_j (real - circular pair moment) for UE k."""
+    live = np.flatnonzero(weights)
+    pairs = [(i, j) for i in live for j in live if i != j]
+    return sum(weights[i] * weights[j] * _real_excess(k, i, j, model) for i, j in pairs)
 
 
 def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
@@ -206,18 +216,7 @@ def common_second_moment(
     np.fill_diagonal(outer, 0.0)
     pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3[:, :, k])))
     if variant == "real":
-        correction = 0.0 + 0.0j
-        for i in range(model.K):
-            if weights[i] == 0.0:
-                continue
-            for j in range(model.K):
-                if i == j or weights[j] == 0.0:
-                    continue
-                correction += outer[i, j] * (
-                    estimate_pair_moment(k, i, j, model, "real")
-                    - estimate_pair_moment(k, i, j, model, "circular")
-                )
-        pair_sum += correction
+        pair_sum += _real_correction(k, weights, model)
     elif variant != "circular":
         raise ValueError(f"unknown quartic variant {variant!r}")
     total = _real_trace(pair_sum, "common second moment pair sum") + diag
@@ -228,19 +227,43 @@ def closed_form_moments(
     model: EstimationModel, weights=None, variant: str = "circular"
 ) -> MomentTable:
     """Assemble the full closed-form moment table for MR private beams and,
-    if weights are given, the weighted-estimate common beam."""
+    if weights are given, the weighted-estimate common beam.
+
+    Both tables are array expressions over the trace tables; with
+    C_ik = R_i Q^{-1} R_k, G_private[k, i] = (tr(R_k Phi_i) + |tr(C_ik)|^2) / tr(Phi_i).
+    For the common beam, sum_i w_i hhat_i = R_w Q^{-1} y is the MMSE estimate
+    of a virtual UE with covariance R_w = sum_i w_i R_i (w real).  Since
+    tr(C_ki) = conj(tr(C_ik)) and tr(R_i Q^{-1} R_i R_k) = tr(R_k Phi_i), the
+    diagonal and pair terms of ``common_second_moment`` sum to
+        sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
+          = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
+    and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power
+    formula for the virtual UE, at one Q^{-1} solve and one M x M product.
+    The real variant adds its sum_{i != j} diag(B) excess per UE on top.
+    """
+    degenerate = np.flatnonzero(model.phi_trace <= 0)
+    if degenerate.size:
+        raise InvalidWeightsError(f"UE {degenerate[0]} has a degenerate estimate (tr(Phi) = 0)")
     K = model.K
+    ct = model.cross_trace
     g_private = np.sqrt(model.phi_trace).astype(complex)
-    G_private = np.empty((K, K))
-    for k in range(K):
-        for i in range(K):
-            G_private[k, i] = mr_cross_power(k, i, model)
+    G_private = (model.r_phi_trace + np.abs(ct.T) ** 2) / model.phi_trace[None, :]
     g_common = np.zeros(K, dtype=complex)
     G_common = np.zeros(K)
     if weights is not None:
-        for k in range(K):
-            g_common[k] = common_gain(k, weights, model)
-            G_common[k] = common_second_moment(k, weights, model, variant)
+        if variant not in QUARTIC_VARIANTS:
+            raise ValueError(f"unknown quartic variant {variant!r}")
+        weights = np.asarray(weights, dtype=float)
+        norm2 = _common_norm_squared(weights, model)
+        R = model.cov.R
+        R_w = np.tensordot(weights, R, axes=1)
+        Phi_w = R_w @ model.apply_q_inverse(R_w)
+        gain = weights @ ct
+        pair_sum = np.einsum("kmn,nm->k", R, Phi_w) + np.abs(gain) ** 2
+        if variant == "real":
+            pair_sum = pair_sum + [_real_correction(k, weights, model) for k in range(K)]
+        g_common = gain / np.sqrt(norm2)
+        G_common = _real_trace(pair_sum, "common second moment") / norm2
     table = MomentTable(
         g_private=g_private,
         G_private=G_private,

@@ -132,3 +132,27 @@ def test_rho_tr_must_be_positive(small_setup):
     _, cov, _, _ = small_setup
     with pytest.raises(ValueError):
         build_estimation_model(cov, 0.0)
+
+
+def test_lazy_cross_and_triple_trace_match_explicit_products():
+    # generic Hermitian covariances: the scenario's Toeplitz ones are
+    # centro-Hermitian, which hides transposition errors in trace identities
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    R = A @ A.conj().transpose(0, 2, 1) / 16
+    beta = np.trace(R, axis1=1, axis2=2).real / 16
+    model = build_estimation_model(CovarianceSet(R=R, beta=beta), 5.0)
+    q_inv = np.linalg.inv(model.Q)
+    assert model._cross is None and model._triple_trace is None
+    for i in range(3):
+        for k in range(3):
+            explicit = R[i] @ q_inv @ R[k]
+            assert relative_frobenius(model.cross[i, k], explicit) < 1e-10
+            assert model.cross_trace[i, k] == pytest.approx(np.trace(explicit), rel=1e-10)
+            assert model.r_phi_trace[k, i] == pytest.approx(
+                np.trace(R[k] @ R[i] @ q_inv @ R[i]).real, rel=1e-10
+            )
+            for j in range(3):
+                assert model.triple_trace[i, j, k] == pytest.approx(
+                    np.trace(R[i] @ q_inv @ R[j] @ R[k]), rel=1e-10
+                )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,10 @@ from rssim.moments import (
     select_quartic_variant,
 )
 from rssim.precoding import build_precoders
-from rssim.scenario import CovarianceSet
+from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import mc_moment_table, tolerance_excess
 
-from conftest import diagonal_covariances
+from conftest import diagonal_covariances, make_scenario
 
 MC_SAMPLES = 60_000
 
@@ -245,3 +247,53 @@ def test_unknown_variant_rejected(small_setup):
         common_second_moment(0, weights, model, "bogus")
     with pytest.raises(ValueError):
         quartic_identity(np.eye(2), "bogus")
+
+
+def _random_weights(K, seed):
+    """Positive random weights with zeros at every third UE (never all zero)."""
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, K)
+    weights[1::3] = 0.0
+    return weights
+
+
+@pytest.mark.parametrize("K", [3, 10])
+@pytest.mark.parametrize("variant", ["circular", "real"])
+def test_array_table_matches_per_ue_functions(K, variant):
+    """The array expressions of closed_form_moments agree with the per-UE
+    reference functions for every k (and every k, i for the MR table)."""
+    _, _, _, model = make_scenario(M=12, K=K, seed=20 + K, rho_tr_dbm=-5.0)
+    weights = _random_weights(K, K)
+    table = closed_form_moments(model, weights, variant)
+    for k in range(K):
+        for i in range(K):
+            assert table.G_private[k, i] == pytest.approx(mr_cross_power(k, i, model), rel=1e-12)
+        assert table.g_common[k] == pytest.approx(common_gain(k, weights, model), rel=1e-12)
+        assert table.G_common[k] == pytest.approx(
+            common_second_moment(k, weights, model, variant), rel=1e-12
+        )
+
+
+def test_array_table_rejects_degenerate_ue():
+    R = np.stack([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
+    model = build_estimation_model(CovarianceSet(R=R, beta=np.array([0.0, 1.0])), 2.0)
+    with pytest.raises(InvalidWeightsError, match="UE 0"):
+        closed_form_moments(model)
+
+
+def test_closed_form_memory_scales_with_k_m_squared():
+    """Model plus common table stay O(K M^2): below 8 K M^2 complex128
+    (about 28 MiB at 96x24, against 85 MiB for one (K, K, M, M) tensor),
+    and the lazy cross tensor is never built."""
+    M, K = 96, 24
+    config = ScenarioConfig(M=M, K=K, seed=5)
+    _, cov = generate_scenario(config, np.random.default_rng(5))
+    weights = _random_weights(K, 5)
+    tracemalloc.start()
+    try:
+        model = build_estimation_model(cov, config.rho_tr_effective)
+        closed_form_moments(model, weights, "circular")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * K * M**2 * 16
+    assert model._cross is None
