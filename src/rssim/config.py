@@ -25,7 +25,6 @@ class SweepSpec:
     axis: str = "power_dbm"
     values: tuple = ()
     drops: int = 1
-    mc_samples: int = 100_000
     modes: tuple = ("rs", "no_rs")
     output_path: str = "sweep.csv"
 
@@ -39,8 +38,6 @@ class SweepSpec:
             raise ConfigError("sweep values must be strictly increasing")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"mode must be one of {MODES}, got {m!r}")
@@ -63,7 +60,7 @@ _SOLVER_FIELDS = {f.name for f in fields(IlaWfOptions) if f.name != "freeze_comm
 _SETTINGS_FIELDS = {f.name for f in fields(RunSettings)}
 
 _INT_SCENARIO = {"M", "K", "tau", "tau_p", "num_clusters", "seed"}
-_INT_SWEEP = {"drops", "mc_samples"}
+_INT_SWEEP = {"drops"}
 _INT_SOLVER = {"max_iterations"}
 _BOOL_KEYS = {"nested_bisection", "include_pi", "independent_pilot_noise"}
 

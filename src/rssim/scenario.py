@@ -23,6 +23,9 @@ PATHLOSS_EXPONENT_DB_PER_DECADE = 38.0
 # Rejection sampling gives up after this many draws for a single UE.
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
+# Largest estimation model (R, X and Phi: three (K, M, M) complex128 arrays).
+MAX_MODEL_BYTES = 2 * 1024**3
+
 
 @dataclass
 class ScenarioConfig:
@@ -61,6 +64,12 @@ class ScenarioConfig:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
+        model_bytes = 3 * self.K * self.M**2 * 16
+        if model_bytes > MAX_MODEL_BYTES:
+            raise ConfigError(
+                f"M={self.M}, K={self.K} needs {model_bytes / 2**30:.3g} GiB of estimation "
+                f"arrays, above the {MAX_MODEL_BYTES / 2**30:g} GiB limit"
+            )
         if not (1 <= self.tau_p < self.tau):
             raise ConfigError(
                 f"tau_p must satisfy 1 <= tau_p < tau, got tau_p={self.tau_p}, tau={self.tau}"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from rssim.config import parse_config
 from rssim.errors import ConfigError
+from rssim.scenario import ScenarioConfig
 
 
 def test_empty_document_gives_standard_defaults():
@@ -109,3 +112,24 @@ def test_bad_quartic_variant_rejected():
 def test_bad_number_rejected():
     with pytest.raises(ConfigError, match="integer"):
         parse_config("M = twelve\n")
+
+
+def test_removed_sweep_key_mc_samples_is_unknown():
+    with pytest.raises(ConfigError, match="unknown key 'mc_samples'"):
+        parse_config("axis = power_dbm\nvalues = 0, 10\nmc_samples = 1000\n")
+
+
+def test_memory_guard_rejects_huge_model_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"M=100000, K=1000 .*GiB"):
+            ScenarioConfig(M=100000, K=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("M, K", [(100, 10), (64, 8), (16, 12), (200, 20), (256, 32)])
+def test_memory_guard_accepts_working_sizes(M, K):
+    ScenarioConfig(M=M, K=K)
