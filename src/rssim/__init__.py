@@ -6,7 +6,7 @@ The package is organized around a deterministic pipeline: scenario
 generation (geometry, fading, spatial covariances), shared-pilot MMSE
 estimation statistics, closed-form moment tables validated against Monte
 Carlo oracles, precoder design (MR private beams, max-min weighted common
-beam), hardening-bound spectral efficiencies, and alternating
+beam), hardening-bound spectral efficiencies, and budget-exact
 water-filling power allocation.
 """
 
@@ -47,7 +47,6 @@ from .power import (
     ila_wf,
     linearization_terms,
     stationarity_residuals,
-    waterfill,
 )
 from .precoding import (
     CommonWeightProblem,

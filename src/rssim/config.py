@@ -50,7 +50,6 @@ class RunSettings:
     """Toggles that select between documented model variants."""
 
     include_pi: bool = True               # interference weighting in the weight program
-    independent_pilot_noise: bool = False
     quartic_variant: str = "auto"         # "auto" adjudicates by Monte Carlo
 
 
@@ -62,7 +61,7 @@ _SETTINGS_FIELDS = {f.name for f in fields(RunSettings)}
 _INT_SCENARIO = {"M", "K", "tau", "tau_p", "num_clusters", "seed"}
 _INT_SWEEP = {"drops"}
 _INT_SOLVER = {"max_iterations"}
-_BOOL_KEYS = {"nested_bisection", "include_pi", "independent_pilot_noise"}
+_BOOL_KEYS = {"include_pi"}
 
 
 def _parse_scalar(key: str, raw: str):

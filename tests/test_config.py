@@ -35,7 +35,9 @@ def test_unknown_key_named():
         parse_config("rho_max = 10\n")
 
 
-@pytest.mark.parametrize("key", ["mu_rel_tol", "mu_abs_floor"])
+@pytest.mark.parametrize(
+    "key", ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise"]
+)
 def test_removed_solver_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1e-6\n")
@@ -85,23 +87,23 @@ def test_solver_and_settings_keys():
     text = """
 max_iterations = 50
 se_tol = 1e-3
-nested_bisection = true
+power_tol = 1e-8
+budget_tol = 1e-5
 include_pi = false
-independent_pilot_noise = yes
 quartic_variant = circular
 """
     _, _, solver, settings = parse_config(text)
     assert solver.max_iterations == 50
     assert solver.se_tol == 1e-3
-    assert solver.nested_bisection is True
+    assert solver.power_tol == 1e-8
+    assert solver.budget_tol == 1e-5
     assert settings.include_pi is False
-    assert settings.independent_pilot_noise is True
     assert settings.quartic_variant == "circular"
 
 
 def test_bad_boolean_rejected():
     with pytest.raises(ConfigError, match="boolean"):
-        parse_config("nested_bisection = maybe\n")
+        parse_config("include_pi = maybe\n")
 
 
 def test_bad_quartic_variant_rejected():

@@ -3,19 +3,18 @@ import pytest
 
 from rssim.errors import NumericalError
 from rssim.estimation import build_estimation_model
-from rssim.link import PowerVector, se_report
+from rssim.link import PowerVector, common_channel_variance, se_report, stream_denominators
 from rssim.moments import MomentTable, closed_form_moments
 from rssim.power import (
+    MU_BRACKET_TOP,
     IlaWfOptions,
     _budget_exact_sweep,
-    _common_update_terms,
-    _private_update_terms,
     ila_wf,
     linearization_terms,
     stationarity_residuals,
-    waterfill,
 )
 from rssim.precoding import build_common_weight_problem, solve_common_weights
+from rssim.runner import derive_point_seed, evaluate_point
 from rssim.scenario import CovarianceSet, ScenarioConfig, local_scattering_covariance
 from rssim.validation import linearization_fd_errors
 
@@ -123,6 +122,47 @@ def test_linearization_arrays_match_per_stream_terms(coefficient_cases):
                 assert terms.sigma2_common == pytest.approx(s2c, rel=1e-12, abs=0)
 
 
+def waterfill(mu: float, sigma1: float, sigma2: float) -> float:
+    """Clamped water-filling level (1/(mu + sigma2) - 1/sigma1)^+."""
+    if sigma1 <= 0:
+        raise ValueError(f"sigma1 must be positive, got {sigma1:.3e}")
+    level = mu + sigma2
+    if level <= 0:
+        raise NumericalError(
+            f"invalid water-filling slope mu + sigma2 = {level:.3e}; "
+            "restart from the previous feasible point"
+        )
+    return max(1.0 / level - 1.0 / sigma1, 0.0)
+
+
+def _private_update_terms(k, rho_c, rho, moments, sigma2, l_min):
+    """sigma1/sigma2 of beam k at the current (possibly mid-sweep) point."""
+    powers = PowerVector(rho_c, rho)
+    G = moments.G_private
+    own = np.abs(moments.g_private[k]) ** 2
+    delta_c = common_channel_variance(moments)
+    den_p, num_p, den_c, num_c = stream_denominators(powers, moments, sigma2)
+    den_sig = sigma2 + rho_c * delta_c[k] + float(G[k] @ rho) - rho[k] * G[k, k]
+    s1 = G[k, k] / den_sig
+    alpha_k = (G[k, k] - own) / den_p[k]
+    inv_gap = 1.0 / num_p - 1.0 / den_p
+    zeta_sum = float(G[:, k] @ inv_gap) - G[k, k] * inv_gap[k]
+    gap_c = 1.0 / num_c[l_min] - 1.0 / den_c[l_min]
+    s2 = alpha_k - G[l_min, k] * gap_c - zeta_sum
+    return float(s1), float(s2)
+
+
+def _common_update_terms(rho_c, rho, moments, sigma2, l_min):
+    powers = PowerVector(rho_c, rho)
+    delta_c = common_channel_variance(moments)
+    den_p, num_p, den_c, _ = stream_denominators(powers, moments, sigma2)
+    den_sig = sigma2 + float(moments.G_private[l_min] @ rho)
+    s1 = moments.G_common[l_min] / den_sig
+    inv_gap = 1.0 / num_p - 1.0 / den_p
+    s2 = delta_c[l_min] / den_c[l_min] - float(delta_c @ inv_gap)
+    return float(s1), float(s2)
+
+
 def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
     """Reference budget-exact step: per-stream coefficients, scalar water-filling."""
     K = len(point.rho)
@@ -143,7 +183,7 @@ def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
 
     if total(0.0)[0] <= rho_total:
         return total(0.0)[1], 0.0
-    lo, hi = 0.0, IlaWfOptions().mu_upper
+    lo, hi = 0.0, MU_BRACKET_TOP
     while total(hi)[0] > rho_total and hi < 1e15:
         hi *= 2.0
     while hi - lo >= 1e-14 * hi:
@@ -158,7 +198,7 @@ def test_budget_step_matches_scalar_water_filling(coefficient_cases, freeze):
         K = table.K
         for point in random_points(K, rho_total, seed=K + 1):
             rho_c, rho, mu = _budget_exact_sweep(
-                point.rho_c, point.rho, table, sigma2, rho_total, 0, IlaWfOptions(), freeze
+                point.rho_c, point.rho, table, sigma2, rho_total, 0, freeze
             )
             levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, freeze)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
@@ -174,7 +214,7 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
     )
     with np.errstate(all="raise"):
-        rho_c, rho, mu = _budget_exact_sweep(0.0, np.array([2.0]), table, 1.0, 5.0, 0, IlaWfOptions(), True)
+        rho_c, rho, mu = _budget_exact_sweep(0.0, np.array([2.0]), table, 1.0, 5.0, 0, True)
     assert rho_c == 0.0
     assert mu == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1/mu - 1/sigma1 = budget
     assert rho[0] == pytest.approx(5.0, rel=1e-12)
@@ -186,7 +226,7 @@ def test_budget_step_rejects_nonpositive_sigma1():
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
     )
     with pytest.raises(ValueError, match="sigma1"):
-        _budget_exact_sweep(0.0, np.array([1.0]), table, 1.0, 5.0, 0, IlaWfOptions(), True)
+        _budget_exact_sweep(0.0, np.array([1.0]), table, 1.0, 5.0, 0, True)
 
 
 def test_ila_wf_initialization_state(small_setup):
@@ -197,9 +237,7 @@ def test_ila_wf_initialization_state(small_setup):
     assert first.iteration == 0
     assert first.rho_c == 0.0
     assert np.allclose(first.rho, config.rho_total_mw / config.K)
-    assert first.mu_low == 0.0
-    assert first.mu_high == pytest.approx(1e5)
-    assert first.mu == pytest.approx(5e4)
+    assert first.mu == 0.0
 
 
 def test_ila_wf_budget_feasible(small_setup):
@@ -277,23 +315,20 @@ def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):
     assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
 
 
-def test_ila_wf_nested_mode_agrees(small_setup):
-    config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
-    default = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
-    nested = ila_wf(
-        table, config.rho_total_mw, config.noise_mw, config,
-        IlaWfOptions(nested_bisection=True),
-    )
-    assert nested.converged
-    se_a = se_report(default.powers, table, config).sum_se
-    se_b = se_report(nested.powers, table, config).sum_se
-    assert se_b == pytest.approx(se_a, rel=1e-3)
-
-
 def test_ila_wf_trace_records_sum_se(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights, "circular")
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     assert len(alloc.trace) == len({r.iteration for r in alloc.trace})
     assert all(np.isfinite(r.sum_se) for r in alloc.trace)
+
+
+@pytest.mark.parametrize("mode", ["rs", "no_rs"])
+def test_ila_wf_converges_far_from_uniform_split(mode):
+    # at a 1000 m pathloss reference the uniform start is far from the
+    # optimum: stopping on a small sweep-to-sweep SE change before the
+    # budget-exact step has settled ends near 4.27 bit/s/Hz here
+    config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
+    report, alloc, _ = evaluate_point(config, mode, derive_point_seed(0, 0))
+    assert alloc.converged
+    assert report.sum_se >= 5.03
