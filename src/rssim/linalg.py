@@ -78,6 +78,39 @@ def ridge_solve(r, b, scale=None):
     return np.linalg.solve(r, b)
 
 
+def outer_sums(a, b):
+    """Sums over the leading sample axis of the outer products a b^H.
+
+    a is (n, ..., M) and b is (n, ..., L), with the same middle (batch)
+    axes.  Returns (S, S_re2, S_im2), each (..., M, L): S = sum_n a b^H and
+    the sums of the squared real and imaginary parts of its per-sample
+    terms a_m conj(b_l).  The per-sample (n, ..., M, L) products are never
+    formed; with a = a_r + j a_i and b = b_r + j b_i,
+
+        Re(a conj(b))^2 = a_r^2 b_r^2 + a_i^2 b_i^2 + 2 a_r a_i b_r b_i
+        Im(a conj(b))^2 = a_i^2 b_r^2 + a_r^2 b_i^2 - 2 a_r a_i b_r b_i,
+
+    so both squared sums come from one real (3M x n)(n x 3L) product per
+    batch index.
+    """
+    a = np.moveaxis(a, 0, -1)  # (..., M, n)
+    b = np.moveaxis(b, 0, -1)  # (..., L, n)
+    M, L = a.shape[-2], b.shape[-2]
+    total = a @ b.conj().swapaxes(-1, -2)
+
+    def parts(x):
+        re, im = x.real, x.imag
+        return np.concatenate([re * re, im * im, re * im], axis=-2)
+
+    x = parts(a) @ parts(b).swapaxes(-1, -2)
+    rr_rr = x[..., :M, :L]             # sum a_r^2 b_r^2
+    rr_ii = x[..., :M, L:2 * L]        # sum a_r^2 b_i^2
+    ii_rr = x[..., M:2 * M, :L]        # sum a_i^2 b_r^2
+    ii_ii = x[..., M:2 * M, L:2 * L]   # sum a_i^2 b_i^2
+    cross = 2.0 * x[..., 2 * M:, 2 * L:]  # 2 sum a_r a_i b_r b_i
+    return total, rr_rr + ii_ii + cross, ii_rr + rr_ii - cross
+
+
 def standard_complex_gaussian(rng, shape):
     """Draw i.i.d. CN(0, 1) entries (unit variance per complex entry)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

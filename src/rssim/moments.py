@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
-from .linalg import psd_sqrt, ridge_solve, standard_complex_gaussian
+from .linalg import outer_sums, psd_sqrt, ridge_solve, standard_complex_gaussian
 
 QUARTIC_VARIANTS = ("real", "circular")
 
@@ -341,10 +341,10 @@ def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator, chunk: int = 5
         m = min(chunk, n - done)
         c = standard_complex_gaussian(rng, (m, M))
         q = np.einsum("nm,mk,nk->n", c.conj(), B, c, optimize=True)
-        term = q[:, None, None] * c[:, :, None] * c.conj()[:, None, :]
-        s1 += term.sum(axis=0)
-        s2_re += (term.real**2).sum(axis=0)
-        s2_im += (term.imag**2).sum(axis=0)
+        term, term_re2, term_im2 = outer_sums(q[:, None] * c, c)
+        s1 += term
+        s2_re += term_re2
+        s2_im += term_im2
         done += m
     mean = s1 / n
     var_re = np.maximum(s2_re / n - mean.real**2, 0.0)

@@ -133,6 +133,13 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     signal_coefficient / num - sigma2_coefficient - mu vanish; returns the
     private residual vector and the common residual (None when rho_c = 0).
     """
+    res_private, res_common, _, _ = _residuals_and_terms(powers, mu, moments, sigma2)
+    return res_private, res_common
+
+
+def _residuals_and_terms(powers: PowerVector, mu: float, moments: MomentTable, sigma2: float):
+    """``stationarity_residuals`` plus the bottleneck UE and the
+    linearization it evaluated, for the next budget-exact step to reuse."""
     _, num_p, den_c, num_c = stream_denominators(powers, moments, sigma2)
     l_min = int(np.argmin(powers.rho_c * np.abs(moments.g_common) ** 2 / den_c))
     terms = linearization_terms(powers, moments, sigma2, l_min)
@@ -140,7 +147,7 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     res_common = None
     if powers.rho_c > 0:
         res_common = float(moments.G_common[l_min] / num_c[l_min] - terms.sigma2_common - mu)
-    return res_private, res_common
+    return res_private, res_common, l_min, terms
 
 
 def ila_wf(
@@ -213,11 +220,13 @@ def _ila_wf_run(
     mu = 0.0
     older_point = None
     converged = False
+    checked = None  # (l_min, terms) of a stationarity check at the current point
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
         prev_point = np.concatenate([[rho_c], rho])
+        reuse = checked[1] if checked is not None and checked[0] == report.l_min else None
         new_c, new_rho, mu = _budget_exact_sweep(
-            rho_c, rho, moments, sigma2, rho_total, report.l_min, opts.freeze_common
+            rho_c, rho, moments, sigma2, rho_total, report.l_min, opts.freeze_common, reuse
         )
         new_point = np.concatenate([[new_c], new_rho])
         raw_move = np.abs(new_point - prev_point).max() / scale
@@ -236,10 +245,14 @@ def _ila_wf_run(
         else:
             eta = min(1.0, 1.5 * eta)
         settled = raw_move < opts.power_tol
+        checked = None
         if not settled and mu > 0 and record.feasible:
             # slow drift along a flat ridge: accept on the first-order
             # residuals directly rather than waiting for exact rest
-            res_p, res_c = stationarity_residuals(PowerVector(rho_c, rho), mu, moments, sigma2)
+            res_p, res_c, l_check, terms = _residuals_and_terms(
+                PowerVector(rho_c, rho), mu, moments, sigma2
+            )
+            checked = (l_check, terms)
             worst = np.abs(res_p[rho > 0]).max() if np.any(rho > 0) else 0.0
             if res_c is not None:
                 worst = max(worst, abs(res_c))
@@ -256,16 +269,18 @@ def _ila_wf_run(
     )
 
 
-def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_common):
+def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_common, terms=None):
     """One linearization with the multiplier bisected to the exact budget.
 
-    The coefficients come from one linearization_terms call and each trial
-    multiplier water-fills all streams as one array.  The surrogate is
+    The coefficients come from one linearization_terms call, unless the
+    caller passes the terms it already evaluated at (rho_c, rho, l_min), and
+    each trial multiplier water-fills all streams as one array.  The surrogate is
     separable and concave, so for fixed coefficients the water-filled total
     is nonincreasing in mu and the budget root is unique.  Returns (rho_c, rho, mu).
     """
     K = len(rho)
-    terms = linearization_terms(PowerVector(rho_c, rho), moments, sigma2, l_min)
+    if terms is None:
+        terms = linearization_terms(PowerVector(rho_c, rho), moments, sigma2, l_min)
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")

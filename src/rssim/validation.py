@@ -9,11 +9,13 @@ pass/fail line per check with the measured error.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError
 from .estimation import EstimationModel, build_estimation_model, simulate_batch
+from .linalg import outer_sums
 from .moments import (
     MomentTable,
     closed_form_moments,
@@ -123,11 +125,10 @@ def mc_moment_table(
         sq = np.abs(inner_hat) ** 2
         sum_hat_sq += sq.sum(axis=0)
         sum_sq_sq += (sq**2).sum(axis=0)
-        pair = np.einsum("nki,nkj->kij", inner_hat, inner_hat.conj(), optimize=True)
+        pair, pair_re2, pair_im2 = outer_sums(inner_hat, inner_hat)
         sum_pair += pair
-        pair_per = inner_hat[:, :, :, None] * inner_hat.conj()[:, :, None, :]
-        sum_pair_re2 += (pair_per.real**2).sum(axis=0)
-        sum_pair_im2 += (pair_per.imag**2).sum(axis=0)
+        sum_pair_re2 += pair_re2
+        sum_pair_im2 += pair_im2
         sum_norm += (np.abs(batch.h_hat) ** 2).sum(axis=(0, 2))
         if use_common:
             w_c = common_precoder(weights, batch, model)
@@ -204,10 +205,10 @@ def mc_estimation_stats(model: EstimationModel, n: int, rng: np.random.Generator
         batch = simulate_batch(model.cov, model, m, rng)
         cross += np.einsum("nim,nkl->ikml", batch.h_hat, batch.h_hat.conj(), optimize=True)
         err += np.einsum("nim,nil->iml", batch.h_tilde, batch.h_tilde.conj(), optimize=True)
-        prod = np.einsum("nim,nil->niml", batch.h_hat, batch.h_tilde.conj(), optimize=True)
-        orth += prod.sum(axis=0)
-        orth_re2 += (prod.real**2).sum(axis=0)
-        orth_im2 += (prod.imag**2).sum(axis=0)
+        prod, prod_re2, prod_im2 = outer_sums(batch.h_hat, batch.h_tilde)
+        orth += prod
+        orth_re2 += prod_re2
+        orth_im2 += prod_im2
         done += m
     cross /= n
     err /= n
@@ -265,24 +266,16 @@ def colinearity_identity_error(model: EstimationModel, n: int, rng: np.random.Ge
 def simplex_grid_max_min(v: np.ndarray, step: float = 0.01) -> float:
     """Exhaustive max-min over the weight simplex at a fixed grid step.
 
-    Enumerates all compositions of 1/step into K nonnegative parts;
-    independent of the LP solver by construction.
+    Enumerates all compositions of 1/step into K nonnegative parts (stars
+    and bars: K-1 bar positions among 1/step + K-1 slots) as one integer
+    array; independent of the LP solver by construction.
     """
     K = v.shape[0]
     units = int(round(1.0 / step))
-    best = -np.inf
-
-    def recurse(prefix, remaining, depth):
-        nonlocal best
-        if depth == K - 1:
-            a = np.array(prefix + [remaining]) * step
-            best = max(best, float(np.min(a @ v)))
-            return
-        for u in range(remaining + 1):
-            recurse(prefix + [u], remaining - u, depth + 1)
-
-    recurse([], units, 0)
-    return best
+    bars = np.array(list(combinations(range(units + K - 1), K - 1)), dtype=int)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, units + K - 1))
+    grid = (np.diff(edges, axis=1) - 1) * step
+    return float(np.min(grid @ v, axis=1).max())
 
 
 def _log_ratio(rho_c, rho, moments: MomentTable, sigma2: float, l_min: int):

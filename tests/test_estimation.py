@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ def test_empirical_estimate_statistics():
         assert relative_frobenius(stats["err"][i], cov.R[i] - model.Phi[i]) < 0.02
     # estimate/error orthogonality, entrywise in Monte Carlo standard errors
     assert stats["orth_z_max"] < 3.0
+
+
+def test_estimation_stats_memory_bounded_per_draw():
+    # one 20,000-sample draw at 16x3: the draw itself holds about 49 MiB;
+    # forming the per-sample (n, K, M, M) estimate/error products peaked near 530 MiB
+    _, _, _, model = make_scenario(M=16, K=3)
+    tracemalloc.start()
+    try:
+        mc_estimation_stats(model, 20_000, np.random.default_rng(21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20
 
 
 def test_rho_tr_must_be_positive(small_setup):

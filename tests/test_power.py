@@ -5,6 +5,7 @@ from rssim.errors import NumericalError
 from rssim.estimation import build_estimation_model
 from rssim.link import PowerVector, common_channel_variance, se_report, stream_denominators
 from rssim.moments import MomentTable, closed_form_moments
+import rssim.power as power
 from rssim.power import (
     MU_BRACKET_TOP,
     IlaWfOptions,
@@ -332,3 +333,20 @@ def test_ila_wf_converges_far_from_uniform_split(mode):
     report, alloc, _ = evaluate_point(config, mode, derive_point_seed(0, 0))
     assert alloc.converged
     assert report.sum_se >= 5.03
+
+
+def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
+    # the stationarity check's linearization is passed on to the next
+    # budget-exact step when the bottleneck UE agrees; this point takes
+    # dozens of iterations and runs the check on most of them
+    config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
+    calls = []
+
+    def recording(rho_hat, moments, sigma2, l_min):
+        calls.append((rho_hat.rho_c, rho_hat.rho.tobytes(), l_min))
+        return linearization_terms(rho_hat, moments, sigma2, l_min)
+
+    monkeypatch.setattr(power, "linearization_terms", recording)
+    _, alloc, _ = evaluate_point(config, "rs", derive_point_seed(0, 0))
+    assert alloc.iterations > 50
+    assert all(before != after for before, after in zip(calls, calls[1:]))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,18 @@ def test_simplex_grid_enumerates_vertices():
     # payoff maximal at the pure second vertex
     v = np.array([[0.1, 0.1], [1.0, 2.0]])
     assert simplex_grid_max_min(v, step=0.5) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("K, step", [(1, 0.1), (2, 0.25), (4, 0.2)])
+def test_simplex_grid_matches_product_enumeration(K, step):
+    v = np.random.default_rng(K).uniform(-1.0, 1.0, size=(K, 3))
+    units = int(round(1.0 / step))
+    best = max(
+        float(np.min(np.array(parts) * step @ v))
+        for parts in itertools.product(range(units + 1), repeat=K)
+        if sum(parts) == units
+    )
+    assert simplex_grid_max_min(v, step) == pytest.approx(best, rel=1e-14)
 
 
 def test_validation_refuses_small_sample_budget():
