@@ -29,7 +29,6 @@ from .estimation import (
 from .link import PowerVector, SEReport, gamma_common, gamma_private, se_report
 from .moments import (
     MomentTable,
-    QuarticMomentSpec,
     closed_form_moments,
     common_gain,
     common_second_moment,
@@ -37,7 +36,6 @@ from .moments import (
     mc_moments,
     mr_cross_power,
     mr_gain,
-    quartic_moment,
     select_quartic_variant,
 )
 from .power import (

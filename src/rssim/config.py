@@ -34,6 +34,10 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
         vals = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"sweep values must be finite, got {self.values}")
+        if self.axis != "power_dbm" and np.any(vals != np.round(vals)):
+            raise ConfigError(f"{self.axis} values must be integers, got {self.values}")
         if np.any(np.diff(vals) <= 0):
             raise ConfigError("sweep values must be strictly increasing")
         if self.drops < 1:
@@ -43,6 +47,8 @@ class SweepSpec:
                 raise ConfigError(f"mode must be one of {MODES}, got {m!r}")
         if len(self.modes) == 0:
             raise ConfigError("need at least one mode")
+        if len(set(self.modes)) != len(self.modes):
+            raise ConfigError(f"modes must not repeat, got {self.modes}")
 
 
 @dataclass
@@ -50,7 +56,6 @@ class RunSettings:
     """Toggles that select between documented model variants."""
 
     include_pi: bool = True               # interference weighting in the weight program
-    quartic_variant: str = "auto"         # "auto" adjudicates by Monte Carlo
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -78,7 +83,7 @@ def _parse_scalar(key: str, raw: str):
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if key in ("axis", "output_path", "quartic_variant"):
+    if key in ("axis", "output_path"):
         return raw
     if key == "values":
         try:
@@ -116,17 +121,17 @@ def parse_config(text: str):
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        value = _parse_scalar(key, raw)
         if key in _SCENARIO_FIELDS:
-            scenario_kwargs[key] = value
+            target = scenario_kwargs
         elif key in _SWEEP_FIELDS:
-            sweep_kwargs[key] = value
+            target = sweep_kwargs
         elif key in _SOLVER_FIELDS:
-            solver_kwargs[key] = value
+            target = solver_kwargs
         elif key in _SETTINGS_FIELDS:
-            settings_kwargs[key] = value
+            target = settings_kwargs
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        target[key] = _parse_scalar(key, raw)
 
     config = ScenarioConfig(**scenario_kwargs)  # validates in __post_init__
     sweep = None
@@ -135,10 +140,6 @@ def parse_config(text: str):
         sweep.validate()
     solver = IlaWfOptions(**solver_kwargs)
     settings = RunSettings(**settings_kwargs)
-    if settings.quartic_variant not in ("auto", "real", "circular"):
-        raise ConfigError(
-            f"quartic_variant must be auto, real, or circular, got {settings.quartic_variant!r}"
-        )
     return config, sweep, solver, settings
 
 

@@ -1,21 +1,15 @@
 """Small linear-algebra helpers used throughout the package.
 
 Local-scattering covariance matrices are often numerically rank deficient,
-so every routine that factors or inverts one of them has an eigenvalue
-fallback or a ridge.  Ridge usage is logged because it changes the result.
+so the sampling factor falls back to an eigendecomposition with clamped
+eigenvalues; clamping is logged because it changes the draw.
 """
 
 import logging
 
 import numpy as np
 
-from .errors import NumericalError
-
 logger = logging.getLogger(__name__)
-
-# condition number above which a covariance is treated as numerically singular
-COND_LIMIT = 1e8
-RIDGE_EPS = 1e-10
 
 
 def hermitian_part(a):
@@ -28,19 +22,6 @@ def max_hermitian_asymmetry(a):
     if scale == 0.0:
         return 0.0
     return np.abs(a - a.conj().T).max() / scale
-
-
-def psd_sqrt(a):
-    """Hermitian square root of a PSD matrix via eigendecomposition.
-
-    Negative eigenvalues from rounding are clamped to zero.  Returns L with
-    L @ L^H = A (L is itself Hermitian).
-    """
-    w, v = np.linalg.eigh(hermitian_part(a))
-    floor = -1e-10 * max(w[-1], 0.0) - 1e-300
-    if w[0] < floor:
-        raise NumericalError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def sampling_factor(r):
@@ -60,22 +41,6 @@ def sampling_factor(r):
                 int(np.sum(w < 0)), w[0],
             )
         return v * np.sqrt(clipped)
-
-
-def ridge_solve(r, b, scale=None):
-    """Solve R x = b for a Hermitian PSD R that may be near singular.
-
-    When cond(R) exceeds COND_LIMIT a ridge eps*scale*I is added (scale
-    defaults to the mean diagonal of R) and the use is logged.
-    """
-    r = np.asarray(r)
-    if scale is None:
-        scale = np.real(np.trace(r)) / r.shape[0]
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        logger.debug("ridge-stabilized solve: cond(R)=%.3e", cond)
-        r = r + (RIDGE_EPS * scale) * np.eye(r.shape[0])
-    return np.linalg.solve(r, b)
 
 
 def outer_sums(a, b):

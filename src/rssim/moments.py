@@ -2,12 +2,12 @@
 
 Closed forms are available for MR private precoding and for the common
 precoder built as a weighted sum of channel estimates; everything else can
-be estimated by the Monte Carlo path.  The fourth-order Gaussian moment
-that enters the common-stream second moment is shipped in two variants,
-because the two candidate values of E{|c_m|^4} for a unit complex Gaussian
-(3, the real-Gaussian fourth moment, and 2, the circularly-symmetric one)
-give different formulas.  The default is adjudicated by a Monte Carlo
-oracle rather than hard-coded; see ``select_quartic_variant``.
+be estimated by the Monte Carlo path.  The common-stream second moment
+needs one fourth-order moment of the estimates, which the closed forms take
+from a circularly-symmetric complex Gaussian (E{|c_m|^4} = 2).  The
+real-Gaussian alternative (E{|c_m|^4} = 3) survives only in the Monte Carlo
+vote ``select_quartic_variant``, an oracle that ``rssim validate`` runs to
+confirm that the circular value is the one the estimates follow.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
-from .linalg import outer_sums, psd_sqrt, ridge_solve, standard_complex_gaussian
+from .linalg import outer_sums, standard_complex_gaussian
 
 QUARTIC_VARIANTS = ("real", "circular")
 
@@ -63,26 +63,6 @@ class MomentTable:
             raise NumericalError("second moment below squared mean for the common beam")
 
 
-@dataclass
-class QuarticMomentSpec:
-    """Inputs of the fourth-order estimate moment E{h h^H h' h'^H}.
-
-    ``B`` couples the two estimates through the covariance geometry and
-    ``phi_root`` is a factor of the first estimate's covariance with
-    phi_root @ phi_root^H = Phi.
-    """
-
-    B: np.ndarray
-    phi_root: np.ndarray
-    variant: str = "circular"
-
-    def __post_init__(self):
-        if self.variant not in QUARTIC_VARIANTS:
-            raise ValueError(f"unknown quartic variant {self.variant!r}")
-        if not np.all(np.isfinite(self.B)):
-            raise ValueError("B must be finite")
-
-
 def _real_trace(value, context: str):
     value = np.asarray(value)
     imag = np.abs(value.imag)
@@ -116,67 +96,19 @@ def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     raise ValueError(f"unknown quartic variant {variant!r}")
 
 
-def quartic_moment(spec: QuarticMomentSpec) -> np.ndarray:
-    """Fourth-order estimate moment in the estimate's own coordinates.
-
-    variant="real" evaluates tr(B) Phi + root (diag(B) + B) root^H, built
-    on the real-Gaussian fourth moment E{|c|^4} = 3; variant="circular"
-    drops the diag(B) term, which is what a circularly-symmetric complex
-    Gaussian (E{|c|^4} = 2) gives.
-    """
-    root = spec.phi_root
-    phi = root @ root.conj().T
-    inner = spec.B if spec.variant == "circular" else spec.B + np.diag(np.diag(spec.B))
-    return np.trace(spec.B) * phi + root @ inner @ root.conj().T
-
-
-def quartic_spec(k: int, i: int, model: EstimationModel, variant: str = "circular") -> QuarticMomentSpec:
-    """Build the quartic-moment inputs for the estimate pair (k, i)."""
-    root = psd_sqrt(model.Phi[k])
-    r_k = model.cov.R[k]
-    w = ridge_solve(r_k, root, scale=model.cov.beta[k])
-    B = (root.conj().T @ model.cov.R[i]) @ w
-    return QuarticMomentSpec(B=B, phi_root=root, variant=variant)
-
-
-def estimate_pair_moment(
-    k: int, i: int, j: int, model: EstimationModel, variant: str = "circular"
-) -> complex:
+def estimate_pair_moment(k: int, i: int, j: int, model: EstimationModel) -> complex:
     """E{h_k^H hhat_i hhat_j^H h_k} for i != j, assembled from the
     estimate-colinearity substitution, the error-covariance split, and the
-    quartic moment.
+    circular quartic moment.
 
     The substitution hhat_j = R_j R_i^{-1} hhat_i carries a trailing
-    R_k^{-1} R_i factor into the quartic term; with the circular variant the
-    inverses cancel algebraically, leaving
+    R_k^{-1} R_i factor into the quartic term; the inverses cancel
+    algebraically, leaving
         tr(C_ik) tr(C_kj) + tr(C_ij R_k),
     which is the form evaluated here (exact for any covariances, no ridge).
-    The real-Gaussian variant adds the diag(B) excess on top of that,
-    which does not simplify and is computed with ridge-stabilized solves.
     """
     ct = model.cross_trace
-    value = ct[i, k] * ct[k, j] + model.triple_trace[i, j, k]
-    if variant == "circular":
-        return complex(value)
-    if variant != "real":
-        raise ValueError(f"unknown quartic variant {variant!r}")
-    return complex(value + _real_excess(k, i, j, model))
-
-
-def _real_excess(k: int, i: int, j: int, model: EstimationModel) -> complex:
-    """The real variant's diag(B) excess in the pair moment (k, i, j)."""
-    R, beta = model.cov.R, model.cov.beta
-    spec = quartic_spec(k, i, model)
-    excess = spec.phi_root @ np.diag(np.diag(spec.B)) @ spec.phi_root.conj().T
-    rinv_ri_excess = ridge_solve(R[i], R[j], scale=beta[i]) @ excess
-    return np.trace(rinv_ri_excess @ ridge_solve(R[k], R[i], scale=beta[k]))
-
-
-def _real_correction(k: int, weights: np.ndarray, model: EstimationModel) -> complex:
-    """sum_{i != j} w_i w_j (real - circular pair moment) for UE k."""
-    live = np.flatnonzero(weights)
-    pairs = [(i, j) for i in live for j in live if i != j]
-    return sum(weights[i] * weights[j] * _real_excess(k, i, j, model) for i, j in pairs)
+    return complex(ct[i, k] * ct[k, j] + model.triple_trace[i, j, k])
 
 
 def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
@@ -196,9 +128,7 @@ def common_gain(k: int, weights, model: EstimationModel) -> complex:
     return complex(weights @ model.cross_trace[:, k]) / np.sqrt(norm2)
 
 
-def common_second_moment(
-    k: int, weights, model: EstimationModel, variant: str = "circular"
-) -> float:
+def common_second_moment(k: int, weights, model: EstimationModel) -> float:
     """Mean squared response of UE k to the common precoder.
 
     The diagonal (same-estimate) terms use the MR-style identity; the
@@ -215,17 +145,11 @@ def common_second_moment(
     outer = np.outer(weights, weights)
     np.fill_diagonal(outer, 0.0)
     pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3[:, :, k])))
-    if variant == "real":
-        pair_sum += _real_correction(k, weights, model)
-    elif variant != "circular":
-        raise ValueError(f"unknown quartic variant {variant!r}")
     total = _real_trace(pair_sum, "common second moment pair sum") + diag
     return total / norm2
 
 
-def closed_form_moments(
-    model: EstimationModel, weights=None, variant: str = "circular"
-) -> MomentTable:
+def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     """Assemble the full closed-form moment table for MR private beams and,
     if weights are given, the weighted-estimate common beam.
 
@@ -239,7 +163,6 @@ def closed_form_moments(
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power
     formula for the virtual UE, at one Q^{-1} solve and one M x M product.
-    The real variant adds its sum_{i != j} diag(B) excess per UE on top.
     """
     degenerate = np.flatnonzero(model.phi_trace <= 0)
     if degenerate.size:
@@ -251,8 +174,6 @@ def closed_form_moments(
     g_common = np.zeros(K, dtype=complex)
     G_common = np.zeros(K)
     if weights is not None:
-        if variant not in QUARTIC_VARIANTS:
-            raise ValueError(f"unknown quartic variant {variant!r}")
         weights = np.asarray(weights, dtype=float)
         norm2 = _common_norm_squared(weights, model)
         R = model.cov.R
@@ -260,8 +181,6 @@ def closed_form_moments(
         Phi_w = R_w @ model.apply_q_inverse(R_w)
         gain = weights @ ct
         pair_sum = np.einsum("kmn,nm->k", R, Phi_w) + np.abs(gain) ** 2
-        if variant == "real":
-            pair_sum = pair_sum + [_real_correction(k, weights, model) for k in range(K)]
         g_common = gain / np.sqrt(norm2)
         G_common = _real_trace(pair_sum, "common second moment") / norm2
     table = MomentTable(
@@ -394,12 +313,12 @@ def select_quartic_variant(
 ) -> QuarticAdjudication:
     """Run the variant vote on random (Phi, B) pairs.
 
-    Each pair draws a random PSD Phi (used to exercise the full sandwiched
-    moment downstream) and a random complex B.  The vote itself happens in
-    the coordinates of the unit Gaussian, where the two variants differ by
-    diag(B).  The winner is the variant with the smallest worst-case
-    deviation; ``unique`` is True when exactly one variant passes the
-    z-test on every component of every pair.
+    Each pair draws a random PSD Phi (only its trace is recorded) and a
+    random complex B.  The vote itself happens in the coordinates of the
+    unit Gaussian, where the two variants differ by diag(B).  The winner is
+    the variant with the smallest worst-case deviation; ``unique`` is True
+    when exactly one variant passes the z-test on every component of every
+    pair.
     """
     rng = np.random.default_rng(seed)
     pair_results = []
@@ -409,7 +328,7 @@ def select_quartic_variant(
     for p in range(n_pairs):
         M = int(m_values[p % len(m_values)])
         a = standard_complex_gaussian(rng, (M, M))
-        phi = a @ a.conj().T  # drawn to keep the pair spec well posed
+        phi = a @ a.conj().T
         B = standard_complex_gaussian(rng, (M, M)) * np.sqrt(2.0)
         result = adjudicate_quartic_pair(B, n_samples, rng, z_limit)
         for v in QUARTIC_VARIANTS:
@@ -430,6 +349,8 @@ def select_quartic_variant(
 
 @lru_cache(maxsize=1)
 def default_quartic_variant() -> str:
-    """Variant used by the closed-form pipeline, decided once per process
-    by a quick deterministic run of the Monte Carlo oracle."""
+    """Winner of a quick deterministic run of the vote, cached per process.
+
+    The closed forms are circular-only and never call this; it is the
+    cheap form of the oracle for callers that want the verdict."""
     return select_quartic_variant(n_pairs=3, m_values=(4,), n_samples=100_000, seed=42).winner

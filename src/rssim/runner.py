@@ -12,7 +12,6 @@ import csv
 import io
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from .config import RunSettings, SweepSpec
 from .errors import ConfigError
 from .estimation import build_estimation_model
 from .link import se_report
-from .moments import closed_form_moments, default_quartic_variant
+from .moments import closed_form_moments
 from .power import IlaWfOptions, ila_wf
 from .precoding import build_common_weight_problem, solve_common_weights
 from .scenario import ScenarioConfig, generate_scenario
@@ -80,25 +79,6 @@ def derive_point_seed(master_seed: int, drop_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def worker_count() -> int:
-    """Sweep parallelism, capped by the RSSIM_THREADS environment variable."""
-    env = os.environ.get("RSSIM_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"RSSIM_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
-
-
-def resolve_quartic_variant(settings: RunSettings | None) -> str:
-    settings = settings or RunSettings()
-    if settings.quartic_variant == "auto":
-        return default_quartic_variant()
-    return settings.quartic_variant
-
-
 def evaluate_point(
     config: ScenarioConfig,
     mode: str,
@@ -123,14 +103,13 @@ def evaluate_point(
     rho_total = config.rho_total_mw
     weights = None
     if mode == "rs":
-        variant = resolve_quartic_variant(settings)
         mr_table = closed_form_moments(model)
         problem = build_common_weight_problem(
             model, mr_table, np.full(config.K, rho_total / config.K), sigma2,
             include_pi=settings.include_pi,
         )
         weights, _ = solve_common_weights(problem)
-        moments = closed_form_moments(model, weights, variant)
+        moments = closed_form_moments(model, weights)
         options = replace(solver, freeze_common=False)
     else:
         moments = closed_form_moments(model)
@@ -192,8 +171,8 @@ def run_sweep(
 ) -> list:
     """Evaluate every (value, drop, mode) combination of a sweep.
 
-    Rows are produced in deterministic order (values outer, then drops,
-    then modes) regardless of worker scheduling.  When an output path is
+    Points run one after another, and rows come in that order: values
+    outer, then drops, then modes.  When an output path is
     given the CSV is written atomically: a partial file is never left
     behind.
     """
@@ -213,12 +192,7 @@ def run_sweep(
             axis=spec.axis, axis_value=value, drop=drop,
         )
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, tasks))
-    else:
-        rows = [work(t) for t in tasks]
+    rows = [work(t) for t in tasks]
 
     if output_path is not None:
         write_rows(rows, output_path)

@@ -18,7 +18,7 @@ import pytest
 from rssim.config import SweepSpec
 from rssim.estimation import build_estimation_model
 from rssim.link import PowerVector, se_report
-from rssim.moments import closed_form_moments, default_quartic_variant, select_quartic_variant
+from rssim.moments import closed_form_moments, select_quartic_variant
 from rssim.power import ila_wf, stationarity_residuals
 from rssim.precoding import (
     CommonWeightProblem,
@@ -56,7 +56,7 @@ def build_tables(config, seed, with_weights=True):
             model, mr, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
         )
         weights, _ = solve_common_weights(problem)
-    table = closed_form_moments(model, weights, default_quartic_variant())
+    table = closed_form_moments(model, weights)
     return cov, model, weights, table
 
 
@@ -164,7 +164,7 @@ def test_criterion_4_quartic_moment_adjudication():
         f"rejected: {loser} (max |dev|/SE {result.max_z[loser]:.0f}, "
         f"max |dev| {result.max_abs_dev[loser]:.3e}); {time.time()-t0:.0f}s",
     )
-    assert result.winner == default_quartic_variant()
+    assert result.winner == "circular"
 
 
 def test_criterion_5_ila_wf_contracts():

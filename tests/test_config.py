@@ -36,11 +36,16 @@ def test_unknown_key_named():
 
 
 @pytest.mark.parametrize(
-    "key", ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise"]
+    "key",
+    ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise",
+     "quartic_variant"],
 )
 def test_removed_solver_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1e-6\n")
+    # the key is rejected by name before its value is parsed
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = real\n")
 
 
 def test_duplicate_key_rejected():
@@ -81,6 +86,8 @@ def test_sweep_values_must_increase():
 def test_sweep_mode_validated():
     with pytest.raises(ConfigError, match="mode"):
         parse_config("axis = users\nvalues = 2, 5\nmodes = hybrid\n")
+    with pytest.raises(ConfigError, match="modes must not repeat"):
+        parse_config("axis = users\nvalues = 2, 5\nmodes = rs, no_rs, rs\n")
 
 
 def test_solver_and_settings_keys():
@@ -90,7 +97,6 @@ se_tol = 1e-3
 power_tol = 1e-8
 budget_tol = 1e-5
 include_pi = false
-quartic_variant = circular
 """
     _, _, solver, settings = parse_config(text)
     assert solver.max_iterations == 50
@@ -98,17 +104,11 @@ quartic_variant = circular
     assert solver.power_tol == 1e-8
     assert solver.budget_tol == 1e-5
     assert settings.include_pi is False
-    assert settings.quartic_variant == "circular"
 
 
 def test_bad_boolean_rejected():
     with pytest.raises(ConfigError, match="boolean"):
         parse_config("include_pi = maybe\n")
-
-
-def test_bad_quartic_variant_rejected():
-    with pytest.raises(ConfigError, match="quartic_variant"):
-        parse_config("quartic_variant = banana\n")
 
 
 def test_bad_number_rejected():

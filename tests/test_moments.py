@@ -7,7 +7,6 @@ from rssim.errors import InvalidWeightsError, NumericalError
 from rssim.estimation import build_estimation_model, simulate_batch
 from rssim.moments import (
     MomentTable,
-    QuarticMomentSpec,
     closed_form_moments,
     common_gain,
     common_second_moment,
@@ -18,8 +17,6 @@ from rssim.moments import (
     mr_cross_power,
     mr_gain,
     quartic_identity,
-    quartic_moment,
-    quartic_spec,
     select_quartic_variant,
 )
 from rssim.precoding import build_precoders
@@ -74,54 +71,12 @@ def test_quartic_identity_unit_case():
     assert np.allclose(quartic_identity(eye, "circular"), 3.0 * eye)
 
 
-def test_quartic_moment_unit_case():
-    eye = np.eye(2, dtype=complex)
-    spec = QuarticMomentSpec(B=eye, phi_root=eye, variant="real")
-    assert np.allclose(quartic_moment(spec), 4.0 * eye)
-
-
-def test_quartic_moment_zero_b():
-    root = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex))
-    for variant in ("real", "circular"):
-        spec = QuarticMomentSpec(B=np.zeros((2, 2)), phi_root=root, variant=variant)
-        assert np.allclose(quartic_moment(spec), 0.0)
-
-
-def test_quartic_moment_matches_independent_reimplementation():
-    """Regression: the sandwiched formula, term by term, against explicit
-    loops written from scratch."""
-    rng = np.random.default_rng(14)
-    M = 5
-    B = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
-    a = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
-    phi = a @ a.conj().T
-    w, v = np.linalg.eigh(phi)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    spec = QuarticMomentSpec(B=B, phi_root=root, variant="real")
-    got = quartic_moment(spec)
-    expected = np.zeros((M, M), dtype=complex)
-    trace_b = sum(B[m, m] for m in range(M))
-    diag_b = np.zeros((M, M), dtype=complex)
-    for m in range(M):
-        diag_b[m, m] = B[m, m]
-    expected = trace_b * phi + root @ (diag_b + B) @ root.conj().T
-    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_quartic_spec_root_reconstructs_phi(small_setup):
-    _, _, model, _ = small_setup
-    spec = quartic_spec(0, 1, model)
-    phi = spec.phi_root @ spec.phi_root.conj().T
-    assert np.linalg.norm(phi - model.Phi[0]) / np.linalg.norm(model.Phi[0]) < 1e-10
-
-
 def test_quartic_variant_vote_is_unambiguous():
     result = select_quartic_variant(n_pairs=3, m_values=(2, 4), n_samples=100_000, seed=42)
     assert result.unique
-    assert result.winner in ("real", "circular")
-    loser = "real" if result.winner == "circular" else "circular"
+    assert result.winner == "circular"
     # the rejected variant must deviate by far more than Monte Carlo noise
-    assert result.max_z[loser] > 10 * result.max_z[result.winner]
+    assert result.max_z["real"] > 10 * result.max_z["circular"]
 
 
 def test_mc_c_quartic_standard_errors_shrink():
@@ -133,7 +88,7 @@ def test_mc_c_quartic_standard_errors_shrink():
 
 
 def test_default_variant_is_cached_and_valid():
-    assert default_quartic_variant() in ("real", "circular")
+    assert default_quartic_variant() == "circular"
     assert default_quartic_variant() is default_quartic_variant()
 
 
@@ -171,7 +126,7 @@ def test_invalid_weights_rejected(small_setup):
 
 def test_closed_form_vs_monte_carlo_table(small_setup):
     config, cov, model, weights = small_setup
-    closed = closed_form_moments(model, weights, "circular")
+    closed = closed_form_moments(model, weights)
     mc, _ = mc_moment_table(model, MC_SAMPLES, np.random.default_rng(30), weights)
     assert tolerance_excess(closed.g_private, mc.g_private, mc.se_g_private).max() <= 1.0
     assert tolerance_excess(closed.G_private, mc.G_private, mc.se_G_private).max() <= 1.0
@@ -189,21 +144,11 @@ def test_pair_moments_vs_monte_carlo(small_setup):
             for j in range(model.K):
                 if i == j:
                     continue
-                closed = estimate_pair_moment(k, i, j, model, "circular")
+                closed = estimate_pair_moment(k, i, j, model)
                 excess = tolerance_excess(
                     closed, info["pair_mean"][k, i, j], info["pair_se"][k, i, j]
                 )
                 assert float(excess) <= 1.0
-
-
-def test_real_variant_deviates_from_monte_carlo(small_setup):
-    """The real-Gaussian fourth-moment variant must measurably overshoot
-    the circularly-symmetric one."""
-    _, _, model, weights = small_setup
-    circ = np.array([common_second_moment(k, weights, model, "circular") for k in range(model.K)])
-    real = np.array([common_second_moment(k, weights, model, "real") for k in range(model.K)])
-    assert np.all(real >= circ - 1e-18)
-    assert real.max() > circ.max() * 1.0001  # the diag(B) excess is visible
 
 
 def test_mc_moments_fixed_unit_vector(small_setup):
@@ -241,10 +186,7 @@ def test_moment_table_variance_invariant_enforced():
         table.validate()
 
 
-def test_unknown_variant_rejected(small_setup):
-    _, _, model, weights = small_setup
-    with pytest.raises(ValueError):
-        common_second_moment(0, weights, model, "bogus")
+def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         quartic_identity(np.eye(2), "bogus")
 
@@ -256,20 +198,19 @@ def _random_weights(K, seed):
     return weights
 
 
-@pytest.mark.parametrize("K", [3, 10])
-@pytest.mark.parametrize("variant", ["circular", "real"])
-def test_array_table_matches_per_ue_functions(K, variant):
+@pytest.mark.parametrize("K", [3, 10], ids=lambda K: f"circular-{K}")
+def test_array_table_matches_per_ue_functions(K):
     """The array expressions of closed_form_moments agree with the per-UE
     reference functions for every k (and every k, i for the MR table)."""
     _, _, _, model = make_scenario(M=12, K=K, seed=20 + K, rho_tr_dbm=-5.0)
     weights = _random_weights(K, K)
-    table = closed_form_moments(model, weights, variant)
+    table = closed_form_moments(model, weights)
     for k in range(K):
         for i in range(K):
             assert table.G_private[k, i] == pytest.approx(mr_cross_power(k, i, model), rel=1e-12)
         assert table.g_common[k] == pytest.approx(common_gain(k, weights, model), rel=1e-12)
         assert table.G_common[k] == pytest.approx(
-            common_second_moment(k, weights, model, variant), rel=1e-12
+            common_second_moment(k, weights, model), rel=1e-12
         )
 
 
@@ -291,7 +232,7 @@ def test_closed_form_memory_scales_with_k_m_squared():
     tracemalloc.start()
     try:
         model = build_estimation_model(cov, config.rho_tr_effective)
-        closed_form_moments(model, weights, "circular")
+        closed_form_moments(model, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,7 @@ from conftest import make_scenario, solve_weights_for
 
 def rs_table(config, model):
     weights = solve_weights_for(config, model)
-    return closed_form_moments(model, weights, "circular")
+    return closed_form_moments(model, weights)
 
 
 def test_waterfill_arithmetic():
@@ -67,7 +67,7 @@ def test_linearization_single_ue_no_common():
 
 def test_linearization_zero_power_zero_zeta(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     rho = np.array([0.0, 5.0, 3.0])
     terms = linearization_terms(PowerVector(1.0, rho), table, config.noise_mw, 0)
     assert np.all(terms.zeta[:, 0] == 0.0)  # NUM_0 = DEN_0 at zero self-power
@@ -77,7 +77,7 @@ def test_linearization_zero_power_zero_zeta(small_setup):
 
 def test_linearization_matches_finite_differences(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     rho_total = config.rho_total_mw
     point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
     worst = linearization_fd_errors(point, table, config.noise_mw, rho_total, 0)
@@ -101,7 +101,7 @@ def coefficient_cases(small_setup):
     config, _, model, weights = small_setup
     config10, _, _, model10 = make_scenario(M=16, K=10, seed=5)
     return [
-        (closed_form_moments(model, weights, "circular"), config.noise_mw, config.rho_total_mw),
+        (closed_form_moments(model, weights), config.noise_mw, config.rho_total_mw),
         (rs_table(config10, model10), config10.noise_mw, config10.rho_total_mw),
     ]
 
@@ -232,7 +232,7 @@ def test_budget_step_rejects_nonpositive_sigma1():
 
 def test_ila_wf_initialization_state(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     first = alloc.trace[0]
     assert first.iteration == 0
@@ -243,7 +243,7 @@ def test_ila_wf_initialization_state(small_setup):
 
 def test_ila_wf_budget_feasible(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
     for record in alloc.trace:
@@ -260,7 +260,7 @@ def test_ila_wf_symmetric_two_ues():
     problem = build_common_weight_problem(model, mr, np.full(2, 50.0), 1e-3)
     weights, _ = solve_common_weights(problem)
     assert np.array_equal(weights, [0.5, 0.5])
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, 100.0, 1e-3, config)
     assert alloc.converged
     rel = abs(alloc.powers.rho[0] - alloc.powers.rho[1]) / alloc.powers.rho[0]
@@ -269,7 +269,7 @@ def test_ila_wf_symmetric_two_ues():
 
 def test_ila_wf_stationarity_at_convergence(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     assert alloc.converged
     res_p, res_c = stationarity_residuals(alloc.powers, alloc.mu, table, config.noise_mw)
@@ -284,7 +284,7 @@ def test_ila_wf_stationarity_at_convergence(small_setup):
 
 def test_ila_wf_improves_on_uniform_init(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     init = PowerVector(0.0, np.full(config.K, config.rho_total_mw / config.K))
     assert (
@@ -295,7 +295,7 @@ def test_ila_wf_improves_on_uniform_init(small_setup):
 
 def test_ila_wf_freeze_common(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(
         table, config.rho_total_mw, config.noise_mw, config,
         IlaWfOptions(freeze_common=True),
@@ -307,7 +307,7 @@ def test_ila_wf_freeze_common(small_setup):
 
 def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(
         table, config.rho_total_mw, config.noise_mw, config,
         IlaWfOptions(max_iterations=6, se_tol=0.0),  # strict < 0 never fires
@@ -318,7 +318,7 @@ def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):
 
 def test_ila_wf_trace_records_sum_se(small_setup):
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights, "circular")
+    table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     assert len(alloc.trace) == len({r.iteration for r in alloc.trace})
     assert all(np.isfinite(r.sum_se) for r in alloc.trace)

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import rssim.cli
+import rssim.validation
 from rssim.errors import ConfigError
+from rssim.moments import QuarticAdjudication
 from rssim.scenario import ScenarioConfig
 from rssim.validation import (
     run_validation,
@@ -57,3 +60,27 @@ def test_validation_suite_passes_on_default_scenario():
     # other's deviation
     quartic = report.checks[0]
     assert "rejected variant" in quartic.detail
+
+
+def test_real_vote_winner_fails_validation(monkeypatch, capsys):
+    """The closed forms are circular-only, so a vote that picks the real
+    variant, even uniquely, must fail the suite and exit with code 3."""
+    fake = QuarticAdjudication(
+        winner="real",
+        unique=True,
+        max_z={"real": 1.0, "circular": 400.0},
+        max_abs_dev={"real": 1e-3, "circular": 2.0},
+        pair_results=[],
+    )
+    monkeypatch.setattr(rssim.validation, "select_quartic_variant", lambda **kwargs: fake)
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(run_validation(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(rssim.cli, "run_validation", recording)
+    assert rssim.cli.main(["validate", "--trials", "10000"]) == rssim.cli.EXIT_VALIDATION
+    failed = [c.name for c in reports[0].checks if not c.passed]
+    assert failed == ["quartic variant adjudication"]
+    assert "[FAIL] quartic variant adjudication" in capsys.readouterr().out
