@@ -55,7 +55,7 @@ from .precoding import (
     mr_precoder,
     solve_common_weights,
 )
-from .runner import ResultRow, evaluate_point, run_point, run_sweep
+from .runner import ResultRow, evaluate_drop, evaluate_point, run_point, run_sweep
 from .scenario import (
     CovarianceSet,
     ScenarioConfig,

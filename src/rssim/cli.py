@@ -11,7 +11,7 @@ from dataclasses import replace
 from .config import RunSettings, load_config
 from .errors import ConfigError, RssimError
 from .power import IlaWfOptions
-from .runner import render_csv, run_point, run_sweep, write_rows
+from .runner import evaluate_drop, render_csv, result_row, run_sweep, write_rows
 from .scenario import ScenarioConfig
 from .validation import run_validation
 
@@ -65,10 +65,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         if args.command == "run":
-            rows = [
-                run_point(config, mode, seed=config.seed, solver=solver, settings=settings)
-                for mode in _modes(args.mode)
-            ]
+            modes = _modes(args.mode)
+            results = evaluate_drop(config, modes, config.seed, solver, settings)
+            rows = [result_row(config, mode, config.seed, results[mode]) for mode in modes]
             text = render_csv(rows)
             if args.output:
                 write_rows(rows, args.output)
@@ -82,6 +81,10 @@ def main(argv=None) -> int:
             output = args.output or sweep.output_path
             rows = run_sweep(sweep, config, solver, settings, output_path=output)
             sys.stdout.write(f"wrote {len(rows)} rows to {output}\n")
+            unconverged = sum(not row.converged for row in rows)
+            sys.stderr.write(
+                f"sweep: {len(rows)} rows written, {unconverged} allocator runs not converged\n"
+            )
             return EXIT_OK
         if args.command == "validate":
             report = run_validation(config, args.trials, include_pi=settings.include_pi)

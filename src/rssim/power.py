@@ -5,8 +5,9 @@ budget-exact water-filling step: each stream's rate is split into
 log(signal-plus-interference) minus log(interference), the non-concave
 second part and every other stream's sensitivity are linearized at the
 current point, and the resulting separable concave surrogate is solved
-exactly, with the Lagrange multiplier of the total power budget bisected to
-the budget in every iteration.  A fixed point of that step is a first-order
+exactly in every iteration: the water-filling breakpoints give the active
+set, and Newton's method on that set solves the Lagrange multiplier of the
+total power budget.  A fixed point of that step is a first-order
 stationary point of the sum SE.
 
 The coefficients come as arrays from ``linearization_terms``, which
@@ -20,10 +21,6 @@ import numpy as np
 from .link import PowerVector, common_channel_variance, se_report, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
-
-# first top of the multiplier bracket, 1/mW; doubled until it brackets the budget
-MU_BRACKET_TOP = 1e5
-
 
 @dataclass
 class IlaWfOptions:
@@ -156,6 +153,7 @@ def ila_wf(
     sigma2: float,
     config: ScenarioConfig,
     options: IlaWfOptions | None = None,
+    baseline: PowerAllocation | None = None,
 ) -> PowerAllocation:
     """Run the water-filling allocation to a stationary point.
 
@@ -164,13 +162,19 @@ def ila_wf(
     wins only if it converged and either the pinned run did not or it keeps
     the common stream on at a strictly higher sum SE, so the two modes
     coincide exactly (powers and iterations) when rate splitting brings nothing.
+
+    ``baseline`` is a pinned run the caller already has, used in place of
+    running one.  A pinned run never reads the common-stream entries of the
+    table (its rho_c is 0), so the pinned run on the table without the
+    common stream is bit-identical to the one on this table.
     """
     opts = options or IlaWfOptions()
+    if baseline is None:
+        baseline = _ila_wf_run(
+            moments, rho_total, sigma2, config, replace(opts, freeze_common=True)
+        )
     if opts.freeze_common:
-        return _ila_wf_run(moments, rho_total, sigma2, config, opts)
-    baseline = _ila_wf_run(
-        moments, rho_total, sigma2, config, replace(opts, freeze_common=True)
-    )
+        return baseline
     joint = _ila_wf_run(moments, rho_total, sigma2, config, opts)
     baseline_se = se_report(baseline.powers, moments, config).sum_se
     joint_se = se_report(joint.powers, moments, config).sum_se
@@ -270,13 +274,18 @@ def _ila_wf_run(
 
 
 def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_common, terms=None):
-    """One linearization with the multiplier bisected to the exact budget.
+    """One linearization with the multiplier solved exactly for the budget.
 
     The coefficients come from one linearization_terms call, unless the
-    caller passes the terms it already evaluated at (rho_c, rho, l_min), and
-    each trial multiplier water-fills all streams as one array.  The surrogate is
-    separable and concave, so for fixed coefficients the water-filled total
-    is nonincreasing in mu and the budget root is unique.  Returns (rho_c, rho, mu).
+    caller passes the terms it already evaluated at (rho_c, rho, l_min).
+    Stream k water-fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is
+    active iff mu < b_k = sigma1_k - slope_k, and the filled total is
+    continuous and strictly decreasing in mu until every stream is off.
+    Evaluating it at all breakpoints b_k at once gives the interval that
+    holds the budget root and thereby the active set A; on it the root of
+    sum_A 1/(mu + slope_k) = rho_total + sum_A 1/sigma1_k is found by
+    Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  Returns
+    (rho_c, rho, mu).
     """
     K = len(rho)
     if terms is None:
@@ -294,24 +303,31 @@ def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_co
     def fill(mu):
         return np.maximum(1.0 / (mu + slope) - inv_s1, 0.0)
 
-    def total(levels):
-        return levels[K] + levels[:K].sum() if common else levels.sum()
-
     with np.errstate(divide="ignore"):
         levels = fill(0.0)
     levels[slope == 0] = 10.0 * rho_total  # zero slope at zero price: unbounded demand
     mu = 0.0  # stays zero when the budget is slack even at zero price
-    if total(levels) > rho_total:
-        lo, hi = 0.0, MU_BRACKET_TOP
-        while total(fill(hi)) > rho_total and hi < 1e15:
-            hi *= 2.0
-        for _ in range(500):
-            mid = 0.5 * (lo + hi)
-            if total(fill(mid)) > rho_total:
-                lo = mid
-            else:
-                hi = mid
-            if (hi - lo) < 1e-14 * max(hi, 1e-300):
+    if levels.sum() > rho_total:
+        # filled total at every positive breakpoint; streams with b_k <= 0 never open
+        b = s1 - slope
+        points = np.sort(b[b > 0])
+        above = b[None, :] > points[:, None]
+        at_points = np.where(above, 1.0 / (points[:, None] + slope) - inv_s1, 0.0).sum(axis=1)
+        # totals fall with the breakpoint and the last one is 0, so the root lies
+        # above the last breakpoint whose total still exceeds the budget
+        exceeding = np.flatnonzero(at_points > rho_total)
+        left = points[exceeding[-1]] if exceeding.size else 0.0
+        active = b > left
+        slope_a = slope[active]
+        demand = rho_total + inv_s1[active].sum()
+        # the one-stream bound 1/(mu + min slope) >= demand holds below the root;
+        # the sum is convex and decreasing, so Newton rises monotonically from there
+        mu = max(left, 1.0 / demand - slope_a.min())
+        for _ in range(100):
+            inv = 1.0 / (mu + slope_a)
+            step = (inv.sum() - demand) / (inv @ inv)
+            mu += step
+            if step <= 1e-15 * mu:
                 break
-        levels, mu = fill(hi), hi
+        levels = fill(mu)
     return (float(levels[K]) if common else 0.0), levels[:K], mu

@@ -4,8 +4,8 @@ A point evaluation is fully deterministic given (config, mode, seed):
 placement, covariances, estimation statistics, the closed-form moment
 table, common weights, and the power allocation are all seeded from one
 SeedSequence.  Sweep points derive their seeds from the master seed and
-their (axis index, drop index, mode) coordinates, so any point can be
-reproduced in isolation.
+the drop index alone, so every axis value and both modes of a drop share
+one placement, and any point can be reproduced in isolation.
 """
 
 import csv
@@ -46,6 +46,7 @@ class ResultRow:
     l_min: int
     iterations: int
     seed: int
+    converged: bool  # whether the allocator converged; not a CSV column
 
     def as_csv_values(self):
         return (
@@ -79,6 +80,53 @@ def derive_point_seed(master_seed: int, drop_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def evaluate_drop(
+    config: ScenarioConfig,
+    modes,
+    seed: int,
+    solver: IlaWfOptions | None = None,
+    settings: RunSettings | None = None,
+) -> dict:
+    """Run the full pipeline for one drop in each of the given modes.
+
+    Returns {mode: (SEReport, PowerAllocation, weights)}.  The modes share
+    the drop: the scenario, the estimation model and the table without the
+    common stream are built once.  In "no_rs" mode the common stream is
+    absent: no weights are solved and the allocator keeps the common power
+    pinned to zero.  With both modes, that pinned run is handed to the "rs"
+    allocation as its baseline instead of being solved twice.
+    """
+    for mode in modes:
+        if mode not in MODE_CODES:
+            raise ConfigError(f"mode must be one of {tuple(MODE_CODES)}, got {mode!r}")
+    settings = settings or RunSettings()
+    solver = solver or IlaWfOptions()
+    rng = np.random.default_rng(seed)
+    _, cov = generate_scenario(config, rng)
+    model = build_estimation_model(cov, config.rho_tr_effective)
+    sigma2 = config.noise_mw
+    rho_total = config.rho_total_mw
+    mr_table = closed_form_moments(model)
+    results = {}
+    pinned = None
+    if "no_rs" in modes:
+        pinned = ila_wf(mr_table, rho_total, sigma2, config, replace(solver, freeze_common=True))
+        results["no_rs"] = (se_report(pinned.powers, mr_table, config), pinned, None)
+    if "rs" in modes:
+        problem = build_common_weight_problem(
+            model, mr_table, np.full(config.K, rho_total / config.K), sigma2,
+            include_pi=settings.include_pi,
+        )
+        weights, _ = solve_common_weights(problem)
+        moments = closed_form_moments(model, weights)
+        alloc = ila_wf(
+            moments, rho_total, sigma2, config, replace(solver, freeze_common=False),
+            baseline=pinned,
+        )
+        results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
+    return results
+
+
 def evaluate_point(
     config: ScenarioConfig,
     mode: str,
@@ -88,49 +136,22 @@ def evaluate_point(
 ):
     """Run the full pipeline at one (config, mode, seed) point.
 
-    Returns (SEReport, PowerAllocation, weights).  In "no_rs" mode the
-    common stream is absent: no weights are solved and the allocator keeps
-    the common power pinned to zero.
+    Returns (SEReport, PowerAllocation, weights); see ``evaluate_drop``.
     """
-    if mode not in MODE_CODES:
-        raise ConfigError(f"mode must be one of {tuple(MODE_CODES)}, got {mode!r}")
-    settings = settings or RunSettings()
-    solver = solver or IlaWfOptions()
-    rng = np.random.default_rng(seed)
-    _, cov = generate_scenario(config, rng)
-    model = build_estimation_model(cov, config.rho_tr_effective)
-    sigma2 = config.noise_mw
-    rho_total = config.rho_total_mw
-    weights = None
-    if mode == "rs":
-        mr_table = closed_form_moments(model)
-        problem = build_common_weight_problem(
-            model, mr_table, np.full(config.K, rho_total / config.K), sigma2,
-            include_pi=settings.include_pi,
-        )
-        weights, _ = solve_common_weights(problem)
-        moments = closed_form_moments(model, weights)
-        options = replace(solver, freeze_common=False)
-    else:
-        moments = closed_form_moments(model)
-        options = replace(solver, freeze_common=True)
-    alloc = ila_wf(moments, rho_total, sigma2, config, options)
-    report = se_report(alloc.powers, moments, config)
-    return report, alloc, weights
+    return evaluate_drop(config, (mode,), seed, solver, settings)[mode]
 
 
-def run_point(
+def result_row(
     config: ScenarioConfig,
     mode: str,
     seed: int,
-    solver: IlaWfOptions | None = None,
-    settings: RunSettings | None = None,
+    result,
     axis: str = "power_dbm",
     axis_value: float | None = None,
     drop: int = 0,
 ) -> ResultRow:
-    """Evaluate one point and flatten it into a result row."""
-    report, alloc, _ = evaluate_point(config, mode, seed, solver, settings)
+    """Flatten one mode's ``evaluate_drop`` result into a result row."""
+    report, alloc, _ = result
     if axis_value is None:
         axis_value = {
             "power_dbm": config.rho_total_dbm,
@@ -149,7 +170,23 @@ def run_point(
         l_min=report.l_min,
         iterations=alloc.iterations,
         seed=seed,
+        converged=alloc.converged,
     )
+
+
+def run_point(
+    config: ScenarioConfig,
+    mode: str,
+    seed: int,
+    solver: IlaWfOptions | None = None,
+    settings: RunSettings | None = None,
+    axis: str = "power_dbm",
+    axis_value: float | None = None,
+    drop: int = 0,
+) -> ResultRow:
+    """Evaluate one point and flatten it into a result row."""
+    result = evaluate_point(config, mode, seed, solver, settings)
+    return result_row(config, mode, seed, result, axis, axis_value, drop)
 
 
 def apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -171,28 +208,22 @@ def run_sweep(
 ) -> list:
     """Evaluate every (value, drop, mode) combination of a sweep.
 
-    Points run one after another, and rows come in that order: values
-    outer, then drops, then modes.  When an output path is
-    given the CSV is written atomically: a partial file is never left
-    behind.
+    Drops run one after another, each evaluated once for all modes, and
+    rows come in the order values outer, then drops, then modes.  When an
+    output path is given the CSV is written atomically: a partial file is
+    never left behind.
     """
     spec.validate()
-    tasks = []
+    rows = []
     for value in spec.values:
         point_config = apply_axis(config, spec.axis, value)
         for drop in range(spec.drops):
-            for mode in spec.modes:
-                seed = derive_point_seed(config.seed, drop)
-                tasks.append((point_config, mode, seed, value, drop))
-
-    def work(task):
-        point_config, mode, seed, value, drop = task
-        return run_point(
-            point_config, mode, seed, solver, settings,
-            axis=spec.axis, axis_value=value, drop=drop,
-        )
-
-    rows = [work(t) for t in tasks]
+            seed = derive_point_seed(config.seed, drop)
+            results = evaluate_drop(point_config, spec.modes, seed, solver, settings)
+            rows.extend(
+                result_row(point_config, mode, seed, results[mode], spec.axis, value, drop)
+                for mode in spec.modes
+            )
 
     if output_path is not None:
         write_rows(rows, output_path)

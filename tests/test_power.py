@@ -7,8 +7,8 @@ from rssim.link import PowerVector, common_channel_variance, se_report, stream_d
 from rssim.moments import MomentTable, closed_form_moments
 import rssim.power as power
 from rssim.power import (
-    MU_BRACKET_TOP,
     IlaWfOptions,
+    LinearizationTerms,
     _budget_exact_sweep,
     ila_wf,
     linearization_terms,
@@ -164,14 +164,24 @@ def _common_update_terms(rho_c, rho, moments, sigma2, l_min):
     return float(s1), float(s2)
 
 
+# first top of the reference bisection's multiplier bracket, 1/mW; doubled
+# until it brackets the budget
+REFERENCE_BRACKET_TOP = 1e5
+
+
 def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
     """Reference budget-exact step: per-stream coefficients, scalar water-filling."""
     K = len(point.rho)
     terms = [_private_update_terms(k, point.rho_c, point.rho, table, sigma2, l_min) for k in range(K)]
     s1c, s2c = _common_update_terms(point.rho_c, point.rho, table, sigma2, l_min)
-    common = not freeze and s1c > 0
-    if common:
+    if not freeze and s1c > 0:
         terms.append((s1c, s2c))
+    return scalar_water_filling(terms, rho_total)
+
+
+def scalar_water_filling(terms, rho_total):
+    """Stream by stream water-filling levels for (sigma1, sigma2) pairs, with
+    the multiplier bisected to the budget; returns (levels, mu)."""
 
     def total(mu):
         levels = []
@@ -180,11 +190,11 @@ def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
                 levels.append(waterfill(mu, s1, max(s2, 0.0)))
             except NumericalError:
                 levels.append(10.0 * rho_total)
-        return (levels[K] if common else 0.0) + np.sum(levels[:K]), levels
+        return np.sum(levels), levels
 
     if total(0.0)[0] <= rho_total:
         return total(0.0)[1], 0.0
-    lo, hi = 0.0, MU_BRACKET_TOP
+    lo, hi = 0.0, REFERENCE_BRACKET_TOP
     while total(hi)[0] > rho_total and hi < 1e15:
         hi *= 2.0
     while hi - lo >= 1e-14 * hi:
@@ -203,13 +213,63 @@ def test_budget_step_matches_scalar_water_filling(coefficient_cases, freeze):
             )
             levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, freeze)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
+            if mu > 0:
+                assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
             np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
             assert rho_c == pytest.approx(levels[K] if len(levels) > K else 0.0, rel=1e-9, abs=1e-12 * rho_total)
 
 
+def coefficient_terms(sigma1, sigma2, common=None):
+    """LinearizationTerms with only the water-filling coefficients set;
+    common is an optional (sigma1, sigma2) pair for the common stream."""
+    K = len(sigma1)
+    s1c, s2c = common if common is not None else (0.0, 0.0)
+    return LinearizationTerms(
+        sigma1_private=np.array(sigma1, dtype=float), sigma2_private=np.array(sigma2, dtype=float),
+        sigma1_common=s1c, sigma2_common=s2c, alpha_private=np.zeros(K), zeta=np.zeros((K, K)),
+        zeta_common=np.zeros(K), alpha_common=0.0, zeta_private_common=np.zeros(K),
+    )
+
+
+# (sigma1, sigma2, common pair or None, budgets): each names the case it covers
+BUDGET_STEP_CASES = {
+    "zero slopes at zero price": ([2.0, 1.0, 4.0], [0.0, 0.5, -1.0], (3.0, 0.0), [0.1, 1.0, 50.0]),
+    "breakpoints at or below zero": ([1.0, 0.5, 2.0, 3.0], [2.0, 0.5, 0.1, 0.2], None, [0.01, 0.5, 3.0]),
+    # at 2/15 the root is the tied breakpoint itself
+    "tied breakpoints": ([2.0, 2.0, 3.0, 5.0], [1.0, 1.0, 2.0, 2.0], (4.0, 3.0), [0.05, 2 / 15, 0.3, 1.0]),
+    "one stream active": ([100.0, 1.1, 1.2], [0.0, 1.0, 1.0], None, [1.0]),
+    "all streams active": ([2.0, 3.0, 4.0], [0.1, 0.2, 0.3], (2.5, 0.4), [5.0]),
+    "slack budget": ([2.0, 3.0], [1.0, 1.0], None, [5.0]),
+    "coefficients spread over 1e10": (
+        [1e-2, 3.0, 1e4, 1e8], [1e-4, 0.5, 2e3, 1e6], (5e5, 10.0), [1e-3, 1.0, 1e2, 5e3],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_STEP_CASES))
+def test_budget_step_matches_scalar_reference_on_edge_coefficients(case):
+    sigma1, sigma2, common, budgets = BUDGET_STEP_CASES[case]
+    K = len(sigma1)
+    terms = coefficient_terms(sigma1, sigma2, common)
+    pairs = list(zip(sigma1, sigma2)) + ([common] if common is not None else [])
+    for rho_total in budgets:
+        with np.errstate(all="raise"):
+            rho_c, rho, mu = _budget_exact_sweep(
+                0.0, np.zeros(K), None, 1.0, rho_total, 0, common is None, terms
+            )
+        levels, mu_ref = scalar_water_filling(pairs, rho_total)
+        assert mu == pytest.approx(mu_ref, rel=1e-10, abs=0)
+        np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
+        assert rho_c == pytest.approx(sum(levels[K:]), rel=1e-9, abs=1e-12 * rho_total)
+        if mu > 0:
+            assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
+        else:
+            assert rho_c + rho.sum() <= rho_total
+
+
 def test_budget_step_zero_slope_at_zero_price_is_unbounded():
     # no self-interference and no other stream: at zero price the linearized
-    # demand is unbounded, so the multiplier is bisected to the budget
+    # demand is unbounded, so the multiplier is solved for the budget
     table = MomentTable(
         g_private=np.array([1.0 + 0j]), G_private=np.array([[1.0]]),
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
@@ -303,6 +363,27 @@ def test_ila_wf_freeze_common(small_setup):
     assert alloc.powers.rho_c == 0.0
     for record in alloc.trace:
         assert record.rho_c == 0.0
+
+
+def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
+    # rho_c * delta_c = 0 and gap_c = 0 in every pinned linearization, so the
+    # run is the same on the table with and without the common stream; a drop
+    # shares it between its two modes
+    config, _, model, weights = small_setup
+    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    pinned = IlaWfOptions(freeze_common=True)
+    for cfg, mdl, w in [
+        (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
+    ]:
+        mr, weighted = (
+            ila_wf(closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg, pinned)
+            for x in (None, w)
+        )
+        assert mr.powers.rho_c == weighted.powers.rho_c == 0.0
+        assert np.array_equal(mr.powers.rho, weighted.powers.rho)
+        assert (mr.iterations, mr.mu, mr.converged, mr.l_min) == (
+            weighted.iterations, weighted.mu, weighted.converged, weighted.l_min,
+        )
 
 
 def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):

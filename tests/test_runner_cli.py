@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import rssim.moments
+import rssim.power
 import rssim.runner
 from rssim.cli import main
-from rssim.config import SweepSpec
+from rssim.config import SweepSpec, load_config
 from rssim.errors import ConfigError
 from rssim.runner import (
     CSV_COLUMNS,
+    apply_axis,
     derive_point_seed,
     evaluate_point,
     render_csv,
@@ -101,6 +103,41 @@ def test_run_sweep_row_count_and_order(tmp_path):
     assert [(r.axis_value, r.drop, r.mode) for r in rows] == expected
 
 
+@pytest.mark.parametrize("modes", [("rs", "no_rs"), ("rs",), ("no_rs",)])
+def test_sweep_rows_equal_point_rows(modes):
+    """A sweep evaluates each drop once for all its modes; every row equals
+    the row of that point evaluated on its own, field for field."""
+    config = small_config(seed=11)
+    spec = SweepSpec(axis="power_dbm", values=(0.0, 30.0), drops=2, modes=modes)
+    expected = [
+        run_point(
+            apply_axis(config, spec.axis, value), mode, derive_point_seed(config.seed, drop),
+            axis=spec.axis, axis_value=value, drop=drop,
+        )
+        for value in spec.values
+        for drop in range(spec.drops)
+        for mode in modes
+    ]
+    assert run_sweep(spec, config) == expected
+
+
+def test_sweep_runs_the_pinned_allocation_once_per_drop(monkeypatch):
+    pinned_runs = []
+    original = rssim.power._ila_wf_run
+
+    def counting(moments, rho_total, sigma2, config, opts):
+        if opts.freeze_common:
+            pinned_runs.append(opts)
+        return original(moments, rho_total, sigma2, config, opts)
+
+    monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
+    spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2, modes=("rs", "no_rs"))
+    rows = run_sweep(spec, small_config())
+    assert len(rows) == 8
+    # one per (value, drop); evaluating each row on its own takes 8
+    assert len(pinned_runs) == 4
+
+
 def test_sweep_csv_byte_identical(tmp_path):
     spec = SweepSpec(axis="users", values=(2.0, 4.0), drops=2)
     config = small_config(seed=123)
@@ -170,6 +207,30 @@ def test_cli_sweep_with_config_file(tmp_path):
     content = (tmp_path / "out.csv").read_text()
     assert content.startswith(",".join(CSV_COLUMNS))
     assert len(content.strip().split("\n")) == 1 + 2 * 1 * 2
+
+
+def test_cli_sweep_reports_unconverged_rows(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "M = 12\nK = 3\naxis = power_dbm\nvalues = 10, 20\ndrops = 1\nmax_iterations = 1\n"
+        f"output_path = {tmp_path / 'out.csv'}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == "sweep: 4 rows written, 4 allocator runs not converged\n"
+    # the summary leaves the CSV as the sweep without it writes
+    config, spec, solver, settings = load_config(cfg)
+    rows = run_sweep(spec, config, solver, settings)
+    assert not any(row.converged for row in rows)
+    assert (tmp_path / "out.csv").read_bytes() == render_csv(rows).encode()
+
+
+def test_cli_run_both_modes_equals_point_rows(tmp_path, capsys):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("M = 12\nK = 3\nrho_total_dbm = 30\n")
+    assert main(["run", "--config", str(cfg), "--seed", "6"]) == 0
+    config = small_config(rho_total_dbm=30, seed=6)
+    rows = [run_point(config, mode, seed=6) for mode in ("rs", "no_rs")]
+    assert capsys.readouterr().out == render_csv(rows)
 
 
 def test_cli_config_error_exit_code(tmp_path):
