@@ -22,7 +22,6 @@ from .estimation import (
     ChannelBatch,
     EstimationModel,
     build_estimation_model,
-    mmse_estimate,
     sample_channels,
     simulate_batch,
 )
@@ -33,7 +32,6 @@ from .moments import (
     common_gain,
     common_second_moment,
     default_quartic_variant,
-    mc_moments,
     mr_cross_power,
     mr_gain,
     select_quartic_variant,
@@ -48,14 +46,11 @@ from .power import (
 )
 from .precoding import (
     CommonWeightProblem,
-    PrecoderSet,
     build_common_weight_problem,
-    build_precoders,
     common_precoder,
-    mr_precoder,
     solve_common_weights,
 )
-from .runner import ResultRow, evaluate_drop, evaluate_point, run_point, run_sweep
+from .runner import ResultRow, evaluate_drop, run_point, run_sweep
 from .scenario import (
     CovarianceSet,
     ScenarioConfig,

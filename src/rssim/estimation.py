@@ -86,16 +86,15 @@ class ChannelBatch:
 
     h = h_hat + h_tilde holds exactly per realization once estimates are
     filled in.  With a shared pilot there is a single observation per
-    realization, so by default one pilot-noise vector is shared by all K
-    estimates; ``pilot_noise`` has shape (n, M) then, or (n, K, M) when
-    independent per-UE noise is requested.
+    realization, so one pilot-noise vector of shape (n, M) is shared by all
+    K estimates.
     """
 
     n_samples: int
     h: np.ndarray                     # (n, K, M)
     h_hat: np.ndarray | None = None   # (n, K, M)
     h_tilde: np.ndarray | None = None
-    pilot_noise: np.ndarray | None = None
+    pilot_noise: np.ndarray | None = None  # (n, M)
 
 
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
@@ -139,52 +138,23 @@ def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> Cha
     return ChannelBatch(n_samples=n, h=h)
 
 
-def mmse_estimate(
-    batch: ChannelBatch,
-    model: EstimationModel,
-    rho_tr: float,
-    rng: np.random.Generator,
-    independent_pilot_noise: bool = False,
+def simulate_batch(
+    cov: CovarianceSet, model: EstimationModel, n: int, rng: np.random.Generator
 ) -> ChannelBatch:
-    """Fill in the shared-pilot MMSE estimates of a sampled batch.
+    """Sample truth channels and their shared-pilot MMSE estimates.
 
-    Per realization the BS observes y = sum_k h_k + n / sqrt(rho_tr) and
-    forms h_hat_i = R_i Q^{-1} y for every UE.  ``independent_pilot_noise``
-    draws a fresh noise vector per UE instead (the literal per-UE-noise
-    reading); the default shares one vector, which is what a single
-    physical observation implies.
+    Per realization the BS observes y = sum_k h_k + n / sqrt(rho_tr), one
+    noise vector shared by all UEs, and forms h_hat_i = R_i Q^{-1} y for
+    every UE.  The truth channels are drawn first, then the noise.
     """
-    if batch.h is None:
-        raise ValueError("batch has no truth channels")
-    n, K, M = batch.h.shape
-    contaminated = batch.h.sum(axis=1)
-    if independent_pilot_noise:
-        noise = standard_complex_gaussian(rng, (n, K, M))
-    else:
-        noise = standard_complex_gaussian(rng, (n, M))
+    batch = sample_channels(cov, n, rng)
+    noise = standard_complex_gaussian(rng, (n, model.M))
+    scale = 1.0 / np.sqrt(model.rho_tr)
+    z = model.apply_q_inverse((batch.h.sum(axis=1) + scale * noise).T)  # (M, n)
     h_hat = np.empty_like(batch.h)
-    scale = 1.0 / np.sqrt(rho_tr)
-    if independent_pilot_noise:
-        for i in range(K):
-            y = contaminated + scale * noise[:, i, :]
-            h_hat[:, i, :] = (model.cov.R[i] @ model.apply_q_inverse(y.T)).T
-    else:
-        z = model.apply_q_inverse((contaminated + scale * noise).T)  # (M, n)
-        for i in range(K):
-            h_hat[:, i, :] = (model.cov.R[i] @ z).T
+    for i in range(model.K):
+        h_hat[:, i, :] = (model.cov.R[i] @ z).T
     batch.h_hat = h_hat
     batch.h_tilde = batch.h - h_hat
     batch.pilot_noise = noise
     return batch
-
-
-def simulate_batch(
-    cov: CovarianceSet,
-    model: EstimationModel,
-    n: int,
-    rng: np.random.Generator,
-    independent_pilot_noise: bool = False,
-) -> ChannelBatch:
-    """Sample truth channels and estimate them in one call."""
-    batch = sample_channels(cov, n, rng)
-    return mmse_estimate(batch, model, model.rho_tr, rng, independent_pilot_noise)

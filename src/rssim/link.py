@@ -32,12 +32,6 @@ class PowerVector:
     def total(self) -> float:
         return float(self.rho_c + self.rho.sum())
 
-    def check_budget(self, rho_total: float, tol: float = 1e-9):
-        if self.total > rho_total * (1.0 + tol):
-            raise ValueError(
-                f"power budget violated: {self.total:.6e} > {rho_total:.6e} mW"
-            )
-
 
 @dataclass
 class SEReport:

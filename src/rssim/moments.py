@@ -1,13 +1,14 @@
 """Deterministic expectations feeding the SINR formulas.
 
 Closed forms are available for MR private precoding and for the common
-precoder built as a weighted sum of channel estimates; everything else can
-be estimated by the Monte Carlo path.  The common-stream second moment
-needs one fourth-order moment of the estimates, which the closed forms take
-from a circularly-symmetric complex Gaussian (E{|c_m|^4} = 2).  The
-real-Gaussian alternative (E{|c_m|^4} = 3) survives only in the Monte Carlo
-vote ``select_quartic_variant``, an oracle that ``rssim validate`` runs to
-confirm that the circular value is the one the estimates follow.
+precoder built as a weighted sum of channel estimates; the Monte Carlo
+oracle that checks them is ``validation.mc_moment_table``.  The
+common-stream second moment needs one fourth-order moment of the
+estimates, which the closed forms take from a circularly-symmetric complex
+Gaussian (E{|c_m|^4} = 2).  The real-Gaussian alternative (E{|c_m|^4} = 3)
+survives only in the Monte Carlo vote ``select_quartic_variant``, an oracle
+that ``rssim validate`` runs to confirm that the circular value is the one
+the estimates follow.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
-from .estimation import ChannelBatch, EstimationModel
+from .estimation import EstimationModel
 from .linalg import outer_sums, standard_complex_gaussian
 
 QUARTIC_VARIANTS = ("real", "circular")
@@ -192,60 +193,6 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     )
     table.validate()
     return table
-
-
-def mc_moments(precoders, batch: ChannelBatch) -> MomentTable:
-    """Sample-mean moment table from per-realization precoders.
-
-    ``precoders`` is anything with ``w_private`` (n, K, M) and an optional
-    ``w_common`` (n, M); a (w_private, w_common) tuple also works.  Refuses
-    fewer than 100 realizations.  Standard errors accompany every entry.
-    """
-    if hasattr(precoders, "w_private"):
-        w_private, w_common = precoders.w_private, precoders.w_common
-    else:
-        w_private, w_common = precoders
-    n, K, M = batch.h.shape
-    if n < 100:
-        raise ValueError(f"{n} realizations are statistically meaningless; need >= 100")
-    if w_private.shape != (n, K, M):
-        raise ValueError("precoders and batch disagree on realization count or shapes")
-    # inner[n, k, i] = h_k^H w_i at realization n
-    inner = np.einsum("nkm,nim->nki", batch.h.conj(), w_private, optimize=True)
-    g_private = inner[:, np.arange(K), np.arange(K)].mean(axis=0)
-    se_g_private = _complex_mean_se(inner[:, np.arange(K), np.arange(K)])
-    sq = np.abs(inner) ** 2
-    G_private = sq.mean(axis=0)
-    se_G_private = sq.std(axis=0, ddof=1) / np.sqrt(n)
-    g_common = np.zeros(K, dtype=complex)
-    G_common = np.zeros(K)
-    se_g_common = np.zeros(K)
-    se_G_common = np.zeros(K)
-    if w_common is not None:
-        inner_c = np.einsum("nkm,nm->nk", batch.h.conj(), w_common, optimize=True)
-        g_common = inner_c.mean(axis=0)
-        se_g_common = _complex_mean_se(inner_c)
-        sq_c = np.abs(inner_c) ** 2
-        G_common = sq_c.mean(axis=0)
-        se_G_common = sq_c.std(axis=0, ddof=1) / np.sqrt(n)
-    return MomentTable(
-        g_private=g_private,
-        G_private=G_private,
-        g_common=g_common,
-        G_common=G_common,
-        source="monte_carlo",
-        se_g_private=se_g_private,
-        se_G_private=se_G_private,
-        se_g_common=se_g_common,
-        se_G_common=se_G_common,
-    )
-
-
-def _complex_mean_se(samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[0]
-    return np.sqrt(
-        (samples.real.std(axis=0, ddof=1) ** 2 + samples.imag.std(axis=0, ddof=1) ** 2) / n
-    )
 
 
 def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator, chunk: int = 50_000):

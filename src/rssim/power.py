@@ -130,21 +130,24 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     signal_coefficient / num - sigma2_coefficient - mu vanish; returns the
     private residual vector and the common residual (None when rho_c = 0).
     """
-    res_private, res_common, _, _ = _residuals_and_terms(powers, mu, moments, sigma2)
-    return res_private, res_common
-
-
-def _residuals_and_terms(powers: PowerVector, mu: float, moments: MomentTable, sigma2: float):
-    """``stationarity_residuals`` plus the bottleneck UE and the
-    linearization it evaluated, for the next budget-exact step to reuse."""
-    _, num_p, den_c, num_c = stream_denominators(powers, moments, sigma2)
+    _, _, den_c, _ = stream_denominators(powers, moments, sigma2)
     l_min = int(np.argmin(powers.rho_c * np.abs(moments.g_common) ** 2 / den_c))
     terms = linearization_terms(powers, moments, sigma2, l_min)
+    return _residuals(powers, mu, moments, sigma2, l_min, terms)
+
+
+def _residuals(
+    powers: PowerVector, mu: float, moments: MomentTable, sigma2: float, l_min: int,
+    terms: LinearizationTerms,
+):
+    """``stationarity_residuals`` on the linearization ``terms`` already
+    evaluated at ``powers`` with bottleneck UE ``l_min``."""
+    _, num_p, _, num_c = stream_denominators(powers, moments, sigma2)
     res_private = np.diagonal(moments.G_private) / num_p - terms.sigma2_private - mu
     res_common = None
     if powers.rho_c > 0:
         res_common = float(moments.G_common[l_min] / num_c[l_min] - terms.sigma2_common - mu)
-    return res_private, res_common, l_min, terms
+    return res_private, res_common
 
 
 def ila_wf(
@@ -207,15 +210,19 @@ def _ila_wf_run(
     rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
 
     def summarize(it, rc, r, mu):
-        report = se_report(PowerVector(rc, r), moments, config)
+        """Record an iterate, with its SE report and the linearization
+        that both the stationarity check and the next step read."""
+        point = PowerVector(rc, r)
+        report = se_report(point, moments, config)
+        terms = linearization_terms(point, moments, sigma2, report.l_min)
         total = rc + r.sum()
         feasible = total <= rho_total * (1.0 + opts.budget_tol)
         return IterationRecord(
             iteration=it, rho_c=rc, rho=r.copy(), total=total,
             sum_se=report.sum_se, mu=mu, feasible=feasible,
-        ), report
+        ), report, terms
 
-    record, report = summarize(0, rho_c, rho, 0.0)
+    record, report, terms = summarize(0, rho_c, rho, 0.0)
     trace = [record]
     best, best_lmin = record, report.l_min
     prev_se = record.sum_se
@@ -224,14 +231,10 @@ def _ila_wf_run(
     mu = 0.0
     older_point = None
     converged = False
-    checked = None  # (l_min, terms) of a stationarity check at the current point
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
         prev_point = np.concatenate([[rho_c], rho])
-        reuse = checked[1] if checked is not None and checked[0] == report.l_min else None
-        new_c, new_rho, mu = _budget_exact_sweep(
-            rho_c, rho, moments, sigma2, rho_total, report.l_min, opts.freeze_common, reuse
-        )
+        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total, opts.freeze_common)
         new_point = np.concatenate([[new_c], new_rho])
         raw_move = np.abs(new_point - prev_point).max() / scale
         if older_point is not None and raw_move > 1e-6:
@@ -240,7 +243,7 @@ def _ila_wf_run(
         older_point = prev_point
         rho_c = (1.0 - eta) * rho_c + eta * new_c
         rho = (1.0 - eta) * rho + eta * new_rho
-        record, report = summarize(iteration, rho_c, rho, mu)
+        record, report, terms = summarize(iteration, rho_c, rho, mu)
         trace.append(record)
         if record.feasible and record.sum_se > best.sum_se:
             best, best_lmin = record, report.l_min
@@ -249,14 +252,12 @@ def _ila_wf_run(
         else:
             eta = min(1.0, 1.5 * eta)
         settled = raw_move < opts.power_tol
-        checked = None
         if not settled and mu > 0 and record.feasible:
             # slow drift along a flat ridge: accept on the first-order
             # residuals directly rather than waiting for exact rest
-            res_p, res_c, l_check, terms = _residuals_and_terms(
-                PowerVector(rho_c, rho), mu, moments, sigma2
+            res_p, res_c = _residuals(
+                PowerVector(rho_c, rho), mu, moments, sigma2, report.l_min, terms
             )
-            checked = (l_check, terms)
             worst = np.abs(res_p[rho > 0]).max() if np.any(rho > 0) else 0.0
             if res_c is not None:
                 worst = max(worst, abs(res_c))
@@ -273,11 +274,9 @@ def _ila_wf_run(
     )
 
 
-def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_common, terms=None):
-    """One linearization with the multiplier solved exactly for the budget.
+def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, freeze_common: bool):
+    """Water-fill one linearization with the multiplier solved exactly for the budget.
 
-    The coefficients come from one linearization_terms call, unless the
-    caller passes the terms it already evaluated at (rho_c, rho, l_min).
     Stream k water-fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is
     active iff mu < b_k = sigma1_k - slope_k, and the filled total is
     continuous and strictly decreasing in mu until every stream is off.
@@ -287,9 +286,7 @@ def _budget_exact_sweep(rho_c, rho, moments, sigma2, rho_total, l_min, freeze_co
     Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  Returns
     (rho_c, rho, mu).
     """
-    K = len(rho)
-    if terms is None:
-        terms = linearization_terms(PowerVector(rho_c, rho), moments, sigma2, l_min)
+    K = len(terms.sigma1_private)
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")

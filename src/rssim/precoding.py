@@ -1,11 +1,11 @@
-"""Private MR precoders and the max-min weighted common precoder.
+"""The max-min weighted common precoder.
 
 The common precoder is a weighted sum of all channel estimates.  Its
 weights maximize the smallest (optionally interference-weighted) mean
 effective channel across UEs, which after squaring reduces to a linear
-program over the weight simplex.  The normalization of both precoder
-families is deterministic: the expected squared norm, not the
-per-realization norm, equals one.
+program over the weight simplex.  Like the MR private beams
+hhat_i / sqrt(tr Phi_i), it is normalized deterministically: the expected
+squared norm, not the per-realization norm, equals one.
 """
 
 from dataclasses import dataclass
@@ -19,16 +19,6 @@ from .moments import MomentTable
 
 # imaginary leakage allowed in the nominally-real weight-problem entries
 U_REAL_TOL = 1e-10
-
-
-@dataclass
-class PrecoderSet:
-    """Per-realization precoders plus the deterministic normalizers."""
-
-    w_private: np.ndarray          # (n, K, M)
-    w_common: np.ndarray | None    # (n, M)
-    weights: np.ndarray | None     # (K,)
-    alpha: float | None            # common normalization scalar
 
 
 @dataclass
@@ -52,16 +42,6 @@ class CommonWeightProblem:
         if self.include_pi:
             return self.u * np.sqrt(self.pi)[None, :]
         return self.u.copy()
-
-
-def mr_precoder(batch: ChannelBatch, model: EstimationModel) -> np.ndarray:
-    """MR beams: each UE's estimate scaled by its deterministic RMS norm."""
-    if batch.h_hat is None:
-        raise ValueError("batch has no estimates; run mmse_estimate first")
-    if np.any(model.phi_trace <= 0):
-        bad = int(np.argmin(model.phi_trace))
-        raise InvalidWeightsError(f"UE {bad} has tr(Phi) = 0; MR beam undefined")
-    return batch.h_hat / np.sqrt(model.phi_trace)[None, :, None]
 
 
 def build_common_weight_problem(
@@ -169,24 +149,9 @@ def _lexicographic_refinement(v: np.ndarray, t_floor: float) -> np.ndarray:
 def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.ndarray:
     """Per-realization common beams with the deterministic normalizer."""
     if batch.h_hat is None:
-        raise ValueError("batch has no estimates; run mmse_estimate first")
+        raise ValueError("batch has no estimates; draw it with simulate_batch")
     weights = np.asarray(weights, dtype=float)
     norm2 = complex(weights @ model.cross_trace @ weights).real
     if norm2 <= 0:
         raise InvalidWeightsError(f"non-positive common normalization {norm2:.3e}")
     return np.einsum("i,nim->nm", weights, batch.h_hat) / np.sqrt(norm2)
-
-
-def build_precoders(batch: ChannelBatch, model: EstimationModel, weights=None) -> PrecoderSet:
-    """MR beams for every UE plus, optionally, the weighted common beam."""
-    w_private = mr_precoder(batch, model)
-    w_common = None
-    alpha = None
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        norm2 = complex(weights @ model.cross_trace @ weights).real
-        if norm2 <= 0:
-            raise InvalidWeightsError(f"non-positive common normalization {norm2:.3e}")
-        alpha = 1.0 / np.sqrt(norm2)
-        w_common = common_precoder(weights, batch, model)
-    return PrecoderSet(w_private=w_private, w_common=w_common, weights=weights, alpha=alpha)

@@ -127,20 +127,6 @@ def evaluate_drop(
     return results
 
 
-def evaluate_point(
-    config: ScenarioConfig,
-    mode: str,
-    seed: int,
-    solver: IlaWfOptions | None = None,
-    settings: RunSettings | None = None,
-):
-    """Run the full pipeline at one (config, mode, seed) point.
-
-    Returns (SEReport, PowerAllocation, weights); see ``evaluate_drop``.
-    """
-    return evaluate_drop(config, (mode,), seed, solver, settings)[mode]
-
-
 def result_row(
     config: ScenarioConfig,
     mode: str,
@@ -185,7 +171,7 @@ def run_point(
     drop: int = 0,
 ) -> ResultRow:
     """Evaluate one point and flatten it into a result row."""
-    result = evaluate_point(config, mode, seed, solver, settings)
+    result = evaluate_drop(config, (mode,), seed, solver, settings)[mode]
     return result_row(config, mode, seed, result, axis, axis_value, drop)
 
 

@@ -13,16 +13,6 @@ def dbm_to_mw(x_dbm):
     return 10.0 ** (np.asarray(x_dbm, dtype=float) / 10.0)
 
 
-def mw_to_dbm(x_mw):
-    """Convert linear mW to dBm."""
-    return 10.0 * np.log10(np.asarray(x_mw, dtype=float))
-
-
 def db_to_linear(x_db):
     """Convert a dB gain to a linear factor."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    """Convert a linear factor to dB."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))

@@ -83,7 +83,6 @@ def mc_moment_table(
     rng: np.random.Generator,
     weights=None,
     chunk: int = 20_000,
-    independent_pilot_noise: bool = False,
 ):
     """Streaming Monte Carlo moment table plus precoder-norm statistics.
 
@@ -117,7 +116,7 @@ def mc_moment_table(
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        batch = simulate_batch(model.cov, model, m, rng, independent_pilot_noise)
+        batch = simulate_batch(model.cov, model, m, rng)
         inner_hat = np.einsum("nkm,nim->nki", batch.h.conj(), batch.h_hat, optimize=True)
         sum_hat += inner_hat.sum(axis=0)
         sum_hat_re2 += (inner_hat.real**2).sum(axis=0)

@@ -5,7 +5,6 @@ import pytest
 
 from rssim.estimation import (
     build_estimation_model,
-    mmse_estimate,
     sample_channels,
     simulate_batch,
 )
@@ -86,14 +85,6 @@ def test_shared_pilot_noise_single_observation(small_setup):
     z = model.apply_q_inverse(y.T)
     for i in range(cov.K):
         assert np.allclose(batch.h_hat[:, i, :], (cov.R[i] @ z).T, atol=1e-12)
-
-
-def test_independent_pilot_noise_shape(small_setup):
-    _, cov, model, _ = small_setup
-    batch = sample_channels(cov, 32, np.random.default_rng(2))
-    mmse_estimate(batch, model, model.rho_tr, np.random.default_rng(3),
-                  independent_pilot_noise=True)
-    assert batch.pilot_noise.shape == (32, cov.K, cov.M)
 
 
 def test_colinearity_identity_per_realization():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rssim.errors import InvalidWeightsError, NumericalError
-from rssim.estimation import build_estimation_model, simulate_batch
+from rssim.estimation import build_estimation_model
 from rssim.moments import (
     MomentTable,
     closed_form_moments,
@@ -13,13 +13,11 @@ from rssim.moments import (
     default_quartic_variant,
     estimate_pair_moment,
     mc_c_quartic,
-    mc_moments,
     mr_cross_power,
     mr_gain,
     quartic_identity,
     select_quartic_variant,
 )
-from rssim.precoding import build_precoders
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import mc_moment_table, tolerance_excess
 
@@ -149,29 +147,6 @@ def test_pair_moments_vs_monte_carlo(small_setup):
                     closed, info["pair_mean"][k, i, j], info["pair_se"][k, i, j]
                 )
                 assert float(excess) <= 1.0
-
-
-def test_mc_moments_fixed_unit_vector(small_setup):
-    _, cov, model, _ = small_setup
-    n = 20_000
-    batch = simulate_batch(cov, model, n, np.random.default_rng(40))
-    w = np.zeros((n, cov.K, cov.M), dtype=complex)
-    w[:, :, 0] = 1.0  # deterministic beam e_1 for every UE
-    table = mc_moments((w, None), batch)
-    for k in range(cov.K):
-        assert abs(table.g_private[k]) <= 3 * table.se_g_private[k] + 1e-12
-        expected = cov.R[k][0, 0].real
-        assert abs(table.G_private[k, k] - expected) <= max(
-            3 * table.se_G_private[k, k], 0.02 * expected
-        )
-
-
-def test_mc_moments_refuses_tiny_batches(small_setup):
-    _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 99, np.random.default_rng(41))
-    precoders = build_precoders(batch, model)
-    with pytest.raises(ValueError):
-        mc_moments(precoders, batch)
 
 
 def test_moment_table_variance_invariant_enforced():

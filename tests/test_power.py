@@ -15,7 +15,7 @@ from rssim.power import (
     stationarity_residuals,
 )
 from rssim.precoding import build_common_weight_problem, solve_common_weights
-from rssim.runner import derive_point_seed, evaluate_point
+from rssim.runner import derive_point_seed, evaluate_drop
 from rssim.scenario import CovarianceSet, ScenarioConfig, local_scattering_covariance
 from rssim.validation import linearization_fd_errors
 
@@ -209,7 +209,7 @@ def test_budget_step_matches_scalar_water_filling(coefficient_cases, freeze):
         K = table.K
         for point in random_points(K, rho_total, seed=K + 1):
             rho_c, rho, mu = _budget_exact_sweep(
-                point.rho_c, point.rho, table, sigma2, rho_total, 0, freeze
+                linearization_terms(point, table, sigma2, 0), rho_total, freeze
             )
             levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, freeze)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
@@ -254,9 +254,7 @@ def test_budget_step_matches_scalar_reference_on_edge_coefficients(case):
     pairs = list(zip(sigma1, sigma2)) + ([common] if common is not None else [])
     for rho_total in budgets:
         with np.errstate(all="raise"):
-            rho_c, rho, mu = _budget_exact_sweep(
-                0.0, np.zeros(K), None, 1.0, rho_total, 0, common is None, terms
-            )
+            rho_c, rho, mu = _budget_exact_sweep(terms, rho_total, common is None)
         levels, mu_ref = scalar_water_filling(pairs, rho_total)
         assert mu == pytest.approx(mu_ref, rel=1e-10, abs=0)
         np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
@@ -275,7 +273,8 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
     )
     with np.errstate(all="raise"):
-        rho_c, rho, mu = _budget_exact_sweep(0.0, np.array([2.0]), table, 1.0, 5.0, 0, True)
+        terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 1.0, 0)
+        rho_c, rho, mu = _budget_exact_sweep(terms, 5.0, True)
     assert rho_c == 0.0
     assert mu == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1/mu - 1/sigma1 = budget
     assert rho[0] == pytest.approx(5.0, rel=1e-12)
@@ -287,7 +286,9 @@ def test_budget_step_rejects_nonpositive_sigma1():
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
     )
     with pytest.raises(ValueError, match="sigma1"):
-        _budget_exact_sweep(0.0, np.array([1.0]), table, 1.0, 5.0, 0, True)
+        _budget_exact_sweep(
+            linearization_terms(PowerVector(0.0, np.array([1.0])), table, 1.0, 0), 5.0, True
+        )
 
 
 def test_ila_wf_initialization_state(small_setup):
@@ -411,15 +412,15 @@ def test_ila_wf_converges_far_from_uniform_split(mode):
     # optimum: stopping on a small sweep-to-sweep SE change before the
     # budget-exact step has settled ends near 4.27 bit/s/Hz here
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
-    report, alloc, _ = evaluate_point(config, mode, derive_point_seed(0, 0))
+    report, alloc, _ = evaluate_drop(config, (mode,), derive_point_seed(0, 0))[mode]
     assert alloc.converged
     assert report.sum_se >= 5.03
 
 
 def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
-    # the stationarity check's linearization is passed on to the next
-    # budget-exact step when the bottleneck UE agrees; this point takes
-    # dozens of iterations and runs the check on most of them
+    # each iterate is linearized once: the stationarity check and the next
+    # budget-exact step read the same terms; this point takes dozens of
+    # iterations and runs the check on most of them
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
     calls = []
 
@@ -428,6 +429,6 @@ def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
         return linearization_terms(rho_hat, moments, sigma2, l_min)
 
     monkeypatch.setattr(power, "linearization_terms", recording)
-    _, alloc, _ = evaluate_point(config, "rs", derive_point_seed(0, 0))
+    _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
     assert alloc.iterations > 50
     assert all(before != after for before, after in zip(calls, calls[1:]))

@@ -6,32 +6,19 @@ from rssim.estimation import build_estimation_model, simulate_batch
 from rssim.precoding import (
     CommonWeightProblem,
     build_common_weight_problem,
-    build_precoders,
     common_precoder,
-    mr_precoder,
     solve_common_weights,
 )
 from rssim.moments import closed_form_moments
-from rssim.scenario import CovarianceSet
 from rssim.validation import simplex_grid_max_min
 
 from conftest import diagonal_covariances
 
 
-def test_mr_normalizer_is_deterministic(small_setup):
-    """Scaling the estimates scales the beams: the normalizer is the
-    expected norm, not the per-realization norm."""
-    _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 50, np.random.default_rng(1))
-    w = mr_precoder(batch, model)
-    batch.h_hat = 2.0 * batch.h_hat
-    assert np.allclose(mr_precoder(batch, model), 2.0 * w)
-
-
 def test_mr_expected_norm_is_one(small_setup):
     _, cov, model, _ = small_setup
     batch = simulate_batch(cov, model, 50_000, np.random.default_rng(2))
-    w = mr_precoder(batch, model)
+    w = batch.h_hat / np.sqrt(model.phi_trace)[None, :, None]
     norms = (np.abs(w) ** 2).sum(axis=2).mean(axis=0)
     assert np.all(np.abs(norms - 1.0) < 0.02)
 
@@ -41,19 +28,10 @@ def test_mr_perfect_csi_limit():
     cov = diagonal_covariances([beta], M)
     model = build_estimation_model(cov, 1e12)
     batch = simulate_batch(cov, model, 100, np.random.default_rng(3))
-    w = mr_precoder(batch, model)
+    w = batch.h_hat / np.sqrt(model.phi_trace)[None, :, None]
     expected = batch.h[:, 0, :] / np.sqrt(M * beta)
     rel = np.linalg.norm(w[:, 0, :] - expected) / np.linalg.norm(expected)
     assert rel < 1e-4
-
-
-def test_mr_rejects_degenerate_ue():
-    R = np.stack([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
-    cov = CovarianceSet(R=R, beta=np.array([0.0, 1.0]))
-    model = build_estimation_model(cov, 2.0)
-    batch = simulate_batch(cov, model, 200, np.random.default_rng(4))
-    with pytest.raises(InvalidWeightsError):
-        mr_precoder(batch, model)
 
 
 def test_solve_weights_single_ue():
@@ -132,9 +110,9 @@ def test_weight_problem_from_model(small_setup):
 def test_common_precoder_single_weight_collapses_to_mr(small_setup):
     _, cov, model, _ = small_setup
     batch = simulate_batch(cov, model, 100, np.random.default_rng(11))
-    w_mr = mr_precoder(batch, model)
+    w_mr = batch.h_hat[:, 0, :] / np.sqrt(model.phi_trace[0])
     w_c = common_precoder(np.eye(cov.K)[0], batch, model)
-    assert np.allclose(w_c, w_mr[:, 0, :], atol=1e-12)
+    assert np.allclose(w_c, w_mr, atol=1e-12)
 
 
 def test_common_precoder_weight_scale_invariance(small_setup):
@@ -160,14 +138,3 @@ def test_analytic_normalizer_matches_sample_second_moment(small_setup):
     sample = (np.abs(combo) ** 2).sum(axis=1).mean()
     analytic = complex(weights @ model.cross_trace @ weights).real
     assert abs(sample - analytic) / analytic < 0.02
-
-
-def test_build_precoders_bundle(small_setup):
-    _, cov, model, weights = small_setup
-    batch = simulate_batch(cov, model, 32, np.random.default_rng(15))
-    bundle = build_precoders(batch, model, weights)
-    assert bundle.w_private.shape == (32, cov.K, cov.M)
-    assert bundle.w_common.shape == (32, cov.M)
-    assert bundle.alpha == pytest.approx(
-        1.0 / np.sqrt(complex(weights @ model.cross_trace @ weights).real)
-    )

@@ -14,7 +14,7 @@ from rssim.runner import (
     CSV_COLUMNS,
     apply_axis,
     derive_point_seed,
-    evaluate_point,
+    evaluate_drop,
     render_csv,
     run_point,
     run_sweep,
@@ -88,7 +88,7 @@ def test_rs_point_never_runs_the_quartic_vote(monkeypatch):
         for name in ("select_quartic_variant", "mc_c_quartic", "default_quartic_variant"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    report, alloc, weights = evaluate_point(small_config(), "rs", seed=5)
+    report, alloc, weights = evaluate_drop(small_config(), ("rs",), seed=5)["rs"]
     assert weights is not None
     assert np.isfinite(report.sum_se)
 
