@@ -8,7 +8,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import RunSettings, load_config
+from .config import MODES, RunSettings, load_config
 from .errors import ConfigError, RssimError
 from .power import IlaWfOptions
 from .runner import evaluate_drop, render_csv, result_row, run_sweep, write_rows
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (run_p, sweep_p):
         p.add_argument("--output", type=str, default=None, help="CSV output path")
         p.add_argument(
-            "--mode", choices=["rs", "no_rs", "both"], default="both",
+            "--mode", choices=[*MODES, "both"], default="both",
             help="which transmission modes to evaluate",
         )
     val_p.add_argument(
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _modes(arg: str):
-    return ("rs", "no_rs") if arg == "both" else (arg,)
+    return MODES if arg == "both" else (arg,)
 
 
 def main(argv=None) -> int:

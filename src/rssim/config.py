@@ -14,7 +14,8 @@ from .errors import ConfigError
 from .power import IlaWfOptions
 from .scenario import ScenarioConfig
 
-SWEEP_AXES = ("power_dbm", "antennas", "users")
+# sweep axis -> the ScenarioConfig field it sets and that field's type
+SWEEP_AXES = {"power_dbm": ("rho_total_dbm", float), "antennas": ("M", int), "users": ("K", int)}
 MODES = ("rs", "no_rs")
 
 
@@ -25,18 +26,18 @@ class SweepSpec:
     axis: str = "power_dbm"
     values: tuple = ()
     drops: int = 1
-    modes: tuple = ("rs", "no_rs")
+    modes: tuple = MODES
     output_path: str = "sweep.csv"
 
     def validate(self):
         if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+            raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"sweep values must be finite, got {self.values}")
-        if self.axis != "power_dbm" and np.any(vals != np.round(vals)):
+        if SWEEP_AXES[self.axis][1] is int and np.any(vals != np.round(vals)):
             raise ConfigError(f"{self.axis} values must be integers, got {self.values}")
         if np.any(np.diff(vals) <= 0):
             raise ConfigError("sweep values must be strictly increasing")
@@ -60,7 +61,7 @@ class RunSettings:
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
 _SWEEP_FIELDS = {f.name for f in fields(SweepSpec)}
-_SOLVER_FIELDS = {f.name for f in fields(IlaWfOptions) if f.name != "freeze_common"}
+_SOLVER_FIELDS = {f.name for f in fields(IlaWfOptions)}
 _SETTINGS_FIELDS = {f.name for f in fields(RunSettings)}
 
 _INT_SCENARIO = {"M", "K", "tau", "tau_p", "num_clusters", "seed"}

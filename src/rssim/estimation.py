@@ -138,16 +138,15 @@ def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> Cha
     return ChannelBatch(n_samples=n, h=h)
 
 
-def simulate_batch(
-    cov: CovarianceSet, model: EstimationModel, n: int, rng: np.random.Generator
-) -> ChannelBatch:
-    """Sample truth channels and their shared-pilot MMSE estimates.
+def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> ChannelBatch:
+    """Sample truth channels from the model's covariances and their
+    shared-pilot MMSE estimates.
 
     Per realization the BS observes y = sum_k h_k + n / sqrt(rho_tr), one
     noise vector shared by all UEs, and forms h_hat_i = R_i Q^{-1} y for
     every UE.  The truth channels are drawn first, then the noise.
     """
-    batch = sample_channels(cov, n, rng)
+    batch = sample_channels(model.cov, n, rng)
     noise = standard_complex_gaussian(rng, (n, model.M))
     scale = 1.0 / np.sqrt(model.rho_tr)
     z = model.apply_q_inverse((batch.h.sum(axis=1) + scale * noise).T)  # (M, n)

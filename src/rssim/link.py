@@ -50,11 +50,6 @@ class SEReport:
         return float(self.se_private.sum())
 
 
-def common_channel_variance(moments: MomentTable) -> np.ndarray:
-    """Variance of each UE's effective common channel (never negative)."""
-    return np.maximum(moments.G_common - np.abs(moments.g_common) ** 2, 0.0)
-
-
 def stream_denominators(powers: PowerVector, moments: MomentTable, sigma2: float):
     """Interference-plus-noise terms of every stream at a power point.
 
@@ -62,13 +57,13 @@ def stream_denominators(powers: PowerVector, moments: MomentTable, sigma2: float
     length-K vector.  num = den + own-signal term, so the SINR of stream x
     is num_x / den_x - 1.
     """
-    own = np.abs(moments.g_private) ** 2
-    delta_c = common_channel_variance(moments)
+    own = moments.own_private
+    delta_c = moments.common_variance
     rx_power = moments.G_private @ powers.rho
     den_private = rx_power - powers.rho * own + powers.rho_c * delta_c + sigma2
     num_private = den_private + powers.rho * own
     den_common = rx_power + powers.rho_c * delta_c + sigma2
-    num_common = den_common + powers.rho_c * np.abs(moments.g_common) ** 2
+    num_common = den_common + powers.rho_c * moments.own_common
     return den_private, num_private, den_common, num_common
 
 
@@ -88,8 +83,8 @@ def _guard_denominator(value, scale, sigma2: float, context: str):
 
 def gamma_private(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
     """Private-stream SINR of UE k after the common stream is cancelled."""
-    own = np.abs(moments.g_private[k]) ** 2
-    delta_c = common_channel_variance(moments)[k]
+    own = moments.own_private[k]
+    delta_c = moments.common_variance[k]
     rx = float(moments.G_private[k] @ powers.rho)
     den = rx - powers.rho[k] * own + powers.rho_c * delta_c + sigma2
     den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_private[{k}]")
@@ -98,11 +93,11 @@ def gamma_private(k: int, powers: PowerVector, moments: MomentTable, sigma2: flo
 
 def gamma_common(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
     """Common-stream SINR at UE k, private streams treated as noise."""
-    delta_c = common_channel_variance(moments)[k]
+    delta_c = moments.common_variance[k]
     rx = float(moments.G_private[k] @ powers.rho)
     den = rx + powers.rho_c * delta_c + sigma2
     den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_common[{k}]")
-    return float(powers.rho_c * np.abs(moments.g_common[k]) ** 2 / den)
+    return float(powers.rho_c * moments.own_common[k] / den)
 
 
 def se_report(powers: PowerVector, moments: MomentTable, config: ScenarioConfig) -> SEReport:
@@ -114,9 +109,8 @@ def se_report(powers: PowerVector, moments: MomentTable, config: ScenarioConfig)
     """
     sigma2 = config.noise_mw
     den_p, _, den_c, _ = stream_denominators(powers, moments, sigma2)
-    own = np.abs(moments.g_private) ** 2
-    g_p = powers.rho * own / _guard_denominator(den_p, den_c, sigma2, "gamma_private")
-    g_c = powers.rho_c * np.abs(moments.g_common) ** 2 / _guard_denominator(
+    g_p = powers.rho * moments.own_private / _guard_denominator(den_p, den_c, sigma2, "gamma_private")
+    g_c = powers.rho_c * moments.own_common / _guard_denominator(
         den_c, den_c, sigma2, "gamma_common"
     )
     l_min = int(np.argmin(g_c))

@@ -11,7 +11,7 @@ that ``rssim validate`` runs to confirm that the circular value is the one
 the estimates follow.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -33,19 +33,28 @@ class MomentTable:
 
     ``G_private[k, i]`` is the mean squared response of UE k to the beam of
     UE i; ``g_private[k]`` is the mean response of UE k to its own beam.
-    Common-stream entries are zero when no common precoder is in use.
-    Monte Carlo tables also carry standard-error estimates.
+    Common-stream entries are zero when no common precoder is in use, and
+    such a table has no common stream.  Monte Carlo tables also carry
+    standard-error estimates.  The last three fields are fixed by the
+    entries and derived from them once.
     """
 
     g_private: np.ndarray   # (K,) complex
     G_private: np.ndarray   # (K, K) real
     g_common: np.ndarray    # (K,) complex
     G_common: np.ndarray    # (K,) real
-    source: str             # "closed_form" or "monte_carlo"
     se_g_private: np.ndarray | None = None
     se_G_private: np.ndarray | None = None
     se_g_common: np.ndarray | None = None
     se_G_common: np.ndarray | None = None
+    own_private: np.ndarray = field(init=False)      # |g_private|^2
+    own_common: np.ndarray = field(init=False)       # |g_common|^2
+    common_variance: np.ndarray = field(init=False)  # max(G_common - |g_common|^2, 0)
+
+    def __post_init__(self):
+        self.own_private = np.abs(self.g_private) ** 2
+        self.own_common = np.abs(self.g_common) ** 2
+        self.common_variance = np.maximum(self.G_common - self.own_common, 0.0)
 
     @property
     def K(self) -> int:
@@ -54,12 +63,11 @@ class MomentTable:
     def validate(self, tol=1e-9):
         if np.any(self.G_private < 0):
             raise NumericalError("G_private has negative entries")
-        own = np.abs(self.g_private) ** 2
         diag = np.diagonal(self.G_private)
         scale = np.maximum(diag, 1e-300)
-        if np.any((own - diag) > tol * scale):
+        if np.any((self.own_private - diag) > tol * scale):
             raise NumericalError("second moment below squared mean for a private beam")
-        common_var = self.G_common - np.abs(self.g_common) ** 2
+        common_var = self.G_common - self.own_common
         if np.any(common_var < -tol * np.maximum(self.G_common, 1e-300)):
             raise NumericalError("second moment below squared mean for the common beam")
 
@@ -189,7 +197,6 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
         G_private=G_private,
         g_common=g_common,
         G_common=G_common,
-        source="closed_form",
     )
     table.validate()
     return table
@@ -228,7 +235,6 @@ class QuarticAdjudication:
     unique: bool
     max_z: dict          # variant -> worst |deviation| / SE over all pairs
     max_abs_dev: dict    # variant -> worst |deviation|
-    pair_results: list   # per pair: dict with M, per-variant max z, pass flags
 
 
 def adjudicate_quartic_pair(B: np.ndarray, n: int, rng: np.random.Generator, z_limit: float = 3.0):
@@ -258,31 +264,28 @@ def select_quartic_variant(
     seed: int = 0,
     z_limit: float = 3.0,
 ) -> QuarticAdjudication:
-    """Run the variant vote on random (Phi, B) pairs.
+    """Run the variant vote on ``n_pairs`` random complex matrices B.
 
-    Each pair draws a random PSD Phi (only its trace is recorded) and a
-    random complex B.  The vote itself happens in the coordinates of the
-    unit Gaussian, where the two variants differ by diag(B).  The winner is
-    the variant with the smallest worst-case deviation; ``unique`` is True
-    when exactly one variant passes the z-test on every component of every
-    pair.
+    The vote happens in the coordinates of the unit Gaussian, where the two
+    variants differ by diag(B).  The winner is the variant with the
+    smallest worst-case deviation; ``unique`` is True when exactly one
+    variant passes the z-test on every component of every B.
     """
     rng = np.random.default_rng(seed)
-    pair_results = []
     worst_z = {v: 0.0 for v in QUARTIC_VARIANTS}
     worst_dev = {v: 0.0 for v in QUARTIC_VARIANTS}
     passes = {v: True for v in QUARTIC_VARIANTS}
     for p in range(n_pairs):
         M = int(m_values[p % len(m_values)])
-        a = standard_complex_gaussian(rng, (M, M))
-        phi = a @ a.conj().T
+        # a draw nothing reads, kept so that every B and the vote's samples
+        # stay on the same random stream
+        standard_complex_gaussian(rng, (M, M))
         B = standard_complex_gaussian(rng, (M, M)) * np.sqrt(2.0)
         result = adjudicate_quartic_pair(B, n_samples, rng, z_limit)
         for v in QUARTIC_VARIANTS:
             worst_z[v] = max(worst_z[v], result[v]["max_z"])
             worst_dev[v] = max(worst_dev[v], result[v]["max_abs_dev"])
             passes[v] = passes[v] and result[v]["passes"]
-        pair_results.append({"M": M, "phi_trace": float(np.trace(phi).real), **result})
     passing = [v for v in QUARTIC_VARIANTS if passes[v]]
     winner = passing[0] if len(passing) == 1 else min(worst_z, key=worst_z.get)
     return QuarticAdjudication(
@@ -290,7 +293,6 @@ def select_quartic_variant(
         unique=len(passing) == 1,
         max_z=worst_z,
         max_abs_dev=worst_dev,
-        pair_results=pair_results,
     )
 
 

@@ -14,11 +14,11 @@ The coefficients come as arrays from ``linearization_terms``, which
 ``rssim validate`` checks against finite differences.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .link import PowerVector, common_channel_variance, se_report, stream_denominators
+from .link import PowerVector, se_report, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
 
@@ -30,7 +30,6 @@ class IlaWfOptions:
     se_tol: float = 1e-4          # bits/s/Hz change per outer iteration
     power_tol: float = 1e-9       # relative power movement at convergence
     budget_tol: float = 1e-6      # allowed relative budget violation
-    freeze_common: bool = False   # pin rho_c to 0 (baseline without rate splitting)
 
 
 @dataclass
@@ -44,7 +43,8 @@ class LinearizationTerms:
     the common rate to beam k, and zeta_private_common[i] the response of
     UE i's rate to the common power.  The zeta responses are nonpositive;
     sigma2 aggregates alpha minus the zeta sums, so it is a nonnegative
-    leakage power.
+    leakage power.  gain_* are the own-signal coefficients over the
+    current numerators, the first terms of the stationarity residuals.
     """
 
     sigma1_private: np.ndarray
@@ -56,6 +56,8 @@ class LinearizationTerms:
     zeta_common: np.ndarray
     alpha_common: float
     zeta_private_common: np.ndarray
+    gain_private: np.ndarray
+    gain_common: float
 
 
 @dataclass
@@ -84,8 +86,8 @@ def linearization_terms(
 ) -> LinearizationTerms:
     """Evaluate every linearization coefficient at one power point."""
     G = moments.G_private
-    own = np.abs(moments.g_private) ** 2
-    delta_c = common_channel_variance(moments)
+    own = moments.own_private
+    delta_c = moments.common_variance
     den_p, num_p, den_c, num_c = stream_denominators(rho_hat, moments, sigma2)
 
     # leakage-free denominators of the signal-power coefficients
@@ -120,6 +122,8 @@ def linearization_terms(
         zeta_common=zeta_common,
         alpha_common=alpha_common,
         zeta_private_common=zeta_private_common,
+        gain_private=np.diagonal(G) / num_p,
+        gain_common=moments.G_common[l_min] / num_c[l_min],
     )
 
 
@@ -131,23 +135,16 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     private residual vector and the common residual (None when rho_c = 0).
     """
     _, _, den_c, _ = stream_denominators(powers, moments, sigma2)
-    l_min = int(np.argmin(powers.rho_c * np.abs(moments.g_common) ** 2 / den_c))
+    l_min = int(np.argmin(powers.rho_c * moments.own_common / den_c))
     terms = linearization_terms(powers, moments, sigma2, l_min)
-    return _residuals(powers, mu, moments, sigma2, l_min, terms)
+    return _residuals(terms, mu, powers.rho_c)
 
 
-def _residuals(
-    powers: PowerVector, mu: float, moments: MomentTable, sigma2: float, l_min: int,
-    terms: LinearizationTerms,
-):
-    """``stationarity_residuals`` on the linearization ``terms`` already
-    evaluated at ``powers`` with bottleneck UE ``l_min``."""
-    _, num_p, _, num_c = stream_denominators(powers, moments, sigma2)
-    res_private = np.diagonal(moments.G_private) / num_p - terms.sigma2_private - mu
-    res_common = None
-    if powers.rho_c > 0:
-        res_common = float(moments.G_common[l_min] / num_c[l_min] - terms.sigma2_common - mu)
-    return res_private, res_common
+def _residuals(terms: LinearizationTerms, mu: float, rho_c: float):
+    """``stationarity_residuals`` on the linearization ``terms`` of a point
+    with common power ``rho_c``."""
+    res_common = float(terms.gain_common - terms.sigma2_common - mu) if rho_c > 0 else None
+    return terms.gain_private - terms.sigma2_private - mu, res_common
 
 
 def ila_wf(
@@ -160,11 +157,13 @@ def ila_wf(
 ) -> PowerAllocation:
     """Run the water-filling allocation to a stationary point.
 
-    With the common stream enabled, the split with no common power is
-    always a feasible competitor and both runs are solved.  The joint run
-    wins only if it converged and either the pinned run did not or it keeps
-    the common stream on at a strictly higher sum SE, so the two modes
-    coincide exactly (powers and iterations) when rate splitting brings nothing.
+    The split with no common power (the pinned run) is always solved.  On a
+    table without the common stream (``G_common`` all zero, as built
+    without common weights) it is the result.  Otherwise the joint run is
+    solved too, and it wins only if it converged and either the pinned run
+    did not or it keeps the common stream on at a strictly higher sum SE,
+    so the two modes coincide exactly (powers and iterations) when rate
+    splitting brings nothing.
 
     ``baseline`` is a pinned run the caller already has, used in place of
     running one.  A pinned run never reads the common-stream entries of the
@@ -173,12 +172,10 @@ def ila_wf(
     """
     opts = options or IlaWfOptions()
     if baseline is None:
-        baseline = _ila_wf_run(
-            moments, rho_total, sigma2, config, replace(opts, freeze_common=True)
-        )
-    if opts.freeze_common:
+        baseline = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=True)
+    if not np.any(moments.G_common):
         return baseline
-    joint = _ila_wf_run(moments, rho_total, sigma2, config, opts)
+    joint = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=False)
     baseline_se = se_report(baseline.powers, moments, config).sum_se
     joint_se = se_report(joint.powers, moments, config).sum_se
     if joint.converged and (
@@ -194,10 +191,12 @@ def _ila_wf_run(
     sigma2: float,
     config: ScenarioConfig,
     opts: IlaWfOptions,
+    pinned: bool,
 ) -> PowerAllocation:
     """One allocation run: damped fixed-point iteration of the budget-exact step.
 
-    The run starts from no common power and a uniform private split.  Each
+    The run starts from no common power and a uniform private split; a
+    ``pinned`` run keeps the common power at zero throughout.  Each
     iteration relinearizes at the current point, solves the
     budget-constrained surrogate exactly and moves a damped step towards
     its solution; damping guards against open/close limit cycles of the
@@ -234,7 +233,7 @@ def _ila_wf_run(
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
         prev_point = np.concatenate([[rho_c], rho])
-        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total, opts.freeze_common)
+        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total, pinned)
         new_point = np.concatenate([[new_c], new_rho])
         raw_move = np.abs(new_point - prev_point).max() / scale
         if older_point is not None and raw_move > 1e-6:
@@ -255,9 +254,7 @@ def _ila_wf_run(
         if not settled and mu > 0 and record.feasible:
             # slow drift along a flat ridge: accept on the first-order
             # residuals directly rather than waiting for exact rest
-            res_p, res_c = _residuals(
-                PowerVector(rho_c, rho), mu, moments, sigma2, report.l_min, terms
-            )
+            res_p, res_c = _residuals(terms, mu, rho_c)
             worst = np.abs(res_p[rho > 0]).max() if np.any(rho > 0) else 0.0
             if res_c is not None:
                 worst = max(worst, abs(res_c))
@@ -274,7 +271,7 @@ def _ila_wf_run(
     )
 
 
-def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, freeze_common: bool):
+def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, pinned: bool):
     """Water-fill one linearization with the multiplier solved exactly for the budget.
 
     Stream k water-fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is
@@ -283,14 +280,14 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, freeze_comm
     Evaluating it at all breakpoints b_k at once gives the interval that
     holds the budget root and thereby the active set A; on it the root of
     sum_A 1/(mu + slope_k) = rho_total + sum_A 1/sigma1_k is found by
-    Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  Returns
-    (rho_c, rho, mu).
+    Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  A ``pinned`` step
+    leaves the common stream out.  Returns (rho_c, rho, mu).
     """
     K = len(terms.sigma1_private)
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
-    common = not freeze_common and terms.sigma1_common > 0
+    common = not pinned and terms.sigma1_common > 0
     if common:  # the common stream rides along as entry K
         s1 = np.append(s1, terms.sigma1_common)
         s2 = np.append(s2, terms.sigma2_common)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunSettings, SweepSpec
+from .config import MODES, SWEEP_AXES, RunSettings, SweepSpec
 from .errors import ConfigError
 from .estimation import build_estimation_model
 from .link import se_report
@@ -29,8 +29,6 @@ CSV_COLUMNS = (
     "axis", "axis_value", "drop", "mode", "sum_se", "se_common",
     "se_private_total", "rho_c", "l_min", "iterations", "seed",
 )
-
-MODE_CODES = {"rs": 0, "no_rs": 1}
 
 
 @dataclass
@@ -97,8 +95,8 @@ def evaluate_drop(
     allocation as its baseline instead of being solved twice.
     """
     for mode in modes:
-        if mode not in MODE_CODES:
-            raise ConfigError(f"mode must be one of {tuple(MODE_CODES)}, got {mode!r}")
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     settings = settings or RunSettings()
     solver = solver or IlaWfOptions()
     rng = np.random.default_rng(seed)
@@ -110,7 +108,7 @@ def evaluate_drop(
     results = {}
     pinned = None
     if "no_rs" in modes:
-        pinned = ila_wf(mr_table, rho_total, sigma2, config, replace(solver, freeze_common=True))
+        pinned = ila_wf(mr_table, rho_total, sigma2, config, solver)
         results["no_rs"] = (se_report(pinned.powers, mr_table, config), pinned, None)
     if "rs" in modes:
         problem = build_common_weight_problem(
@@ -119,10 +117,7 @@ def evaluate_drop(
         )
         weights, _ = solve_common_weights(problem)
         moments = closed_form_moments(model, weights)
-        alloc = ila_wf(
-            moments, rho_total, sigma2, config, replace(solver, freeze_common=False),
-            baseline=pinned,
-        )
+        alloc = ila_wf(moments, rho_total, sigma2, config, solver, baseline=pinned)
         results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
     return results
 
@@ -139,11 +134,7 @@ def result_row(
     """Flatten one mode's ``evaluate_drop`` result into a result row."""
     report, alloc, _ = result
     if axis_value is None:
-        axis_value = {
-            "power_dbm": config.rho_total_dbm,
-            "antennas": config.M,
-            "users": config.K,
-        }[axis]
+        axis_value = getattr(config, SWEEP_AXES[axis][0])
     return ResultRow(
         axis=axis,
         axis_value=float(axis_value),
@@ -176,13 +167,10 @@ def run_point(
 
 
 def apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    if axis == "power_dbm":
-        return replace(config, rho_total_dbm=float(value))
-    if axis == "antennas":
-        return replace(config, M=int(value))
-    if axis == "users":
-        return replace(config, K=int(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    name, kind = SWEEP_AXES[axis]
+    return replace(config, **{name: kind(value)})
 
 
 def run_sweep(

@@ -116,7 +116,7 @@ def mc_moment_table(
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        batch = simulate_batch(model.cov, model, m, rng)
+        batch = simulate_batch(model, m, rng)
         inner_hat = np.einsum("nkm,nim->nki", batch.h.conj(), batch.h_hat, optimize=True)
         sum_hat += inner_hat.sum(axis=0)
         sum_hat_re2 += (inner_hat.real**2).sum(axis=0)
@@ -173,7 +173,6 @@ def mc_moment_table(
         G_private=G_private,
         g_common=g_common,
         G_common=G_common,
-        source="monte_carlo",
         se_g_private=se_g_private,
         se_G_private=se_G_private,
         se_g_common=se_g_common,
@@ -201,7 +200,7 @@ def mc_estimation_stats(model: EstimationModel, n: int, rng: np.random.Generator
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        batch = simulate_batch(model.cov, model, m, rng)
+        batch = simulate_batch(model, m, rng)
         cross += np.einsum("nim,nkl->ikml", batch.h_hat, batch.h_hat.conj(), optimize=True)
         err += np.einsum("nim,nil->iml", batch.h_tilde, batch.h_tilde.conj(), optimize=True)
         prod, prod_re2, prod_im2 = outer_sums(batch.h_hat, batch.h_tilde)
@@ -244,7 +243,7 @@ def well_conditioned_covariances(K: int, M: int, rng: np.random.Generator) -> Co
 def colinearity_identity_error(model: EstimationModel, n: int, rng: np.random.Generator) -> float:
     """Worst per-realization relative error of hhat_i = R_i R_k^{-1} hhat_k
     over all ordered UE pairs (requires invertible R_k)."""
-    batch = simulate_batch(model.cov, model, n, rng)
+    batch = simulate_batch(model, n, rng)
     worst = 0.0
     for k in range(model.K):
         r_k = model.cov.R[k]

@@ -70,8 +70,8 @@ def test_sampling_deterministic():
 
 
 def test_estimates_decompose_exactly(small_setup):
-    _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 500, np.random.default_rng(3))
+    _, _, model, _ = small_setup
+    batch = simulate_batch(model, 500, np.random.default_rng(3))
     # h_tilde is defined as h - h_hat, so recomposition is exact up to one
     # rounding of the final addition
     assert np.allclose(batch.h, batch.h_hat + batch.h_tilde, rtol=1e-12, atol=0.0)
@@ -80,7 +80,7 @@ def test_estimates_decompose_exactly(small_setup):
 def test_shared_pilot_noise_single_observation(small_setup):
     """All K estimates must come from the same contaminated observation."""
     _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 64, np.random.default_rng(5))
+    batch = simulate_batch(model, 64, np.random.default_rng(5))
     y = batch.h.sum(axis=1) + batch.pilot_noise / np.sqrt(model.rho_tr)
     z = model.apply_q_inverse(y.T)
     for i in range(cov.K):
@@ -97,7 +97,7 @@ def test_colinearity_identity_per_realization():
 def test_near_noiseless_estimation_recovers_truth():
     cov = well_conditioned_covariances(1, 10, np.random.default_rng(12))
     model = build_estimation_model(cov, 1e12)
-    batch = simulate_batch(cov, model, 200, np.random.default_rng(13))
+    batch = simulate_batch(model, 200, np.random.default_rng(13))
     rel = np.linalg.norm(batch.h_tilde) / np.linalg.norm(batch.h)
     assert rel < 1e-4
 

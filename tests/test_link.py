@@ -17,7 +17,6 @@ def table_from(g, G, g_c=None, G_c=None):
         G_private=np.asarray(G, dtype=float),
         g_common=np.zeros(K, dtype=complex) if g_c is None else np.asarray(g_c, dtype=complex),
         G_common=np.zeros(K) if G_c is None else np.asarray(G_c, dtype=float),
-        source="closed_form",
     )
 
 

@@ -155,7 +155,6 @@ def test_moment_table_variance_invariant_enforced():
         G_private=np.array([[1.0]]),  # below |g|^2: inconsistent
         g_common=np.zeros(1, dtype=complex),
         G_common=np.zeros(1),
-        source="monte_carlo",
     )
     with pytest.raises(NumericalError):
         table.validate()

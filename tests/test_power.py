@@ -3,7 +3,8 @@ import pytest
 
 from rssim.errors import NumericalError
 from rssim.estimation import build_estimation_model
-from rssim.link import PowerVector, common_channel_variance, se_report, stream_denominators
+import rssim.link as link
+from rssim.link import PowerVector, se_report, stream_denominators
 from rssim.moments import MomentTable, closed_form_moments
 import rssim.power as power
 from rssim.power import (
@@ -53,7 +54,6 @@ def simple_table():
         G_private=np.array([[1.3]]),
         g_common=np.zeros(1, dtype=complex),
         G_common=np.zeros(1),
-        source="closed_form",
     )
 
 
@@ -141,7 +141,7 @@ def _private_update_terms(k, rho_c, rho, moments, sigma2, l_min):
     powers = PowerVector(rho_c, rho)
     G = moments.G_private
     own = np.abs(moments.g_private[k]) ** 2
-    delta_c = common_channel_variance(moments)
+    delta_c = np.maximum(moments.G_common - np.abs(moments.g_common) ** 2, 0.0)
     den_p, num_p, den_c, num_c = stream_denominators(powers, moments, sigma2)
     den_sig = sigma2 + rho_c * delta_c[k] + float(G[k] @ rho) - rho[k] * G[k, k]
     s1 = G[k, k] / den_sig
@@ -155,7 +155,7 @@ def _private_update_terms(k, rho_c, rho, moments, sigma2, l_min):
 
 def _common_update_terms(rho_c, rho, moments, sigma2, l_min):
     powers = PowerVector(rho_c, rho)
-    delta_c = common_channel_variance(moments)
+    delta_c = np.maximum(moments.G_common - np.abs(moments.g_common) ** 2, 0.0)
     den_p, num_p, den_c, _ = stream_denominators(powers, moments, sigma2)
     den_sig = sigma2 + float(moments.G_private[l_min] @ rho)
     s1 = moments.G_common[l_min] / den_sig
@@ -169,12 +169,12 @@ def _common_update_terms(rho_c, rho, moments, sigma2, l_min):
 REFERENCE_BRACKET_TOP = 1e5
 
 
-def scalar_budget_step(point, table, sigma2, rho_total, l_min, freeze):
+def scalar_budget_step(point, table, sigma2, rho_total, l_min, pinned):
     """Reference budget-exact step: per-stream coefficients, scalar water-filling."""
     K = len(point.rho)
     terms = [_private_update_terms(k, point.rho_c, point.rho, table, sigma2, l_min) for k in range(K)]
     s1c, s2c = _common_update_terms(point.rho_c, point.rho, table, sigma2, l_min)
-    if not freeze and s1c > 0:
+    if not pinned and s1c > 0:
         terms.append((s1c, s2c))
     return scalar_water_filling(terms, rho_total)
 
@@ -203,15 +203,15 @@ def scalar_water_filling(terms, rho_total):
     return total(hi)[1], hi
 
 
-@pytest.mark.parametrize("freeze", [False, True])
-def test_budget_step_matches_scalar_water_filling(coefficient_cases, freeze):
+@pytest.mark.parametrize("pinned", [False, True])
+def test_budget_step_matches_scalar_water_filling(coefficient_cases, pinned):
     for table, sigma2, rho_total in coefficient_cases:
         K = table.K
         for point in random_points(K, rho_total, seed=K + 1):
             rho_c, rho, mu = _budget_exact_sweep(
-                linearization_terms(point, table, sigma2, 0), rho_total, freeze
+                linearization_terms(point, table, sigma2, 0), rho_total, pinned
             )
-            levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, freeze)
+            levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, pinned)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
             if mu > 0:
                 assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
@@ -228,6 +228,7 @@ def coefficient_terms(sigma1, sigma2, common=None):
         sigma1_private=np.array(sigma1, dtype=float), sigma2_private=np.array(sigma2, dtype=float),
         sigma1_common=s1c, sigma2_common=s2c, alpha_private=np.zeros(K), zeta=np.zeros((K, K)),
         zeta_common=np.zeros(K), alpha_common=0.0, zeta_private_common=np.zeros(K),
+        gain_private=np.zeros(K), gain_common=0.0,
     )
 
 
@@ -270,7 +271,7 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
     # demand is unbounded, so the multiplier is solved for the budget
     table = MomentTable(
         g_private=np.array([1.0 + 0j]), G_private=np.array([[1.0]]),
-        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
+        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1),
     )
     with np.errstate(all="raise"):
         terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 1.0, 0)
@@ -283,7 +284,7 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
 def test_budget_step_rejects_nonpositive_sigma1():
     table = MomentTable(
         g_private=np.zeros(1, dtype=complex), G_private=np.zeros((1, 1)),
-        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1), source="closed_form",
+        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1),
     )
     with pytest.raises(ValueError, match="sigma1"):
         _budget_exact_sweep(
@@ -354,16 +355,29 @@ def test_ila_wf_improves_on_uniform_init(small_setup):
     )
 
 
-def test_ila_wf_freeze_common(small_setup):
-    config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights)
-    alloc = ila_wf(
-        table, config.rho_total_mw, config.noise_mw, config,
-        IlaWfOptions(freeze_common=True),
-    )
+def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup):
+    config, _, model, _ = small_setup
+    table = closed_form_moments(model)
+    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
     assert alloc.powers.rho_c == 0.0
     for record in alloc.trace:
         assert record.rho_c == 0.0
+
+
+def test_ila_wf_runs_once_on_a_table_without_the_common_stream(small_setup, monkeypatch):
+    # a table built without common weights has no common stream, so the
+    # pinned run is the whole allocation
+    config, _, model, _ = small_setup
+    runs = []
+    original = power._ila_wf_run
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("pinned"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(power, "_ila_wf_run", counting)
+    ila_wf(closed_form_moments(model), config.rho_total_mw, config.noise_mw, config)
+    assert runs == [True]
 
 
 def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
@@ -372,12 +386,14 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
     # shares it between its two modes
     config, _, model, weights = small_setup
     far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
-    pinned = IlaWfOptions(freeze_common=True)
     for cfg, mdl, w in [
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
         mr, weighted = (
-            ila_wf(closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg, pinned)
+            power._ila_wf_run(
+                closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg,
+                IlaWfOptions(), pinned=True,
+            )
             for x in (None, w)
         )
         assert mr.powers.rho_c == weighted.powers.rho_c == 0.0
@@ -432,3 +448,26 @@ def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
     _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
     assert alloc.iterations > 50
     assert all(before != after for before, after in zip(calls, calls[1:]))
+
+
+def test_ila_wf_evaluates_each_iterate_twice(monkeypatch):
+    # per iterate, the SE report and the linearization evaluate the
+    # denominators once each; the stationarity check reads the terms, and
+    # only the tie rule's two reports and the row's report come on top
+    config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
+    denominator_calls, linearizations = [], []
+
+    def counting_denominators(*args):
+        denominator_calls.append(args)
+        return stream_denominators(*args)
+
+    def counting_linearization(*args):
+        linearizations.append(args)
+        return linearization_terms(*args)
+
+    monkeypatch.setattr(link, "stream_denominators", counting_denominators)
+    monkeypatch.setattr(power, "stream_denominators", counting_denominators)
+    monkeypatch.setattr(power, "linearization_terms", counting_linearization)
+    _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
+    assert alloc.iterations > 50
+    assert len(denominator_calls) <= 2 * len(linearizations) + 3

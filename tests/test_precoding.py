@@ -16,8 +16,8 @@ from conftest import diagonal_covariances
 
 
 def test_mr_expected_norm_is_one(small_setup):
-    _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 50_000, np.random.default_rng(2))
+    _, _, model, _ = small_setup
+    batch = simulate_batch(model, 50_000, np.random.default_rng(2))
     w = batch.h_hat / np.sqrt(model.phi_trace)[None, :, None]
     norms = (np.abs(w) ** 2).sum(axis=2).mean(axis=0)
     assert np.all(np.abs(norms - 1.0) < 0.02)
@@ -27,7 +27,7 @@ def test_mr_perfect_csi_limit():
     beta, M = 1.4, 8
     cov = diagonal_covariances([beta], M)
     model = build_estimation_model(cov, 1e12)
-    batch = simulate_batch(cov, model, 100, np.random.default_rng(3))
+    batch = simulate_batch(model, 100, np.random.default_rng(3))
     w = batch.h_hat / np.sqrt(model.phi_trace)[None, :, None]
     expected = batch.h[:, 0, :] / np.sqrt(M * beta)
     rel = np.linalg.norm(w[:, 0, :] - expected) / np.linalg.norm(expected)
@@ -109,31 +109,31 @@ def test_weight_problem_from_model(small_setup):
 
 def test_common_precoder_single_weight_collapses_to_mr(small_setup):
     _, cov, model, _ = small_setup
-    batch = simulate_batch(cov, model, 100, np.random.default_rng(11))
+    batch = simulate_batch(model, 100, np.random.default_rng(11))
     w_mr = batch.h_hat[:, 0, :] / np.sqrt(model.phi_trace[0])
     w_c = common_precoder(np.eye(cov.K)[0], batch, model)
     assert np.allclose(w_c, w_mr, atol=1e-12)
 
 
 def test_common_precoder_weight_scale_invariance(small_setup):
-    _, cov, model, weights = small_setup
-    batch = simulate_batch(cov, model, 64, np.random.default_rng(12))
+    _, _, model, weights = small_setup
+    batch = simulate_batch(model, 64, np.random.default_rng(12))
     w1 = common_precoder(weights, batch, model)
     w2 = common_precoder(3.7 * weights, batch, model)
     assert np.allclose(w1, w2, atol=1e-12)
 
 
 def test_common_precoder_expected_norm(small_setup):
-    _, cov, model, weights = small_setup
-    batch = simulate_batch(cov, model, 50_000, np.random.default_rng(13))
+    _, _, model, weights = small_setup
+    batch = simulate_batch(model, 50_000, np.random.default_rng(13))
     w_c = common_precoder(weights, batch, model)
     norm = (np.abs(w_c) ** 2).sum(axis=1).mean()
     assert abs(norm - 1.0) < 0.02
 
 
 def test_analytic_normalizer_matches_sample_second_moment(small_setup):
-    _, cov, model, weights = small_setup
-    batch = simulate_batch(cov, model, 50_000, np.random.default_rng(14))
+    _, _, model, weights = small_setup
+    batch = simulate_batch(model, 50_000, np.random.default_rng(14))
     combo = np.einsum("i,nim->nm", weights, batch.h_hat)
     sample = (np.abs(combo) ** 2).sum(axis=1).mean()
     analytic = complex(weights @ model.cross_trace @ weights).real

@@ -125,10 +125,10 @@ def test_sweep_runs_the_pinned_allocation_once_per_drop(monkeypatch):
     pinned_runs = []
     original = rssim.power._ila_wf_run
 
-    def counting(moments, rho_total, sigma2, config, opts):
-        if opts.freeze_common:
+    def counting(moments, rho_total, sigma2, config, opts, pinned):
+        if pinned:
             pinned_runs.append(opts)
-        return original(moments, rho_total, sigma2, config, opts)
+        return original(moments, rho_total, sigma2, config, opts, pinned)
 
     monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
     spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2, modes=("rs", "no_rs"))

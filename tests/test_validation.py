@@ -70,7 +70,6 @@ def test_real_vote_winner_fails_validation(monkeypatch, capsys):
         unique=True,
         max_z={"real": 1.0, "circular": 400.0},
         max_abs_dev={"real": 1e-3, "circular": 2.0},
-        pair_results=[],
     )
     monkeypatch.setattr(rssim.validation, "select_quartic_variant", lambda **kwargs: fake)
     reports = []
