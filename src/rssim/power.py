@@ -80,15 +80,24 @@ class PowerAllocation:
     converged: bool = False
     l_min: int = 0
 
+    @property
+    def common_opened(self) -> bool:
+        """Whether any iterate of the run gave the common stream power."""
+        return any(record.rho_c > 0 for record in self.trace)
+
 
 def linearization_terms(
-    rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int
+    rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int | None
 ) -> LinearizationTerms:
-    """Evaluate every linearization coefficient at one power point."""
+    """Evaluate every linearization coefficient at one power point, with the
+    common rate linearized at UE ``l_min``; ``None`` takes the bottleneck
+    argmin_k |g_c,k|^2 / den_c,k, also its rho_c -> 0 limit."""
     G = moments.G_private
     own = moments.own_private
     delta_c = moments.common_variance
     den_p, num_p, den_c, num_c = stream_denominators(rho_hat, moments, sigma2)
+    if l_min is None:
+        l_min = int(np.argmin(moments.own_common / den_c))
 
     # leakage-free denominators of the signal-power coefficients
     rx = G @ rho_hat.rho
@@ -134,10 +143,7 @@ def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable,
     signal_coefficient / num - sigma2_coefficient - mu vanish; returns the
     private residual vector and the common residual (None when rho_c = 0).
     """
-    _, _, den_c, _ = stream_denominators(powers, moments, sigma2)
-    l_min = int(np.argmin(powers.rho_c * moments.own_common / den_c))
-    terms = linearization_terms(powers, moments, sigma2, l_min)
-    return _residuals(terms, mu, powers.rho_c)
+    return _residuals(linearization_terms(powers, moments, sigma2, None), mu, powers.rho_c)
 
 
 def _residuals(terms: LinearizationTerms, mu: float, rho_c: float):
@@ -153,29 +159,22 @@ def ila_wf(
     sigma2: float,
     config: ScenarioConfig,
     options: IlaWfOptions | None = None,
-    baseline: PowerAllocation | None = None,
 ) -> PowerAllocation:
     """Run the water-filling allocation to a stationary point.
 
-    The split with no common power (the pinned run) is always solved.  On a
-    table without the common stream (``G_common`` all zero, as built
-    without common weights) it is the result.  Otherwise the joint run is
-    solved too, and it wins only if it converged and either the pinned run
-    did not or it keeps the common stream on at a strictly higher sum SE,
-    so the two modes coincide exactly (powers and iterations) when rate
-    splitting brings nothing.
-
-    ``baseline`` is a pinned run the caller already has, used in place of
-    running one.  A pinned run never reads the common-stream entries of the
-    table (its rho_c is 0), so the pinned run on the table without the
-    common stream is bit-identical to the one on this table.
+    The joint run, which may give the common stream power, comes first.
+    If no iterate opened the common stream, each applied step was the
+    pinned one, so the run is bit for bit the split with no common power
+    (the pinned run) and is the result, as on every table built without
+    common weights.  Otherwise the pinned run is solved too, and the joint run
+    wins only if it converged and either the pinned run did not or it
+    keeps the common stream on at a strictly higher sum SE.
     """
     opts = options or IlaWfOptions()
-    if baseline is None:
-        baseline = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=True)
-    if not np.any(moments.G_common):
-        return baseline
     joint = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=False)
+    if not joint.common_opened:
+        return joint
+    baseline = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=True)
     baseline_se = se_report(baseline.powers, moments, config).sum_se
     joint_se = se_report(joint.powers, moments, config).sum_se
     if joint.converged and (
@@ -213,7 +212,7 @@ def _ila_wf_run(
         that both the stationarity check and the next step read."""
         point = PowerVector(rc, r)
         report = se_report(point, moments, config)
-        terms = linearization_terms(point, moments, sigma2, report.l_min)
+        terms = linearization_terms(point, moments, sigma2, report.l_min if rc > 0 else None)
         total = rc + r.sum()
         feasible = total <= rho_total * (1.0 + opts.budget_tol)
         return IterationRecord(
@@ -274,23 +273,35 @@ def _ila_wf_run(
 def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, pinned: bool):
     """Water-fill one linearization with the multiplier solved exactly for the budget.
 
-    Stream k water-fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is
-    active iff mu < b_k = sigma1_k - slope_k, and the filled total is
-    continuous and strictly decreasing in mu until every stream is off.
-    Evaluating it at all breakpoints b_k at once gives the interval that
-    holds the budget root and thereby the active set A; on it the root of
-    sum_A 1/(mu + slope_k) = rho_total + sum_A 1/sigma1_k is found by
-    Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  A ``pinned`` step
-    leaves the common stream out.  Returns (rho_c, rho, mu).
+    The private streams are water-filled alone first.  The common stream
+    joins only when its breakpoint sigma1_c - slope_c lies above their
+    multiplier; otherwise its level there is zero and the private solution
+    is exact.  A ``pinned`` step leaves it out.  Returns (rho_c, rho, mu).
     """
-    K = len(terms.sigma1_private)
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
-    common = not pinned and terms.sigma1_common > 0
-    if common:  # the common stream rides along as entry K
-        s1 = np.append(s1, terms.sigma1_common)
-        s2 = np.append(s2, terms.sigma2_common)
+    levels, mu = _water_fill(s1, s2, rho_total)
+    if pinned or terms.sigma1_common - max(terms.sigma2_common, 0.0) <= mu:
+        return 0.0, levels, mu
+    levels, mu = _water_fill(
+        np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
+    )
+    return float(levels[-1]), levels[:-1], mu
+
+
+def _water_fill(s1: np.ndarray, s2: np.ndarray, rho_total: float):
+    """Budget-exact water-filling of streams with positive coefficients s1.
+
+    Stream k fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is active
+    iff mu < b_k = sigma1_k - slope_k, and the filled total is continuous
+    and strictly decreasing in mu until every stream is off.  Evaluating it
+    at all breakpoints b_k at once gives the interval that holds the budget
+    root and thereby the active set A; on it the root of
+    sum_A 1/(mu + slope_k) = rho_total + sum_A 1/sigma1_k is found by
+    Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  Returns
+    (levels, mu).
+    """
     inv_s1 = 1.0 / s1
     slope = np.maximum(s2, 0.0)
 
@@ -324,4 +335,4 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, pinned: boo
             if step <= 1e-15 * mu:
                 break
         levels = fill(mu)
-    return (float(levels[K]) if common else 0.0), levels[:K], mu
+    return levels, mu

@@ -90,9 +90,10 @@ def evaluate_drop(
     Returns {mode: (SEReport, PowerAllocation, weights)}.  The modes share
     the drop: the scenario, the estimation model and the table without the
     common stream are built once.  In "no_rs" mode the common stream is
-    absent: no weights are solved and the allocator keeps the common power
-    pinned to zero.  With both modes, that pinned run is handed to the "rs"
-    allocation as its baseline instead of being solved twice.
+    absent: no weights are solved and the allocation runs on that table.
+    The "rs" allocation is solved first; when it never opened the common
+    stream it is the pinned run, which does not read the common-stream
+    entries of its table, so it serves as the "no_rs" allocation too.
     """
     for mode in modes:
         if mode not in MODES:
@@ -107,9 +108,6 @@ def evaluate_drop(
     mr_table = closed_form_moments(model)
     results = {}
     pinned = None
-    if "no_rs" in modes:
-        pinned = ila_wf(mr_table, rho_total, sigma2, config, solver)
-        results["no_rs"] = (se_report(pinned.powers, mr_table, config), pinned, None)
     if "rs" in modes:
         problem = build_common_weight_problem(
             model, mr_table, np.full(config.K, rho_total / config.K), sigma2,
@@ -117,8 +115,14 @@ def evaluate_drop(
         )
         weights, _ = solve_common_weights(problem)
         moments = closed_form_moments(model, weights)
-        alloc = ila_wf(moments, rho_total, sigma2, config, solver, baseline=pinned)
+        alloc = ila_wf(moments, rho_total, sigma2, config, solver)
         results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
+        if not alloc.common_opened:
+            pinned = alloc
+    if "no_rs" in modes:
+        if pinned is None:
+            pinned = ila_wf(mr_table, rho_total, sigma2, config, solver)
+        results["no_rs"] = (se_report(pinned.powers, mr_table, config), pinned, None)
     return results
 
 

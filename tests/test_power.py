@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -365,8 +367,8 @@ def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup):
 
 
 def test_ila_wf_runs_once_on_a_table_without_the_common_stream(small_setup, monkeypatch):
-    # a table built without common weights has no common stream, so the
-    # pinned run is the whole allocation
+    # a table built without common weights has no common stream, so no run
+    # opens it and the first run is the whole allocation
     config, _, model, _ = small_setup
     runs = []
     original = power._ila_wf_run
@@ -377,7 +379,7 @@ def test_ila_wf_runs_once_on_a_table_without_the_common_stream(small_setup, monk
 
     monkeypatch.setattr(power, "_ila_wf_run", counting)
     ila_wf(closed_form_moments(model), config.rho_total_mw, config.noise_mw, config)
-    assert runs == [True]
+    assert len(runs) == 1
 
 
 def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
@@ -401,6 +403,86 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
         assert (mr.iterations, mr.mu, mr.converged, mr.l_min) == (
             weighted.iterations, weighted.mu, weighted.converged, weighted.l_min,
         )
+
+
+def assert_same_run(a, b):
+    assert a.powers.rho_c == b.powers.rho_c
+    assert np.array_equal(a.powers.rho, b.powers.rho)
+    assert (a.mu, a.iterations, a.converged, a.l_min) == (b.mu, b.iterations, b.converged, b.l_min)
+    assert len(a.trace) == len(b.trace)
+    for x, y in zip(a.trace, b.trace):
+        assert (x.iteration, x.rho_c, x.total, x.sum_se, x.mu, x.feasible) == (
+            y.iteration, y.rho_c, y.total, y.sum_se, y.mu, y.feasible,
+        )
+        assert np.array_equal(x.rho, y.rho)
+
+
+def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setup):
+    # every budget step leaves the common stream out while its breakpoint is
+    # at or below the private multiplier, and then it is the pinned step
+    config, _, model, weights = small_setup
+    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    for cfg, mdl, w in [
+        (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
+    ]:
+        table = closed_form_moments(mdl, w)
+        joint, pinned = (
+            power._ila_wf_run(
+                table, cfg.rho_total_mw, cfg.noise_mw, cfg, IlaWfOptions(), pinned=flag
+            )
+            for flag in (False, True)
+        )
+        assert not joint.common_opened
+        assert_same_run(joint, pinned)
+
+
+def test_budget_step_opens_the_common_stream_only_above_the_private_multiplier(small_setup):
+    config, _, model, weights = small_setup
+    table = closed_form_moments(model, weights)
+    point = PowerVector(0.0, np.full(config.K, config.rho_total_mw / config.K))
+    terms = linearization_terms(point, table, config.noise_mw, None)
+    pinned = _budget_exact_sweep(terms, config.rho_total_mw, True)
+    mu = pinned[2]
+    assert mu > 0
+    slope_c = max(terms.sigma2_common, 0.0)
+    below = replace(terms, sigma1_common=slope_c + mu * (1 - 1e-9))
+    rho_c, rho, mu_below = _budget_exact_sweep(below, config.rho_total_mw, False)
+    assert rho_c == 0.0
+    assert np.array_equal(rho, pinned[1])
+    assert mu_below == mu
+    above = replace(terms, sigma1_common=slope_c + mu * (1 + 1e-3))
+    rho_c, rho, mu_above = _budget_exact_sweep(above, config.rho_total_mw, False)
+    assert rho_c > 0
+    assert mu_above > mu
+    assert rho_c + rho.sum() == pytest.approx(config.rho_total_mw, rel=1e-12)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
+    # the criterion-6 fixture: linearized at its rho_c -> 0 bottleneck, the
+    # joint run keeps the common stream off and so is the pinned run; at UE 0
+    # it switched bottleneck every iteration and 6 of these 9 runs hit the cap
+    config = ScenarioConfig(M=64, K=8, seed=0)
+    original = power._ila_wf_run
+    runs = []
+
+    def recording(moments, *args, **kwargs):
+        runs.append((moments, original(moments, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(power, "_ila_wf_run", recording)
+    for dbm in (0.0, 20.0, 40.0):
+        point_config = replace(config, rho_total_dbm=dbm)
+        runs.clear()
+        evaluate_drop(point_config, ("rs",), derive_point_seed(0, drop))
+        assert len(runs) == 1
+        table, joint = runs[0]
+        assert not joint.common_opened
+        pinned = original(
+            table, point_config.rho_total_mw, point_config.noise_mw, point_config,
+            IlaWfOptions(), pinned=True,
+        )
+        assert joint.converged or not pinned.converged
 
 
 def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):

@@ -65,9 +65,9 @@ def test_rs_never_below_no_rs_head_to_head():
 
 
 def test_rs_row_equals_no_rs_row_when_common_stream_stays_off():
-    """At this point the joint run ends with no common power, a tie within
-    rounding; the pinned run wins it, so both rows report the same
-    allocation and the same iteration count."""
+    """At this point the joint run never opens the common stream, so it is
+    the pinned run: both rows report the same allocation and the same
+    iteration count."""
     config = ScenarioConfig(M=24, K=4, rho_total_dbm=0.0, seed=0)
     seed = derive_point_seed(config.seed, 1)
     rs = run_point(config, "rs", seed)
@@ -121,21 +121,36 @@ def test_sweep_rows_equal_point_rows(modes):
     assert run_sweep(spec, config) == expected
 
 
-def test_sweep_runs_the_pinned_allocation_once_per_drop(monkeypatch):
-    pinned_runs = []
+def test_sweep_runs_one_allocation_per_drop(monkeypatch):
+    runs = []
     original = rssim.power._ila_wf_run
 
     def counting(moments, rho_total, sigma2, config, opts, pinned):
-        if pinned:
-            pinned_runs.append(opts)
+        runs.append(pinned)
         return original(moments, rho_total, sigma2, config, opts, pinned)
 
     monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
     spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2, modes=("rs", "no_rs"))
     rows = run_sweep(spec, small_config())
     assert len(rows) == 8
-    # one per (value, drop); evaluating each row on its own takes 8
-    assert len(pinned_runs) == 4
+    # the rs run never opens the common stream here, so it serves both
+    # modes: one per (value, drop), where a joint run then a pinned one took 8
+    assert len(runs) == 4
+
+
+def test_rs_point_runs_one_allocation(monkeypatch):
+    runs = []
+    original = rssim.power._ila_wf_run
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("pinned"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
+    config = ScenarioConfig(M=64, K=8, rho_total_dbm=20.0, seed=0)
+    row = run_point(config, "rs", derive_point_seed(0, 0))
+    assert row.rho_c == 0.0
+    assert runs == [False]
 
 
 def test_sweep_csv_byte_identical(tmp_path):
