@@ -10,7 +10,7 @@ beam), hardening-bound spectral efficiencies, and budget-exact
 water-filling power allocation.
 """
 
-from .config import RunSettings, SweepSpec, load_config, parse_config
+from .config import SweepSpec, load_config, parse_config
 from .errors import (
     ConfigError,
     InfeasibleGeometryError,

@@ -8,7 +8,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import MODES, RunSettings, load_config
+from .config import MODES, load_config
 from .errors import ConfigError, RssimError
 from .power import IlaWfOptions
 from .runner import evaluate_drop, render_csv, result_row, run_sweep, write_rows
@@ -24,7 +24,7 @@ EXIT_VALIDATION = 3
 def _load(args):
     if args.config:
         return load_config(args.config)
-    return ScenarioConfig(), None, IlaWfOptions(), RunSettings()
+    return ScenarioConfig(), None, IlaWfOptions()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,12 +61,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, sweep, solver, settings = _load(args)
+        config, sweep, solver = _load(args)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         if args.command == "run":
             modes = _modes(args.mode)
-            results = evaluate_drop(config, modes, config.seed, solver, settings)
+            results = evaluate_drop(config, modes, config.seed, solver)
             rows = [result_row(config, mode, config.seed, results[mode]) for mode in modes]
             text = render_csv(rows)
             if args.output:
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             if args.mode != "both":
                 sweep = replace(sweep, modes=(args.mode,))
             output = args.output or sweep.output_path
-            rows = run_sweep(sweep, config, solver, settings, output_path=output)
+            rows = run_sweep(sweep, config, solver, output_path=output)
             sys.stdout.write(f"wrote {len(rows)} rows to {output}\n")
             unconverged = sum(not row.converged for row in rows)
             sys.stderr.write(
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
         if args.command == "validate":
-            report = run_validation(config, args.trials, include_pi=settings.include_pi)
+            report = run_validation(config, args.trials)
             sys.stdout.write(report.render() + "\n")
             return EXIT_OK if report.passed else EXIT_VALIDATION
         raise ConfigError(f"unknown command {args.command!r}")

@@ -52,33 +52,17 @@ class SweepSpec:
             raise ConfigError(f"modes must not repeat, got {self.modes}")
 
 
-@dataclass
-class RunSettings:
-    """Toggles that select between documented model variants."""
-
-    include_pi: bool = True               # interference weighting in the weight program
-
-
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
 _SWEEP_FIELDS = {f.name for f in fields(SweepSpec)}
 _SOLVER_FIELDS = {f.name for f in fields(IlaWfOptions)}
-_SETTINGS_FIELDS = {f.name for f in fields(RunSettings)}
 
 _INT_SCENARIO = {"M", "K", "tau", "tau_p", "num_clusters", "seed"}
 _INT_SWEEP = {"drops"}
 _INT_SOLVER = {"max_iterations"}
-_BOOL_KEYS = {"include_pi"}
 
 
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
-    if key in _BOOL_KEYS:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     if key in _INT_SCENARIO | _INT_SWEEP | _INT_SOLVER:
         try:
             return int(raw)
@@ -101,15 +85,15 @@ def _parse_scalar(key: str, raw: str):
 
 def parse_config(text: str):
     """Parse a config document into (ScenarioConfig, SweepSpec | None,
-    IlaWfOptions, RunSettings).
+    IlaWfOptions).
 
-    Unspecified scenario fields take the standard defaults.  A SweepSpec is
-    returned only when the document sets at least one sweep key.
+    Unspecified scenario and solver fields take the standard defaults; both
+    validate on construction.  A SweepSpec is returned only when the
+    document sets at least one sweep key.
     """
     scenario_kwargs = {}
     sweep_kwargs = {}
     solver_kwargs = {}
-    settings_kwargs = {}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -128,8 +112,6 @@ def parse_config(text: str):
             target = sweep_kwargs
         elif key in _SOLVER_FIELDS:
             target = solver_kwargs
-        elif key in _SETTINGS_FIELDS:
-            target = settings_kwargs
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         target[key] = _parse_scalar(key, raw)
@@ -139,9 +121,8 @@ def parse_config(text: str):
     if sweep_kwargs:
         sweep = SweepSpec(**sweep_kwargs)
         sweep.validate()
-    solver = IlaWfOptions(**solver_kwargs)
-    settings = RunSettings(**settings_kwargs)
-    return config, sweep, solver, settings
+    solver = IlaWfOptions(**solver_kwargs)  # validates in __post_init__
+    return config, sweep, solver
 
 
 def load_config(path) -> tuple:

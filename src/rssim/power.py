@@ -1,6 +1,6 @@
 """Interference-leakage-aware water-filling power allocation.
 
-Sum spectral efficiency is maximized by damped fixed-point iteration of one
+Sum spectral efficiency is maximized by fixed-point iteration of one
 budget-exact water-filling step: each stream's rate is split into
 log(signal-plus-interference) minus log(interference), the non-concave
 second part and every other stream's sensitivity are linearized at the
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .link import PowerVector, se_report, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
@@ -29,7 +30,14 @@ class IlaWfOptions:
     max_iterations: int = 200
     se_tol: float = 1e-4          # bits/s/Hz change per outer iteration
     power_tol: float = 1e-9       # relative power movement at convergence
-    budget_tol: float = 1e-6      # allowed relative budget violation
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("se_tol", "power_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -65,10 +73,8 @@ class IterationRecord:
     iteration: int
     rho_c: float
     rho: np.ndarray
-    total: float
     sum_se: float
     mu: float
-    feasible: bool
 
 
 @dataclass
@@ -168,17 +174,18 @@ def ila_wf(
     (the pinned run) and is the result, as on every table built without
     common weights.  Otherwise the pinned run is solved too, and the joint run
     wins only if it converged and either the pinned run did not or it
-    keeps the common stream on at a strictly higher sum SE.
+    keeps the common stream on at a strictly higher sum SE.  Each run
+    returns its last iterate, so the sum SEs compared are those of the
+    last trace records.
     """
     opts = options or IlaWfOptions()
     joint = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=False)
     if not joint.common_opened:
         return joint
     baseline = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=True)
-    baseline_se = se_report(baseline.powers, moments, config).sum_se
-    joint_se = se_report(joint.powers, moments, config).sum_se
     if joint.converged and (
-        not baseline.converged or (joint.powers.rho_c > 0 and joint_se > baseline_se)
+        not baseline.converged
+        or (joint.powers.rho_c > 0 and joint.trace[-1].sum_se > baseline.trace[-1].sum_se)
     ):
         return joint
     return baseline
@@ -192,18 +199,15 @@ def _ila_wf_run(
     opts: IlaWfOptions,
     pinned: bool,
 ) -> PowerAllocation:
-    """One allocation run: damped fixed-point iteration of the budget-exact step.
+    """One allocation run: undamped fixed-point iteration of the budget-exact step.
 
     The run starts from no common power and a uniform private split; a
     ``pinned`` run keeps the common power at zero throughout.  Each
-    iteration relinearizes at the current point, solves the
-    budget-constrained surrogate exactly and moves a damped step towards
-    its solution; damping guards against open/close limit cycles of the
-    common stream without changing the fixed points.  The run stops as
+    iteration relinearizes at the current point and moves to the exact
+    solution of the budget-constrained surrogate.  The run stops as
     converged once the powers rest, or the first-order stationarity
-    residuals vanish, with the sum SE settled and the budget met.  On a
-    period-2 limit cycle or at the iteration cap it returns the best
-    feasible iterate with ``converged=False``.
+    residuals vanish, with the sum SE settled.  At the iteration cap it
+    returns its last iterate with ``converged=False``.
     """
     rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
 
@@ -213,44 +217,24 @@ def _ila_wf_run(
         point = PowerVector(rc, r)
         report = se_report(point, moments, config)
         terms = linearization_terms(point, moments, sigma2, report.l_min if rc > 0 else None)
-        total = rc + r.sum()
-        feasible = total <= rho_total * (1.0 + opts.budget_tol)
-        return IterationRecord(
-            iteration=it, rho_c=rc, rho=r.copy(), total=total,
-            sum_se=report.sum_se, mu=mu, feasible=feasible,
-        ), report, terms
+        record = IterationRecord(iteration=it, rho_c=rc, rho=r.copy(), sum_se=report.sum_se, mu=mu)
+        return record, report, terms
 
     record, report, terms = summarize(0, rho_c, rho, 0.0)
     trace = [record]
-    best, best_lmin = record, report.l_min
     prev_se = record.sum_se
     scale = max(rho_total, 1e-300)
-    eta = 1.0
     mu = 0.0
-    older_point = None
     converged = False
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
-        prev_point = np.concatenate([[rho_c], rho])
         new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total, pinned)
-        new_point = np.concatenate([[new_c], new_rho])
-        raw_move = np.abs(new_point - prev_point).max() / scale
-        if older_point is not None and raw_move > 1e-6:
-            if np.abs(new_point - older_point).max() / scale < 1e-9:
-                break  # period-2 limit cycle
-        older_point = prev_point
-        rho_c = (1.0 - eta) * rho_c + eta * new_c
-        rho = (1.0 - eta) * rho + eta * new_rho
+        move = max(abs(new_c - rho_c), np.abs(new_rho - rho).max()) / scale
+        rho_c, rho = new_c, new_rho
         record, report, terms = summarize(iteration, rho_c, rho, mu)
         trace.append(record)
-        if record.feasible and record.sum_se > best.sum_se:
-            best, best_lmin = record, report.l_min
-        if record.sum_se < prev_se - opts.se_tol:
-            eta = max(0.125, 0.5 * eta)
-        else:
-            eta = min(1.0, 1.5 * eta)
-        settled = raw_move < opts.power_tol
-        if not settled and mu > 0 and record.feasible:
+        settled = move < opts.power_tol
+        if not settled and mu > 0:
             # slow drift along a flat ridge: accept on the first-order
             # residuals directly rather than waiting for exact rest
             res_p, res_c = _residuals(terms, mu, rho_c)
@@ -258,15 +242,14 @@ def _ila_wf_run(
             if res_c is not None:
                 worst = max(worst, abs(res_c))
             settled = worst <= 1e-5 * mu
-        if settled and abs(record.sum_se - prev_se) < opts.se_tol and record.feasible:
+        if settled and abs(record.sum_se - prev_se) < opts.se_tol:
             converged = True
             break
         prev_se = record.sum_se
 
-    final, final_lmin = (record, report.l_min) if converged else (best, best_lmin)
     return PowerAllocation(
-        powers=PowerVector(final.rho_c, final.rho.copy()), mu=final.mu, iterations=iteration,
-        trace=trace, converged=converged, l_min=final_lmin,
+        powers=PowerVector(rho_c, rho.copy()), mu=mu, iterations=iteration,
+        trace=trace, converged=converged, l_min=report.l_min,
     )
 
 

@@ -1,8 +1,8 @@
 """The max-min weighted common precoder.
 
 The common precoder is a weighted sum of all channel estimates.  Its
-weights maximize the smallest (optionally interference-weighted) mean
-effective channel across UEs, which after squaring reduces to a linear
+weights maximize the smallest interference-weighted mean effective
+channel across UEs, which after squaring reduces to a linear
 program over the weight simplex.  Like the MR private beams
 hhat_i / sqrt(tr Phi_i), it is normalized deterministically: the expected
 squared norm, not the per-realization norm, equals one.
@@ -31,7 +31,6 @@ class CommonWeightProblem:
 
     u: np.ndarray      # (K, K) real
     pi: np.ndarray     # (K,) positive
-    include_pi: bool = True
 
     @property
     def K(self) -> int:
@@ -39,9 +38,7 @@ class CommonWeightProblem:
 
     def constraint_matrix(self) -> np.ndarray:
         """v[i, k]: coefficient of weight i in UE k's constraint."""
-        if self.include_pi:
-            return self.u * np.sqrt(self.pi)[None, :]
-        return self.u.copy()
+        return self.u * np.sqrt(self.pi)[None, :]
 
 
 def build_common_weight_problem(
@@ -49,7 +46,6 @@ def build_common_weight_problem(
     moments: MomentTable,
     rho_private: np.ndarray,
     sigma2: float,
-    include_pi: bool = True,
 ) -> CommonWeightProblem:
     """Assemble the weight program at the given private power point.
 
@@ -68,7 +64,7 @@ def build_common_weight_problem(
             "weight-problem couplings have a non-negligible imaginary part "
             f"({np.abs(u_complex.imag).max():.3e}); covariances are not array-symmetric"
         )
-    return CommonWeightProblem(u=u_complex.real.copy(), pi=pi, include_pi=include_pi)
+    return CommonWeightProblem(u=u_complex.real.copy(), pi=pi)
 
 
 def solve_common_weights(problem: CommonWeightProblem):

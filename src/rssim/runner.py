@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MODES, SWEEP_AXES, RunSettings, SweepSpec
+from .config import MODES, SWEEP_AXES, SweepSpec
 from .errors import ConfigError
 from .estimation import build_estimation_model
 from .link import se_report
@@ -83,7 +83,6 @@ def evaluate_drop(
     modes,
     seed: int,
     solver: IlaWfOptions | None = None,
-    settings: RunSettings | None = None,
 ) -> dict:
     """Run the full pipeline for one drop in each of the given modes.
 
@@ -98,7 +97,6 @@ def evaluate_drop(
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    settings = settings or RunSettings()
     solver = solver or IlaWfOptions()
     rng = np.random.default_rng(seed)
     _, cov = generate_scenario(config, rng)
@@ -110,8 +108,7 @@ def evaluate_drop(
     pinned = None
     if "rs" in modes:
         problem = build_common_weight_problem(
-            model, mr_table, np.full(config.K, rho_total / config.K), sigma2,
-            include_pi=settings.include_pi,
+            model, mr_table, np.full(config.K, rho_total / config.K), sigma2
         )
         weights, _ = solve_common_weights(problem)
         moments = closed_form_moments(model, weights)
@@ -160,13 +157,12 @@ def run_point(
     mode: str,
     seed: int,
     solver: IlaWfOptions | None = None,
-    settings: RunSettings | None = None,
     axis: str = "power_dbm",
     axis_value: float | None = None,
     drop: int = 0,
 ) -> ResultRow:
     """Evaluate one point and flatten it into a result row."""
-    result = evaluate_drop(config, (mode,), seed, solver, settings)[mode]
+    result = evaluate_drop(config, (mode,), seed, solver)[mode]
     return result_row(config, mode, seed, result, axis, axis_value, drop)
 
 
@@ -181,7 +177,6 @@ def run_sweep(
     spec: SweepSpec,
     config: ScenarioConfig,
     solver: IlaWfOptions | None = None,
-    settings: RunSettings | None = None,
     output_path: str | None = None,
 ) -> list:
     """Evaluate every (value, drop, mode) combination of a sweep.
@@ -197,7 +192,7 @@ def run_sweep(
         point_config = apply_axis(config, spec.axis, value)
         for drop in range(spec.drops):
             seed = derive_point_seed(config.seed, drop)
-            results = evaluate_drop(point_config, spec.modes, seed, solver, settings)
+            results = evaluate_drop(point_config, spec.modes, seed, solver)
             rows.extend(
                 result_row(point_config, mode, seed, results[mode], spec.axis, value, drop)
                 for mode in spec.modes

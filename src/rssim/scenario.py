@@ -8,7 +8,7 @@ scattering clusters around the line-of-sight angle, for a uniform linear
 array with half-wavelength spacing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -60,6 +60,9 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.K < 1:
@@ -74,9 +77,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"tau_p must satisfy 1 <= tau_p < tau, got tau_p={self.tau_p}, tau={self.tau}"
             )
-        for name in ("rho_tr_dbm", "rho_total_dbm", "noise_dbm"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cell_side_m <= 0:
             raise ConfigError(f"cell_side_m must be positive, got {self.cell_side_m}")
         if not (0 <= self.min_distance_m < self.cell_side_m / 2):

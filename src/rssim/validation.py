@@ -349,8 +349,6 @@ def linearization_fd_errors(
 def run_validation(
     config: ScenarioConfig,
     mc_samples: int,
-    seed: int | None = None,
-    include_pi: bool = True,
 ) -> ValidationReport:
     """Run the full oracle suite on a downsized copy of the scenario.
 
@@ -362,7 +360,7 @@ def run_validation(
             f"mc_samples = {mc_samples} is below the minimum of 10000 for meaningful checks"
         )
     small = replace(config, M=min(config.M, 16), K=min(config.K, 3))
-    master = np.random.SeedSequence(entropy=config.seed if seed is None else seed, spawn_key=(1000,))
+    master = np.random.SeedSequence(entropy=config.seed, spawn_key=(1000,))
     seeds = master.spawn(8)
     report = ValidationReport()
 
@@ -398,7 +396,7 @@ def run_validation(
     rho_total = small.rho_total_mw
     mr_table = closed_form_moments(model)
     problem = build_common_weight_problem(
-        model, mr_table, np.full(small.K, rho_total / small.K), sigma2, include_pi
+        model, mr_table, np.full(small.K, rho_total / small.K), sigma2
     )
     weights, t_star = solve_common_weights(problem)
     closed = closed_form_moments(model, weights)
@@ -503,7 +501,7 @@ def run_validation(
     for trial in range(5):
         u = np.abs(lp_rng.normal(1.0, 0.5, size=(3, 3))) + 0.05
         pi = lp_rng.uniform(0.5, 2.0, size=3)
-        prob = CommonWeightProblem(u=u, pi=pi, include_pi=True)
+        prob = CommonWeightProblem(u=u, pi=pi)
         a_star, t_lp = solve_common_weights(prob)
         t_grid = simplex_grid_max_min(prob.constraint_matrix(), step=0.01)
         if t_lp < t_grid - 1e-6 * max(1.0, abs(t_grid)):

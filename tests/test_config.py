@@ -8,7 +8,7 @@ from rssim.scenario import ScenarioConfig
 
 
 def test_empty_document_gives_standard_defaults():
-    config, sweep, solver, settings = parse_config("")
+    config, sweep, solver = parse_config("")
     assert config.M == 100
     assert config.K == 10
     assert config.tau == 200
@@ -22,7 +22,6 @@ def test_empty_document_gives_standard_defaults():
     assert config.nominal_angle_halfwidth_deg == 40.0
     assert sweep is None
     assert solver.max_iterations == 200
-    assert settings.include_pi is True
 
 
 def test_tau_p_violation_names_field():
@@ -38,7 +37,7 @@ def test_unknown_key_named():
 @pytest.mark.parametrize(
     "key",
     ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise",
-     "quartic_variant"],
+     "quartic_variant", "budget_tol", "include_pi"],
 )
 def test_removed_solver_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -59,7 +58,7 @@ def test_malformed_line_rejected():
 
 
 def test_comments_and_blank_lines_ignored():
-    config, _, _, _ = parse_config("# comment\n\nM = 32  # antennas\n")
+    config, _, _ = parse_config("# comment\n\nM = 32  # antennas\n")
     assert config.M == 32
 
 
@@ -71,7 +70,7 @@ drops = 3
 modes = rs, no_rs
 output_path = out.csv
 """
-    _, sweep, _, _ = parse_config(text)
+    _, sweep, _ = parse_config(text)
     assert sweep.axis == "power_dbm"
     assert sweep.values == (0.0, 10.0, 20.0)
     assert sweep.drops == 3
@@ -95,20 +94,27 @@ def test_solver_and_settings_keys():
 max_iterations = 50
 se_tol = 1e-3
 power_tol = 1e-8
-budget_tol = 1e-5
-include_pi = false
 """
-    _, _, solver, settings = parse_config(text)
+    _, _, solver = parse_config(text)
     assert solver.max_iterations == 50
     assert solver.se_tol == 1e-3
     assert solver.power_tol == 1e-8
-    assert solver.budget_tol == 1e-5
-    assert settings.include_pi is False
 
 
-def test_bad_boolean_rejected():
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config("include_pi = maybe\n")
+@pytest.mark.parametrize(
+    "line",
+    ["max_iterations = 0", "max_iterations = -3", "se_tol = nan", "se_tol = inf", "se_tol = -1e-4",
+     "power_tol = nan", "power_tol = inf", "power_tol = -1e-9"],
+)
+def test_bad_solver_values_rejected(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        parse_config(line + "\n")
+
+
+def test_zero_solver_tolerances_accepted():
+    _, _, solver = parse_config("max_iterations = 1\nse_tol = 0\npower_tol = 0\n")
+    assert (solver.max_iterations, solver.se_tol, solver.power_tol) == (1, 0.0, 0.0)
 
 
 def test_bad_number_rejected():

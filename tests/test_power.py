@@ -19,7 +19,12 @@ from rssim.power import (
 )
 from rssim.precoding import build_common_weight_problem, solve_common_weights
 from rssim.runner import derive_point_seed, evaluate_drop
-from rssim.scenario import CovarianceSet, ScenarioConfig, local_scattering_covariance
+from rssim.scenario import (
+    CovarianceSet,
+    ScenarioConfig,
+    generate_scenario,
+    local_scattering_covariance,
+)
 from rssim.validation import linearization_fd_errors
 
 from conftest import make_scenario, solve_weights_for
@@ -305,14 +310,31 @@ def test_ila_wf_initialization_state(small_setup):
     assert first.mu == 0.0
 
 
+def criterion_7_two_ue_joint_run():
+    """The joint run of criterion 7, K = 2, drop 0, which opens the common
+    stream, with its scenario config."""
+    config = ScenarioConfig(M=64, K=2, rho_total_dbm=20, seed=0)
+    _, cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
+    table = rs_table(config, build_estimation_model(cov, config.rho_tr_effective))
+    joint = power._ila_wf_run(
+        table, config.rho_total_mw, config.noise_mw, config, IlaWfOptions(), pinned=False
+    )
+    return config, joint
+
+
 def test_ila_wf_budget_feasible(small_setup):
+    # every budget-exact step spends the budget to rounding, so no iterate
+    # needs a feasibility check, the joint run that opens the common stream
+    # included
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
     alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
-    assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
-    for record in alloc.trace:
-        if record.feasible:
-            assert record.total <= config.rho_total_mw * (1 + 1e-6)
+    c7_config, joint = criterion_7_two_ue_joint_run()
+    assert joint.common_opened
+    for cfg, run in ((config, alloc), (c7_config, joint)):
+        assert run.powers.total <= cfg.rho_total_mw * (1 + 1e-12)
+        for record in run.trace:
+            assert record.rho_c + record.rho.sum() <= cfg.rho_total_mw * (1 + 1e-12)
 
 
 def test_ila_wf_symmetric_two_ues():
@@ -411,9 +433,7 @@ def assert_same_run(a, b):
     assert (a.mu, a.iterations, a.converged, a.l_min) == (b.mu, b.iterations, b.converged, b.l_min)
     assert len(a.trace) == len(b.trace)
     for x, y in zip(a.trace, b.trace):
-        assert (x.iteration, x.rho_c, x.total, x.sum_se, x.mu, x.feasible) == (
-            y.iteration, y.rho_c, y.total, y.sum_se, y.mu, y.feasible,
-        )
+        assert (x.iteration, x.rho_c, x.sum_se, x.mu) == (y.iteration, y.rho_c, y.sum_se, y.mu)
         assert np.array_equal(x.rho, y.rho)
 
 
@@ -485,7 +505,14 @@ def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
         assert joint.converged or not pinned.converged
 
 
-def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):
+def assert_returns_last_iterate(alloc):
+    last = alloc.trace[-1]
+    assert alloc.powers.rho_c == last.rho_c
+    assert np.array_equal(alloc.powers.rho, last.rho)
+    assert alloc.mu == last.mu
+
+
+def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
     alloc = ila_wf(
@@ -493,7 +520,21 @@ def test_ila_wf_unreachable_tolerance_returns_best_feasible(small_setup):
         IlaWfOptions(max_iterations=6, se_tol=0.0),  # strict < 0 never fires
     )
     assert not alloc.converged
+    assert alloc.iterations == 6
+    assert_returns_last_iterate(alloc)
     assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("dbm", [20.0, 30.0, 40.0])
+def test_capped_run_returns_its_last_and_best_iterate(dbm):
+    # the low-pilot geometry, where the allocation creeps up to the cap:
+    # the sum SE still rises, so the last iterate is also the best one
+    config = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, rho_total_dbm=dbm, seed=0)
+    _, alloc, _ = evaluate_drop(config, ("no_rs",), derive_point_seed(0, 0))["no_rs"]
+    assert not alloc.converged
+    assert alloc.iterations == 200
+    assert_returns_last_iterate(alloc)
+    assert alloc.trace[-1].sum_se == max(record.sum_se for record in alloc.trace)
 
 
 def test_ila_wf_trace_records_sum_se(small_setup):

@@ -233,8 +233,8 @@ def test_cli_sweep_reports_unconverged_rows(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == "sweep: 4 rows written, 4 allocator runs not converged\n"
     # the summary leaves the CSV as the sweep without it writes
-    config, spec, solver, settings = load_config(cfg)
-    rows = run_sweep(spec, config, solver, settings)
+    config, spec, solver = load_config(cfg)
+    rows = run_sweep(spec, config, solver)
     assert not any(row.converged for row in rows)
     assert (tmp_path / "out.csv").read_bytes() == render_csv(rows).encode()
 
@@ -260,6 +260,14 @@ def test_cli_config_error_exit_code(tmp_path):
         cfg.write_text(f"axis = {axis}\nvalues = {values}\noutput_path = {tmp_path / 'x.csv'}\n")
         assert main(["sweep", "--config", str(cfg)]) == 1, (axis, values)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["angular_spread_deg = nan", "pathloss_ref_m = inf"])
+def test_cli_non_finite_scenario_float_is_a_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"M = 8\nK = 2\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + line.split(" = ")[0])
 
 
 def test_cli_validate_refuses_small_trials():

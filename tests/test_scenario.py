@@ -95,6 +95,19 @@ def test_config_invariants_rejected():
         ScenarioConfig(noise_dbm=float("nan"))
 
 
+FLOAT_FIELDS = (
+    "rho_tr_dbm", "rho_total_dbm", "noise_dbm", "cell_side_m", "min_distance_m",
+    "angular_spread_deg", "nominal_angle_halfwidth_deg", "shadow_std_db", "pathloss_ref_m",
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_field_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        ScenarioConfig(**{name: value})
+
+
 def test_local_scattering_single_antenna():
     r = local_scattering_covariance(1.7, [0.4, -0.5], np.radians(10), 1)
     assert r.shape == (1, 1)
