@@ -52,24 +52,14 @@ class SweepSpec:
             raise ConfigError(f"modes must not repeat, got {self.modes}")
 
 
-_SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
-_SWEEP_FIELDS = {f.name for f in fields(SweepSpec)}
-_SOLVER_FIELDS = {f.name for f in fields(IlaWfOptions)}
-
-_INT_SCENARIO = {"M", "K", "tau", "tau_p", "num_clusters", "seed"}
-_INT_SWEEP = {"drops"}
-_INT_SOLVER = {"max_iterations"}
+# every config key: the dataclass it belongs to and the type it parses to
+_KEYS = {
+    f.name: (cls, f.type) for cls in (ScenarioConfig, SweepSpec, IlaWfOptions) for f in fields(cls)
+}
 
 
-def _parse_scalar(key: str, raw: str):
+def _parse_scalar(key: str, kind: type, raw: str):
     raw = raw.strip()
-    if key in _INT_SCENARIO | _INT_SWEEP | _INT_SOLVER:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if key in ("axis", "output_path"):
-        return raw
     if key == "values":
         try:
             return tuple(float(v) for v in raw.split(",") if v.strip())
@@ -78,9 +68,10 @@ def _parse_scalar(key: str, raw: str):
     if key == "modes":
         return tuple(v.strip() for v in raw.split(",") if v.strip())
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from exc
 
 
 def parse_config(text: str):
@@ -91,9 +82,7 @@ def parse_config(text: str):
     validate on construction.  A SweepSpec is returned only when the
     document sets at least one sweep key.
     """
-    scenario_kwargs = {}
-    sweep_kwargs = {}
-    solver_kwargs = {}
+    kwargs = {cls: {} for cls, _ in _KEYS.values()}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -106,22 +95,17 @@ def parse_config(text: str):
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _SCENARIO_FIELDS:
-            target = scenario_kwargs
-        elif key in _SWEEP_FIELDS:
-            target = sweep_kwargs
-        elif key in _SOLVER_FIELDS:
-            target = solver_kwargs
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        target[key] = _parse_scalar(key, raw)
+        cls, kind = _KEYS[key]
+        kwargs[cls][key] = _parse_scalar(key, kind, raw)
 
-    config = ScenarioConfig(**scenario_kwargs)  # validates in __post_init__
+    config = ScenarioConfig(**kwargs[ScenarioConfig])  # validates in __post_init__
     sweep = None
-    if sweep_kwargs:
-        sweep = SweepSpec(**sweep_kwargs)
+    if kwargs[SweepSpec]:
+        sweep = SweepSpec(**kwargs[SweepSpec])
         sweep.validate()
-    solver = IlaWfOptions(**solver_kwargs)  # validates in __post_init__
+    solver = IlaWfOptions(**kwargs[IlaWfOptions])  # validates in __post_init__
     return config, sweep, solver
 
 

@@ -91,6 +91,15 @@ class PowerAllocation:
         """Whether any iterate of the run gave the common stream power."""
         return any(record.rho_c > 0 for record in self.trace)
 
+    def beats(self, baseline: "PowerAllocation") -> bool:
+        """The tie rule: this run wins over ``baseline`` only if it converged
+        and either the baseline did not converge or this run ends with common
+        power at a strictly higher last-iterate sum SE."""
+        return self.converged and (
+            not baseline.converged
+            or (self.powers.rho_c > 0 and self.trace[-1].sum_se > baseline.trace[-1].sum_se)
+        )
+
 
 def linearization_terms(
     rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int | None
@@ -166,49 +175,21 @@ def ila_wf(
     config: ScenarioConfig,
     options: IlaWfOptions | None = None,
 ) -> PowerAllocation:
-    """Run the water-filling allocation to a stationary point.
-
-    The joint run, which may give the common stream power, comes first.
-    If no iterate opened the common stream, each applied step was the
-    pinned one, so the run is bit for bit the split with no common power
-    (the pinned run) and is the result, as on every table built without
-    common weights.  Otherwise the pinned run is solved too, and the joint run
-    wins only if it converged and either the pinned run did not or it
-    keeps the common stream on at a strictly higher sum SE.  Each run
-    returns its last iterate, so the sum SEs compared are those of the
-    last trace records.
-    """
-    opts = options or IlaWfOptions()
-    joint = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=False)
-    if not joint.common_opened:
-        return joint
-    baseline = _ila_wf_run(moments, rho_total, sigma2, config, opts, pinned=True)
-    if joint.converged and (
-        not baseline.converged
-        or (joint.powers.rho_c > 0 and joint.trace[-1].sum_se > baseline.trace[-1].sum_se)
-    ):
-        return joint
-    return baseline
-
-
-def _ila_wf_run(
-    moments: MomentTable,
-    rho_total: float,
-    sigma2: float,
-    config: ScenarioConfig,
-    opts: IlaWfOptions,
-    pinned: bool,
-) -> PowerAllocation:
     """One allocation run: undamped fixed-point iteration of the budget-exact step.
 
-    The run starts from no common power and a uniform private split; a
-    ``pinned`` run keeps the common power at zero throughout.  Each
+    The run starts from no common power and a uniform private split.  Each
     iteration relinearizes at the current point and moves to the exact
     solution of the budget-constrained surrogate.  The run stops as
     converged once the powers rest, or the first-order stationarity
     residuals vanish, with the sum SE settled.  At the iteration cap it
     returns its last iterate with ``converged=False``.
+
+    On a table without common weights the common stream never joins a
+    step.  While it has no power a run reads no common-stream entry of its
+    table, so a run that never opens it is, bit for bit, the run on the
+    table without common weights.
     """
+    opts = options or IlaWfOptions()
     rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
 
     def summarize(it, rc, r, mu):
@@ -228,7 +209,7 @@ def _ila_wf_run(
     converged = False
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
-        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total, pinned)
+        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total)
         move = max(abs(new_c - rho_c), np.abs(new_rho - rho).max()) / scale
         rho_c, rho = new_c, new_rho
         record, report, terms = summarize(iteration, rho_c, rho, mu)
@@ -253,19 +234,20 @@ def _ila_wf_run(
     )
 
 
-def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float, pinned: bool):
+def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
     """Water-fill one linearization with the multiplier solved exactly for the budget.
 
     The private streams are water-filled alone first.  The common stream
     joins only when its breakpoint sigma1_c - slope_c lies above their
     multiplier; otherwise its level there is zero and the private solution
-    is exact.  A ``pinned`` step leaves it out.  Returns (rho_c, rho, mu).
+    is exact; a table without common weights has sigma1_c = 0, so its
+    common stream never joins.  Returns (rho_c, rho, mu).
     """
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
     levels, mu = _water_fill(s1, s2, rho_total)
-    if pinned or terms.sigma1_common - max(terms.sigma2_common, 0.0) <= mu:
+    if terms.sigma1_common - max(terms.sigma2_common, 0.0) <= mu:
         return 0.0, levels, mu
     levels, mu = _water_fill(
         np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total

@@ -90,9 +90,11 @@ def evaluate_drop(
     the drop: the scenario, the estimation model and the table without the
     common stream are built once.  In "no_rs" mode the common stream is
     absent: no weights are solved and the allocation runs on that table.
-    The "rs" allocation is solved first; when it never opened the common
-    stream it is the pinned run, which does not read the common-stream
-    entries of its table, so it serves as the "no_rs" allocation too.
+    The "rs" allocation runs first, on the table with the common stream.
+    When it never opened the common stream it is, bit for bit, the run on
+    the table without it, so it serves as the "no_rs" allocation too.
+    Otherwise the "no_rs" run is solved as well and is the fallback: "rs"
+    reports the joint run only if it ``beats`` the "no_rs" run.
     """
     for mode in modes:
         if mode not in MODES:
@@ -105,21 +107,22 @@ def evaluate_drop(
     rho_total = config.rho_total_mw
     mr_table = closed_form_moments(model)
     results = {}
-    pinned = None
+    fallback = None
     if "rs" in modes:
         problem = build_common_weight_problem(
             model, mr_table, np.full(config.K, rho_total / config.K), sigma2
         )
         weights, _ = solve_common_weights(problem)
         moments = closed_form_moments(model, weights)
-        alloc = ila_wf(moments, rho_total, sigma2, config, solver)
+        joint = fallback = ila_wf(moments, rho_total, sigma2, config, solver)
+        if joint.common_opened:
+            fallback = ila_wf(mr_table, rho_total, sigma2, config, solver)
+        alloc = joint if joint.beats(fallback) else fallback
         results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
-        if not alloc.common_opened:
-            pinned = alloc
     if "no_rs" in modes:
-        if pinned is None:
-            pinned = ila_wf(mr_table, rho_total, sigma2, config, solver)
-        results["no_rs"] = (se_report(pinned.powers, mr_table, config), pinned, None)
+        if fallback is None:
+            fallback = ila_wf(mr_table, rho_total, sigma2, config, solver)
+        results["no_rs"] = (se_report(fallback.powers, mr_table, config), fallback, None)
     return results
 
 

@@ -63,6 +63,14 @@ class ScenarioConfig:
         for f in fields(self):
             if f.type is float and not np.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("rho_tr_dbm", "rho_total_dbm", "noise_dbm"):
+            dbm = getattr(self, name)
+            with np.errstate(over="ignore", under="ignore"):
+                mw = float(dbm_to_mw(dbm))
+            if not 0 < mw < np.inf:
+                raise ConfigError(f"{name} must be a positive, finite power in mW, got {dbm} dBm")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.K < 1:

@@ -365,7 +365,7 @@ def run_validation(
     report = ValidationReport()
 
     # the closed forms assume the circular fourth moment; the vote must pick
-    # it, alone.  The draw is pinned: the pass condition is a maximum over a
+    # it, alone.  The draw is fixed: the pass condition is a maximum over a
     # few hundred z-scores at 3 SE, so only a frozen, verified draw is
     # reproducible.
     adjudication = select_quartic_variant(

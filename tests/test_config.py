@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
-from rssim.config import parse_config
+from rssim.config import SweepSpec, parse_config
 from rssim.errors import ConfigError
+from rssim.power import IlaWfOptions
 from rssim.scenario import ScenarioConfig
 
 
@@ -120,6 +122,15 @@ def test_zero_solver_tolerances_accepted():
 def test_bad_number_rejected():
     with pytest.raises(ConfigError, match="integer"):
         parse_config("M = twelve\n")
+
+
+@pytest.mark.parametrize(
+    "key",
+    [f.name for cls in (ScenarioConfig, SweepSpec, IlaWfOptions) for f in fields(cls) if f.type is int],
+)
+def test_int_key_rejects_a_fraction(key):
+    with pytest.raises(ConfigError, match=f"key '{key}': expected an integer"):
+        parse_config(f"{key} = 2.5\n")
 
 
 def test_removed_sweep_key_mc_samples_is_unknown():

@@ -9,6 +9,7 @@ import rssim.link as link
 from rssim.link import PowerVector, se_report, stream_denominators
 from rssim.moments import MomentTable, closed_form_moments
 import rssim.power as power
+import rssim.runner as runner
 from rssim.power import (
     IlaWfOptions,
     LinearizationTerms,
@@ -176,12 +177,12 @@ def _common_update_terms(rho_c, rho, moments, sigma2, l_min):
 REFERENCE_BRACKET_TOP = 1e5
 
 
-def scalar_budget_step(point, table, sigma2, rho_total, l_min, pinned):
+def scalar_budget_step(point, table, sigma2, rho_total, l_min):
     """Reference budget-exact step: per-stream coefficients, scalar water-filling."""
     K = len(point.rho)
     terms = [_private_update_terms(k, point.rho_c, point.rho, table, sigma2, l_min) for k in range(K)]
     s1c, s2c = _common_update_terms(point.rho_c, point.rho, table, sigma2, l_min)
-    if not pinned and s1c > 0:
+    if s1c > 0:
         terms.append((s1c, s2c))
     return scalar_water_filling(terms, rho_total)
 
@@ -210,15 +211,26 @@ def scalar_water_filling(terms, rho_total):
     return total(hi)[1], hi
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_budget_step_matches_scalar_water_filling(coefficient_cases, pinned):
+def without_common_stream(table):
+    """The table's private entries with zero common entries: the table
+    closed_form_moments builds without common weights."""
+    return MomentTable(
+        g_private=table.g_private, G_private=table.G_private,
+        g_common=np.zeros(table.K, dtype=complex), G_common=np.zeros(table.K),
+    )
+
+
+@pytest.mark.parametrize("mr_table", [False, True])
+def test_budget_step_matches_scalar_water_filling(coefficient_cases, mr_table):
     for table, sigma2, rho_total in coefficient_cases:
+        if mr_table:
+            table = without_common_stream(table)
         K = table.K
         for point in random_points(K, rho_total, seed=K + 1):
             rho_c, rho, mu = _budget_exact_sweep(
-                linearization_terms(point, table, sigma2, 0), rho_total, pinned
+                linearization_terms(point, table, sigma2, 0), rho_total
             )
-            levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0, pinned)
+            levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
             if mu > 0:
                 assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
@@ -262,7 +274,7 @@ def test_budget_step_matches_scalar_reference_on_edge_coefficients(case):
     pairs = list(zip(sigma1, sigma2)) + ([common] if common is not None else [])
     for rho_total in budgets:
         with np.errstate(all="raise"):
-            rho_c, rho, mu = _budget_exact_sweep(terms, rho_total, common is None)
+            rho_c, rho, mu = _budget_exact_sweep(terms, rho_total)
         levels, mu_ref = scalar_water_filling(pairs, rho_total)
         assert mu == pytest.approx(mu_ref, rel=1e-10, abs=0)
         np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
@@ -282,7 +294,7 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
     )
     with np.errstate(all="raise"):
         terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 1.0, 0)
-        rho_c, rho, mu = _budget_exact_sweep(terms, 5.0, True)
+        rho_c, rho, mu = _budget_exact_sweep(terms, 5.0)
     assert rho_c == 0.0
     assert mu == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1/mu - 1/sigma1 = budget
     assert rho[0] == pytest.approx(5.0, rel=1e-12)
@@ -294,9 +306,8 @@ def test_budget_step_rejects_nonpositive_sigma1():
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1),
     )
     with pytest.raises(ValueError, match="sigma1"):
-        _budget_exact_sweep(
-            linearization_terms(PowerVector(0.0, np.array([1.0])), table, 1.0, 0), 5.0, True
-        )
+        terms = linearization_terms(PowerVector(0.0, np.array([1.0])), table, 1.0, 0)
+        _budget_exact_sweep(terms, 5.0)
 
 
 def test_ila_wf_initialization_state(small_setup):
@@ -316,10 +327,7 @@ def criterion_7_two_ue_joint_run():
     config = ScenarioConfig(M=64, K=2, rho_total_dbm=20, seed=0)
     _, cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
     table = rs_table(config, build_estimation_model(cov, config.rho_tr_effective))
-    joint = power._ila_wf_run(
-        table, config.rho_total_mw, config.noise_mw, config, IlaWfOptions(), pinned=False
-    )
-    return config, joint
+    return config, ila_wf(table, config.rho_total_mw, config.noise_mw, config)
 
 
 def test_ila_wf_budget_feasible(small_setup):
@@ -346,8 +354,11 @@ def test_ila_wf_symmetric_two_ues():
     problem = build_common_weight_problem(model, mr, np.full(2, 50.0), 1e-3)
     weights, _ = solve_common_weights(problem)
     assert np.array_equal(weights, [0.5, 0.5])
-    table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, 100.0, 1e-3, config)
+    # the tie rule picks between the runs with and without the common stream
+    joint, fallback = (
+        ila_wf(closed_form_moments(model, w), 100.0, 1e-3, config) for w in (weights, None)
+    )
+    alloc = joint if joint.beats(fallback) else fallback
     assert alloc.converged
     rel = abs(alloc.powers.rho[0] - alloc.powers.rho[1]) / alloc.powers.rho[0]
     assert rel < 1e-8
@@ -388,45 +399,6 @@ def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup):
         assert record.rho_c == 0.0
 
 
-def test_ila_wf_runs_once_on_a_table_without_the_common_stream(small_setup, monkeypatch):
-    # a table built without common weights has no common stream, so no run
-    # opens it and the first run is the whole allocation
-    config, _, model, _ = small_setup
-    runs = []
-    original = power._ila_wf_run
-
-    def counting(*args, **kwargs):
-        runs.append(kwargs.get("pinned"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(power, "_ila_wf_run", counting)
-    ila_wf(closed_form_moments(model), config.rho_total_mw, config.noise_mw, config)
-    assert len(runs) == 1
-
-
-def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
-    # rho_c * delta_c = 0 and gap_c = 0 in every pinned linearization, so the
-    # run is the same on the table with and without the common stream; a drop
-    # shares it between its two modes
-    config, _, model, weights = small_setup
-    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
-    for cfg, mdl, w in [
-        (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
-    ]:
-        mr, weighted = (
-            power._ila_wf_run(
-                closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg,
-                IlaWfOptions(), pinned=True,
-            )
-            for x in (None, w)
-        )
-        assert mr.powers.rho_c == weighted.powers.rho_c == 0.0
-        assert np.array_equal(mr.powers.rho, weighted.powers.rho)
-        assert (mr.iterations, mr.mu, mr.converged, mr.l_min) == (
-            weighted.iterations, weighted.mu, weighted.converged, weighted.l_min,
-        )
-
-
 def assert_same_run(a, b):
     assert a.powers.rho_c == b.powers.rho_c
     assert np.array_equal(a.powers.rho, b.powers.rho)
@@ -437,23 +409,23 @@ def assert_same_run(a, b):
         assert np.array_equal(x.rho, y.rho)
 
 
-def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setup):
+def test_run_that_keeps_the_common_stream_off_is_the_mr_table_run(small_setup):
     # every budget step leaves the common stream out while its breakpoint is
-    # at or below the private multiplier, and then it is the pinned step
+    # at or below the private multiplier, and at rho_c = 0 the linearization
+    # reads no common-stream entry (rho_c * delta_c = 0 and gap_c = 0), so the
+    # run equals the one on the table without the common stream; a drop shares
+    # it between its two modes
     config, _, model, weights = small_setup
     far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     for cfg, mdl, w in [
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
-        table = closed_form_moments(mdl, w)
-        joint, pinned = (
-            power._ila_wf_run(
-                table, cfg.rho_total_mw, cfg.noise_mw, cfg, IlaWfOptions(), pinned=flag
-            )
-            for flag in (False, True)
+        weighted, mr = (
+            ila_wf(closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg)
+            for x in (w, None)
         )
-        assert not joint.common_opened
-        assert_same_run(joint, pinned)
+        assert not weighted.common_opened
+        assert_same_run(weighted, mr)
 
 
 def test_budget_step_opens_the_common_stream_only_above_the_private_multiplier(small_setup):
@@ -461,17 +433,20 @@ def test_budget_step_opens_the_common_stream_only_above_the_private_multiplier(s
     table = closed_form_moments(model, weights)
     point = PowerVector(0.0, np.full(config.K, config.rho_total_mw / config.K))
     terms = linearization_terms(point, table, config.noise_mw, None)
-    pinned = _budget_exact_sweep(terms, config.rho_total_mw, True)
-    mu = pinned[2]
+    # the step on the table without the common stream: the private streams alone
+    mr_terms = linearization_terms(point, closed_form_moments(model), config.noise_mw, None)
+    private = _budget_exact_sweep(mr_terms, config.rho_total_mw)
+    mu = private[2]
+    assert private[0] == 0.0
     assert mu > 0
     slope_c = max(terms.sigma2_common, 0.0)
     below = replace(terms, sigma1_common=slope_c + mu * (1 - 1e-9))
-    rho_c, rho, mu_below = _budget_exact_sweep(below, config.rho_total_mw, False)
+    rho_c, rho, mu_below = _budget_exact_sweep(below, config.rho_total_mw)
     assert rho_c == 0.0
-    assert np.array_equal(rho, pinned[1])
+    assert np.array_equal(rho, private[1])
     assert mu_below == mu
     above = replace(terms, sigma1_common=slope_c + mu * (1 + 1e-3))
-    rho_c, rho, mu_above = _budget_exact_sweep(above, config.rho_total_mw, False)
+    rho_c, rho, mu_above = _budget_exact_sweep(above, config.rho_total_mw)
     assert rho_c > 0
     assert mu_above > mu
     assert rho_c + rho.sum() == pytest.approx(config.rho_total_mw, rel=1e-12)
@@ -480,17 +455,17 @@ def test_budget_step_opens_the_common_stream_only_above_the_private_multiplier(s
 @pytest.mark.parametrize("drop", [0, 1, 2])
 def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
     # the criterion-6 fixture: linearized at its rho_c -> 0 bottleneck, the
-    # joint run keeps the common stream off and so is the pinned run; at UE 0
-    # it switched bottleneck every iteration and 6 of these 9 runs hit the cap
+    # joint run keeps the common stream off and so is the pinned run, the run
+    # on the table without the common stream; at UE 0 it switched bottleneck
+    # every iteration and 6 of these 9 runs hit the cap
     config = ScenarioConfig(M=64, K=8, seed=0)
-    original = power._ila_wf_run
     runs = []
 
     def recording(moments, *args, **kwargs):
-        runs.append((moments, original(moments, *args, **kwargs)))
+        runs.append((moments, ila_wf(moments, *args, **kwargs)))
         return runs[-1][1]
 
-    monkeypatch.setattr(power, "_ila_wf_run", recording)
+    monkeypatch.setattr(runner, "ila_wf", recording)
     for dbm in (0.0, 20.0, 40.0):
         point_config = replace(config, rho_total_dbm=dbm)
         runs.clear()
@@ -498,9 +473,9 @@ def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
         assert len(runs) == 1
         table, joint = runs[0]
         assert not joint.common_opened
-        pinned = original(
-            table, point_config.rho_total_mw, point_config.noise_mw, point_config,
-            IlaWfOptions(), pinned=True,
+        pinned = ila_wf(
+            without_common_stream(table), point_config.rho_total_mw, point_config.noise_mw,
+            point_config,
         )
         assert joint.converged or not pinned.converged
 

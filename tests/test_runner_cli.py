@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import rssim.moments
 import rssim.power
 import rssim.runner
 from rssim.cli import main
-from rssim.config import SweepSpec, load_config
+from rssim.config import MODES, SweepSpec, load_config
 from rssim.errors import ConfigError
 from rssim.runner import (
     CSV_COLUMNS,
@@ -66,8 +67,8 @@ def test_rs_never_below_no_rs_head_to_head():
 
 def test_rs_row_equals_no_rs_row_when_common_stream_stays_off():
     """At this point the joint run never opens the common stream, so it is
-    the pinned run: both rows report the same allocation and the same
-    iteration count."""
+    the run on the table without it: both rows report the same allocation
+    and the same iteration count."""
     config = ScenarioConfig(M=24, K=4, rho_total_dbm=0.0, seed=0)
     seed = derive_point_seed(config.seed, 1)
     rs = run_point(config, "rs", seed)
@@ -121,36 +122,77 @@ def test_sweep_rows_equal_point_rows(modes):
     assert run_sweep(spec, config) == expected
 
 
-def test_sweep_runs_one_allocation_per_drop(monkeypatch):
+def recording_allocations(monkeypatch):
+    """Record every allocator run of the runner as (table has a common
+    stream, allocation)."""
     runs = []
-    original = rssim.power._ila_wf_run
+    original = rssim.runner.ila_wf
 
-    def counting(moments, rho_total, sigma2, config, opts, pinned):
-        runs.append(pinned)
-        return original(moments, rho_total, sigma2, config, opts, pinned)
+    def recording(moments, *args, **kwargs):
+        runs.append((bool(moments.G_common.any()), original(moments, *args, **kwargs)))
+        return runs[-1][1]
 
-    monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
+    monkeypatch.setattr(rssim.runner, "ila_wf", recording)
+    return runs
+
+
+def test_sweep_runs_one_allocation_per_drop(monkeypatch):
+    runs = recording_allocations(monkeypatch)
     spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2, modes=("rs", "no_rs"))
     rows = run_sweep(spec, small_config())
     assert len(rows) == 8
     # the rs run never opens the common stream here, so it serves both
-    # modes: one per (value, drop), where a joint run then a pinned one took 8
+    # modes: one per (value, drop), where solving each mode on its own takes 8
     assert len(runs) == 4
 
 
 def test_rs_point_runs_one_allocation(monkeypatch):
-    runs = []
-    original = rssim.power._ila_wf_run
-
-    def counting(*args, **kwargs):
-        runs.append(kwargs.get("pinned"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(rssim.power, "_ila_wf_run", counting)
+    runs = recording_allocations(monkeypatch)
     config = ScenarioConfig(M=64, K=8, rho_total_dbm=20.0, seed=0)
     row = run_point(config, "rs", derive_point_seed(0, 0))
     assert row.rho_c == 0.0
-    assert runs == [False]
+    assert [with_common for with_common, _ in runs] == [True]
+
+
+# criterion 7's K = 2 geometry: the joint runs of drops 0, 6, 7 and 8 open
+# the common stream; those of drops 0 and 8 stop at the cap, those of drops
+# 6 and 7 close it again, and all four lose the tie rule
+TWO_UE = dict(M=64, K=2, rho_total_dbm=20.0, seed=0)
+TWO_UE_SPEC = SweepSpec(axis="power_dbm", values=(20.0,), drops=10)
+
+
+@pytest.fixture(scope="module")
+def two_ue_sweeps():
+    config = ScenarioConfig(**TWO_UE)
+    return {
+        modes: run_sweep(replace(TWO_UE_SPEC, modes=modes), config)
+        for modes in (("rs",), ("no_rs",), MODES)
+    }
+
+
+def test_both_mode_sweep_interleaves_where_the_common_stream_opens(two_ue_sweeps):
+    rs, no_rs, both = (
+        render_csv(two_ue_sweeps[modes]).splitlines(keepends=True)
+        for modes in (("rs",), ("no_rs",), MODES)
+    )
+    assert len(rs) == len(no_rs) == 11
+    assert both == rs[:1] + [line for pair in zip(rs[1:], no_rs[1:]) for line in pair]
+
+
+@pytest.mark.parametrize("drop", [0, 6, 7, 8])
+def test_rs_falls_back_to_the_no_rs_run(drop, two_ue_sweeps, monkeypatch):
+    runs = recording_allocations(monkeypatch)
+    evaluate_drop(ScenarioConfig(**TWO_UE), ("rs",), derive_point_seed(0, drop))
+    # the joint run opens the common stream, so the no_rs run is solved too
+    assert [with_common for with_common, _ in runs] == [True, False]
+    joint, fallback = (alloc for _, alloc in runs)
+    assert joint.common_opened
+    assert joint.converged == (drop in (6, 7))
+    assert not joint.beats(fallback)
+    # so the rs row reports the no_rs run
+    rs, no_rs = two_ue_sweeps[MODES][2 * drop:2 * drop + 2]
+    assert (rs.rho_c, rs.iterations, rs.sum_se) == (no_rs.rho_c, no_rs.iterations, no_rs.sum_se)
+    assert rs.iterations == fallback.iterations != joint.iterations
 
 
 def test_sweep_csv_byte_identical(tmp_path):
@@ -268,6 +310,29 @@ def test_cli_non_finite_scenario_float_is_a_config_error(tmp_path, capsys, line)
     cfg.write_text(f"M = 8\nK = 2\n{line}\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("config error: " + line.split(" = ")[0])
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["seed = -3", "noise_dbm = -4000", "noise_dbm = 4000", "rho_tr_dbm = -4000",
+     "rho_total_dbm = 4000", "rho_total_dbm = -4000"],
+)
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_cli_out_of_range_scenario_value_is_a_config_error(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"M = 8\nK = 2\naxis = power_dbm\nvalues = 20\n{line}\n")
+    args = [command, "--config", str(cfg)]
+    if command != "validate":
+        args += ["--output", str(tmp_path / "x.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("config error: " + line.split(" = ")[0])
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_negative_seed_option_is_a_config_error(capsys, command):
+    assert main([command, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: seed")
 
 
 def test_cli_validate_refuses_small_trials():

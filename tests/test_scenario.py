@@ -108,6 +108,19 @@ def test_non_finite_float_field_rejected(name, value):
         ScenarioConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["rho_tr_dbm", "rho_total_dbm", "noise_dbm"])
+@pytest.mark.parametrize("dbm", [-4000.0, 4000.0])
+def test_dbm_value_beyond_float_range_rejected(name, dbm):
+    # 10^(dbm/10) mW underflows to 0 or overflows to inf
+    with pytest.raises(ConfigError, match=f"^{name} must be a positive, finite power"):
+        ScenarioConfig(**{name: dbm})
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="^seed must be >= 0"):
+        ScenarioConfig(seed=-1)
+
+
 def test_local_scattering_single_antenna():
     r = local_scattering_covariance(1.7, [0.4, -0.5], np.radians(10), 1)
     assert r.shape == (1, 1)
