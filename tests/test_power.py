@@ -409,12 +409,43 @@ def assert_same_run(a, b):
         assert np.array_equal(x.rho, y.rho)
 
 
-def test_run_that_keeps_the_common_stream_off_is_the_mr_table_run(small_setup):
+def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
+    # the pinned run is the run on the table without common weights, the
+    # no-RS allocation and the RS fallback; rho_c * delta_c = 0 and gap_c = 0
+    # in each of its linearizations, so at every iterate the table with the
+    # common stream gives the same private terms and, with its breakpoint at
+    # or below the private multiplier, the same budget step
+    config, _, model, weights = small_setup
+    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    for cfg, mdl, w in [
+        (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
+    ]:
+        mr_table, weighted_table = (closed_form_moments(mdl, x) for x in (None, w))
+        pinned = ila_wf(mr_table, cfg.rho_total_mw, cfg.noise_mw, cfg)
+        assert not pinned.common_opened
+        for record in pinned.trace:
+            point = PowerVector(0.0, record.rho)
+            mr, weighted = (
+                linearization_terms(point, t, cfg.noise_mw, None)
+                for t in (mr_table, weighted_table)
+            )
+            for name in ("sigma1_private", "sigma2_private", "alpha_private", "zeta", "gain_private"):
+                assert np.array_equal(getattr(mr, name), getattr(weighted, name))
+            assert not np.any(mr.zeta_common) and not np.any(weighted.zeta_common)
+            mr_step, weighted_step = (
+                _budget_exact_sweep(t, cfg.rho_total_mw) for t in (mr, weighted)
+            )
+            assert mr_step[0] == weighted_step[0] == 0.0
+            assert np.array_equal(mr_step[1], weighted_step[1])
+            assert mr_step[2] == weighted_step[2]
+
+
+def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setup):
     # every budget step leaves the common stream out while its breakpoint is
     # at or below the private multiplier, and at rho_c = 0 the linearization
-    # reads no common-stream entry (rho_c * delta_c = 0 and gap_c = 0), so the
-    # run equals the one on the table without the common stream; a drop shares
-    # it between its two modes
+    # reads no common-stream entry, so the joint run equals the pinned run,
+    # the one on the table without common weights; a drop shares it between
+    # its two modes
     config, _, model, weights = small_setup
     far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     for cfg, mdl, w in [
