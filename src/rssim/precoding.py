@@ -8,6 +8,7 @@ hhat_i / sqrt(tr Phi_i), it is normalized deterministically: the expected
 squared norm, not the per-realization norm, equals one.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from scipy.optimize import linprog
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
 from .moments import MomentTable
+
+logger = logging.getLogger(__name__)
 
 # imaginary leakage allowed in the nominally-real weight-problem entries
 U_REAL_TOL = 1e-10
@@ -74,8 +77,10 @@ def solve_common_weights(problem: CommonWeightProblem):
     Solved as the epigraph linear program: max t subject to
     sum_i a_i v[i, k] >= t for every UE k, a >= 0, sum a = 1.  Ties are
     broken deterministically: the uniform vector wins when it is optimal,
-    otherwise the lexicographically smallest optimal vertex is returned.
-    Returns (weights, achieved min).
+    otherwise the lexicographically smallest optimal vertex is returned,
+    refined from the epigraph LP's vertex.  If that refinement fails, the
+    vertex itself is returned and the failing stage is logged at debug
+    level.  Returns (weights, achieved min).
     """
     K = problem.K
     v = problem.constraint_matrix()
@@ -107,18 +112,28 @@ def solve_common_weights(problem: CommonWeightProblem):
         return uniform, t_uniform
 
     try:
-        weights = _lexicographic_refinement(v, t_star - 1e-9 * max(1.0, abs(t_star)))
-    except NumericalError:
+        weights = _lexicographic_refinement(
+            v, t_star - 1e-9 * max(1.0, abs(t_star)), res.x[:K].copy()
+        )
+    except NumericalError as exc:
         # accumulated stage rounding can starve the last free weights at
         # larger K; the unrefined vertex is already optimal and deterministic
+        logger.debug("weight tie-break chain fell back to the epigraph vertex: %s", exc)
         weights = np.clip(res.x[:K], 0.0, None)
         weights = weights / weights.sum()
     return weights, float(np.min(weights @ v))
 
 
-def _lexicographic_refinement(v: np.ndarray, t_floor: float) -> np.ndarray:
+def _lexicographic_refinement(v: np.ndarray, t_floor: float, vertex: np.ndarray) -> np.ndarray:
     """Among weight vectors achieving at least t_floor, pick the
-    lexicographically smallest one with a chain of small LPs."""
+    lexicographically smallest one with a chain of small LPs.
+
+    Stage j minimizes a_j with a_0 .. a_{j-1} fixed.  ``vertex`` is a
+    feasible weight vector whose first j entries are the weights fixed so
+    far; each solved stage writes its solution into ``vertex[j:]``.  When
+    ``vertex[j]`` is already 0 it is the stage's optimum (a_j >= 0), so
+    a_j = 0 is fixed without solving that stage's LP.
+    """
     K = v.shape[0]
     fixed: list[float] = []
     for j in range(K):
@@ -126,6 +141,9 @@ def _lexicographic_refinement(v: np.ndarray, t_floor: float) -> np.ndarray:
         if n_free == 1:
             fixed.append(max(1.0 - sum(fixed), 0.0))
             break
+        if vertex[j] == 0.0:
+            fixed.append(0.0)
+            continue
         c = np.zeros(n_free)
         c[0] = 1.0  # minimize the first still-free weight
         a_ub = -v[j:, :].T
@@ -138,6 +156,7 @@ def _lexicographic_refinement(v: np.ndarray, t_floor: float) -> np.ndarray:
         )
         if not res.success:
             raise NumericalError(f"weight tie-break LP failed at position {j}: {res.message}")
+        vertex[j:] = res.x
         fixed.append(max(float(res.x[0]), 0.0))
     return np.array(fixed)
 

@@ -69,6 +69,12 @@ class ScenarioConfig:
                 mw = float(dbm_to_mw(dbm))
             if not 0 < mw < np.inf:
                 raise ConfigError(f"{name} must be a positive, finite power in mW, got {dbm} dBm")
+        for name, mw in (("rho_tr_dbm", self.rho_tr_mw), ("rho_total_dbm", self.rho_total_mw)):
+            if not 0 < mw / self.noise_mw < np.inf:
+                raise ConfigError(
+                    f"{name} - noise_dbm must give a positive, finite SNR, "
+                    f"got {getattr(self, name) - self.noise_dbm} dB"
+                )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.M < 1:

@@ -329,6 +329,22 @@ def test_cli_out_of_range_scenario_value_is_a_config_error(tmp_path, capsys, com
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, name",
+    [("noise_dbm = -3200", "rho_tr_dbm"), ("rho_total_dbm = 3000\nnoise_dbm = -100", "rho_total_dbm")],
+)
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_cli_infinite_snr_is_a_config_error(tmp_path, capsys, command, lines, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"M = 16\nK = 3\naxis = power_dbm\nvalues = 20\n{lines}\n")
+    args = [command, "--config", str(cfg)]
+    if command != "validate":
+        args += ["--output", str(tmp_path / "x.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {name} - noise_dbm")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_cli_negative_seed_option_is_a_config_error(capsys, command):
     assert main([command, "--seed", "-1"]) == 1

@@ -116,6 +116,21 @@ def test_dbm_value_beyond_float_range_rejected(name, dbm):
         ScenarioConfig(**{name: dbm})
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"noise_dbm": -3200.0}, "rho_tr_dbm"),  # 1e-320 mW noise: infinite pilot SNR
+        ({"rho_total_dbm": 3000.0, "noise_dbm": -100.0}, "rho_total_dbm"),
+        ({"rho_tr_dbm": -3000.0, "noise_dbm": 300.0}, "rho_tr_dbm"),  # underflows to 0
+        ({"rho_total_dbm": -3000.0, "noise_dbm": 300.0}, "rho_total_dbm"),
+    ],
+)
+def test_snr_beyond_float_range_rejected(fields, name):
+    # each power is finite in mW, but its ratio to the noise power is not
+    with pytest.raises(ConfigError, match=f"^{name} - noise_dbm must give a positive, finite SNR"):
+        ScenarioConfig(**fields)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="^seed must be >= 0"):
         ScenarioConfig(seed=-1)
