@@ -1,17 +1,21 @@
 """Interference-leakage-aware water-filling power allocation.
 
-Sum spectral efficiency is maximized by fixed-point iteration of one
-budget-exact water-filling step: each stream's rate is split into
-log(signal-plus-interference) minus log(interference), the non-concave
-second part and every other stream's sensitivity are linearized at the
-current point, and the resulting separable concave surrogate is solved
-exactly in every iteration: the water-filling breakpoints give the active
-set, and Newton's method on that set solves the Lagrange multiplier of the
-total power budget.  A fixed point of that step is a first-order
-stationary point of the sum SE.
+Sum spectral efficiency is maximized by budget-exact water-filling steps,
+finished by Newton steps.  For the water-filling step each stream's rate
+is split into log(signal-plus-interference) minus log(interference), the
+non-concave second part and every other stream's sensitivity are
+linearized at the current point, and the resulting separable concave
+surrogate is solved exactly: the water-filling breakpoints give the
+active set, and Newton's method on that set solves the Lagrange
+multiplier of the total power budget.  Water-filling finds the active set
+within a few steps but then converges only linearly.  At a fixed common
+bottleneck every rate is ln(num) - ln(den) with num and den affine in the
+powers, so the sum SE has an exact Hessian, and Newton steps on the KKT
+system of the active set finish the run at a KKT point.
 
-The coefficients come as arrays from ``linearization_terms``, which
-``rssim validate`` checks against finite differences.
+The coefficients come as arrays from ``linearization_terms``; ``rssim
+validate`` checks them, the gradient and the Hessian against finite
+differences.
 """
 
 from dataclasses import dataclass, field
@@ -23,21 +27,16 @@ from .link import PowerVector, se_report, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
 
+
 @dataclass
 class IlaWfOptions:
     """Solver knobs; defaults follow the standard run configuration."""
 
-    max_iterations: int = 200
-    se_tol: float = 1e-4          # bits/s/Hz change per outer iteration
-    power_tol: float = 1e-9       # relative power movement at convergence
+    max_iterations: int = 200     # water-filling and Newton steps together
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name in ("se_tol", "power_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -152,20 +151,44 @@ def linearization_terms(
 
 
 def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable, sigma2: float):
-    """First-order optimality residuals at a power point.
+    """First-order optimality residuals g - mu at a power point.
 
-    For every strictly positive power the water-filling fixed point makes
-    signal_coefficient / num - sigma2_coefficient - mu vanish; returns the
-    private residual vector and the common residual (None when rho_c = 0).
+    g is the gradient gain - sigma2 of the sum of log-rates, which equals
+    mu on every stream with power at a KKT point; returns the private
+    residual vector and the common residual (None when rho_c = 0).
     """
-    return _residuals(linearization_terms(powers, moments, sigma2, None), mu, powers.rho_c)
-
-
-def _residuals(terms: LinearizationTerms, mu: float, rho_c: float):
-    """``stationarity_residuals`` on the linearization ``terms`` of a point
-    with common power ``rho_c``."""
-    res_common = float(terms.gain_common - terms.sigma2_common - mu) if rho_c > 0 else None
+    terms = linearization_terms(powers, moments, sigma2, None)
+    res_common = float(terms.gain_common - terms.sigma2_common - mu) if powers.rho_c > 0 else None
     return terms.gain_private - terms.sigma2_private - mu, res_common
+
+
+def sum_se_hessian(rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int):
+    """Exact Hessian of the sum of log-rates over the private powers, with
+    the common rate at UE ``l_min``.
+
+    Each rate is ln(num) - ln(den) with num and den affine in the powers,
+    so H = sum_den c c^T / den^2 - sum_num a a^T / num^2 over their
+    coefficient rows a and c.  The units are those of the gradient
+    gain_private - sigma2_private; the sum SE is prelog / ln 2 times the
+    sum of log-rates.  At rho_c = 0 the common rate is zero whatever the
+    private powers, so its term drops out.
+    """
+    G = moments.G_private
+    den_p, num_p, den_c, num_c = stream_denominators(rho_hat, moments, sigma2)
+    C = G - np.diag(moments.own_private)  # the rows of den_p; those of num_p are G's
+    H = (C.T / den_p**2) @ C - (G.T / num_p**2) @ G
+    if rho_hat.rho_c > 0:
+        H += np.outer(G[l_min], G[l_min]) * (1.0 / den_c[l_min] ** 2 - 1.0 / num_c[l_min] ** 2)
+    return H
+
+
+# the stationarity residuals of a converged run, relative to the largest
+# own-signal gain of its active streams
+KKT_TOL = 1e-9
+# iterates over which the active set must hold before Newton steps start
+NEWTON_AFTER = 3
+# step halvings a Newton step may take before the run falls back to water-filling
+NEWTON_HALVINGS = 3
 
 
 def ila_wf(
@@ -175,14 +198,19 @@ def ila_wf(
     config: ScenarioConfig,
     options: IlaWfOptions | None = None,
 ) -> PowerAllocation:
-    """One allocation run: undamped fixed-point iteration of the budget-exact step.
+    """One allocation run: budget-exact water-filling, finished by active-set Newton steps.
 
-    The run starts from no common power and a uniform private split.  Each
-    iteration relinearizes at the current point and moves to the exact
-    solution of the budget-constrained surrogate.  The run stops as
-    converged once the powers rest, or the first-order stationarity
-    residuals vanish, with the sum SE settled.  At the iteration cap it
-    returns its last iterate with ``converged=False``.
+    The run starts from no common power and a uniform private split, and
+    relinearizes at every iterate.  Once the common stream is off and the
+    set of private streams with power has held for ``NEWTON_AFTER``
+    iterates, and while the water-filling step keeps that set, the run
+    takes Newton steps on the set's KKT system with the budget as an
+    equality (Bertsekas, SIAM J. Control Optim. 1982).  The budget binds
+    at every KKT point, since scaling all powers up raises every SINR.
+    Otherwise, or when the Newton step fails, the run takes the
+    water-filling step, the only step that opens a stream.  It stops as
+    converged when ``_kkt_test`` passes; at the iteration cap it returns
+    its last iterate with ``converged=False``.
 
     On a table without common weights the common stream never joins a
     step.  While it has no power a run reads no common-stream entry of its
@@ -190,48 +218,110 @@ def ila_wf(
     table without common weights.
     """
     opts = options or IlaWfOptions()
-    rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
 
-    def summarize(it, rc, r, mu):
-        """Record an iterate, with its SE report and the linearization
-        that both the stationarity check and the next step read."""
+    def linearize(rc, r, rep):
+        """The linearization at an iterate and the water-filling step from it."""
         point = PowerVector(rc, r)
-        report = se_report(point, moments, config)
-        terms = linearization_terms(point, moments, sigma2, report.l_min if rc > 0 else None)
-        record = IterationRecord(iteration=it, rho_c=rc, rho=r.copy(), sum_se=report.sum_se, mu=mu)
-        return record, report, terms
+        terms = linearization_terms(point, moments, sigma2, rep.l_min if rc > 0 else None)
+        return terms, _budget_exact_sweep(terms, rho_total)
 
-    record, report, terms = summarize(0, rho_c, rho, 0.0)
-    trace = [record]
-    prev_se = record.sum_se
-    scale = max(rho_total, 1e-300)
+    rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
+    report = se_report(PowerVector(rho_c, rho), moments, config)
+    terms, water = linearize(rho_c, rho, report)
+    trace = [IterationRecord(0, rho_c, rho.copy(), report.sum_se, 0.0)]
+    spent = True  # the uniform start spends the budget
+    held = 1
     mu = 0.0
     converged = False
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
-        new_c, new_rho, mu = _budget_exact_sweep(terms, rho_total)
-        move = max(abs(new_c - rho_c), np.abs(new_rho - rho).max()) / scale
+        new_c, new_rho, mu_wf = water
+        step = None
+        if held >= NEWTON_AFTER and rho_c == new_c == 0 and np.array_equal(new_rho > 0, rho > 0):
+            step = _newton_step(terms, rho, moments, sigma2, rho_total, config)
+        if step is None:
+            report = se_report(PowerVector(new_c, new_rho), moments, config)
+            spent = mu_wf > 0
+        else:
+            new_rho, report, full = step
+            spent = spent or full
+        same_set = (new_c > 0) == (rho_c > 0) and np.array_equal(new_rho > 0, rho > 0)
+        held = held + 1 if same_set else 1
         rho_c, rho = new_c, new_rho
-        record, report, terms = summarize(iteration, rho_c, rho, mu)
-        trace.append(record)
-        settled = move < opts.power_tol
-        if not settled and mu > 0:
-            # slow drift along a flat ridge: accept on the first-order
-            # residuals directly rather than waiting for exact rest
-            res_p, res_c = _residuals(terms, mu, rho_c)
-            worst = np.abs(res_p[rho > 0]).max() if np.any(rho > 0) else 0.0
-            if res_c is not None:
-                worst = max(worst, abs(res_c))
-            settled = worst <= 1e-5 * mu
-        if settled and abs(record.sum_se - prev_se) < opts.se_tol:
-            converged = True
+        terms, water = linearize(rho_c, rho, report)
+        mu, converged = _kkt_test(terms, rho_c, rho, spent, water[0] == 0)
+        trace.append(IterationRecord(iteration, rho_c, rho.copy(), report.sum_se, mu))
+        if converged:
             break
-        prev_se = record.sum_se
 
     return PowerAllocation(
         powers=PowerVector(rho_c, rho.copy()), mu=mu, iterations=iteration,
         trace=trace, converged=converged, l_min=report.l_min,
     )
+
+
+def _newton_step(terms, rho, moments, sigma2, rho_total, config):
+    """One KKT Newton step on the private streams with power, at rho_c = 0.
+
+    Solves [H_AA, -1; 1^T, 0] [d; dmu] = [mu 1 - g_A; rho_total - sum rho_A]
+    with g = gain_private - sigma2_private and mu = mean(g_A), and halves d
+    until every active power stays positive and the sum SE strictly rises,
+    summed as log1p of the changes of the affine numerators and
+    denominators, which keeps its sign where the sum SE would round to
+    equal.  Returns (rho, SE report, whether the budget is spent), or None.
+    """
+    active = rho > 0
+    n = int(active.sum())
+    point = PowerVector(0.0, rho)
+    kkt = np.zeros((n + 1, n + 1))
+    hess = sum_se_hessian(point, moments, sigma2, 0)  # any bottleneck: rho_c = 0
+    kkt[:n, :n] = hess[np.ix_(active, active)]
+    kkt[:n, n] = -1.0
+    kkt[n, :n] = 1.0
+    g = (terms.gain_private - terms.sigma2_private)[active]
+    try:
+        d = np.linalg.solve(kkt, np.append(g.mean() - g, rho_total - rho[active].sum()))[:n]
+    except np.linalg.LinAlgError:
+        return None
+    G = moments.G_private
+    den, num, _, _ = stream_denominators(point, moments, sigma2)
+    t = 1.0
+    for _ in range(NEWTON_HALVINGS + 1):
+        move = np.zeros_like(rho)
+        move[active] = t * d
+        trial = rho + move
+        if np.all(trial[active] > 0):
+            shift = G @ move
+            rise = np.log1p(shift / num) - np.log1p((shift - move * moments.own_private) / den)
+            if rise.sum() > 0:
+                return trial, se_report(PowerVector(0.0, trial), moments, config), t == 1.0
+        t *= 0.5
+    return None
+
+
+def _kkt_test(terms: LinearizationTerms, rho_c, rho, spent: bool, common_shut: bool):
+    """The stopping test at one iterate; returns (mu, converged).
+
+    mu is the mean gradient over the streams with power, clamped at zero,
+    or zero while the budget is slack.  Converged means each such stream's
+    g - mu is within KKT_TOL of their largest own-signal gain, no private
+    stream without power has g above mu, and a common stream without power
+    stays shut in the water-filling step (``common_shut``), whose private
+    multiplier equals mu at a KKT point.
+    """
+    g = terms.gain_private - terms.sigma2_private
+    active = rho > 0
+    g_active, gains = g[active], terms.gain_private[active]
+    if rho_c > 0:
+        g_active = np.append(g_active, terms.gain_common - terms.sigma2_common)
+        gains = np.append(gains, terms.gain_common)
+    mu = max(float(g_active.mean()), 0.0) if spent and g_active.size else 0.0
+    converged = bool(
+        np.all(np.abs(g_active - mu) <= KKT_TOL * gains.max(initial=0.0))
+        and np.all(g[~active] <= mu)
+        and (rho_c > 0 or common_shut)
+    )
+    return mu, converged
 
 
 def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):

@@ -40,8 +40,21 @@ class CommonWeightProblem:
         return self.u.shape[0]
 
     def constraint_matrix(self) -> np.ndarray:
-        """v[i, k]: coefficient of weight i in UE k's constraint."""
-        return self.u * np.sqrt(self.pi)[None, :]
+        """v[i, k]: coefficient of weight i in UE k's constraint.
+
+        Raises NumericalError when a UE has a positive coupling whose
+        weighted coefficients all underflow to zero, which the weight
+        program would otherwise read as a UE that cannot be served.
+        """
+        v = self.u * np.sqrt(self.pi)[None, :]
+        lost = np.any(self.u > 0, axis=0) & np.all(v <= 0, axis=0)
+        if lost.any():
+            k = int(np.argmax(lost))
+            raise NumericalError(
+                f"UE {k}: positive weight-problem couplings (largest {self.u[:, k].max():.3e}) "
+                f"underflow to 0 when weighted by sqrt(pi) = {np.sqrt(self.pi[k]):.3e}"
+            )
+        return v
 
 
 def build_common_weight_problem(

@@ -22,7 +22,7 @@ from .moments import (
     estimate_pair_moment,
     select_quartic_variant,
 )
-from .power import PowerVector, linearization_terms
+from .power import PowerVector, linearization_terms, sum_se_hessian
 from .precoding import (
     CommonWeightProblem,
     build_common_weight_problem,
@@ -346,6 +346,37 @@ def linearization_fd_errors(
     return worst
 
 
+def sum_se_derivative_fd_errors(
+    rho_hat: PowerVector,
+    moments: MomentTable,
+    sigma2: float,
+    l_min: int,
+) -> float:
+    """Worst error of the sum-SE gradient gain_private - sigma2_private and
+    of ``sum_se_hessian`` against central differences of the summed
+    log-rates (the sum SE over prelog / ln 2) at a fixed common bottleneck,
+    each relative to its largest entry.  The step, 3e-3 times the smallest
+    private power, keeps both truncation and rounding below 1e-5."""
+    terms = linearization_terms(rho_hat, moments, sigma2, l_min)
+    grad = terms.gain_private - terms.sigma2_private
+    hess = sum_se_hessian(rho_hat, moments, sigma2, l_min)
+    steps = 3e-3 * rho_hat.rho.min() * np.eye(moments.K)
+
+    def f(delta):
+        rho = rho_hat.rho + delta
+        ratios_p, ratio_c, _, _ = _log_ratio(rho_hat.rho_c, rho, moments, sigma2, l_min)
+        return ratios_p.sum() + ratio_c
+
+    fd_grad = np.array([f(e) - f(-e) for e in steps]) / (2 * steps[0, 0])
+    fd_hess = np.array([
+        [f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in steps] for a in steps
+    ]) / (4 * steps[0, 0] ** 2)
+    return max(
+        float(np.abs(fd_grad - grad).max() / np.abs(grad).max()),
+        float(np.abs(fd_hess - hess).max() / np.abs(hess).max()),
+    )
+
+
 def run_validation(
     config: ScenarioConfig,
     mc_samples: int,
@@ -536,6 +567,23 @@ def run_validation(
             passed=worst_fd <= 1e-5,
             measured=worst_fd,
             limit=1e-5,
+        )
+    )
+
+    # the gradient and the exact Hessian the allocator's Newton steps use,
+    # at the same two points, with the common rate at UE 0
+    worst_newton = max(
+        sum_se_derivative_fd_errors(
+            PowerVector(rho_total * frac_c, rho_total * split), closed, sigma2, 0
+        )
+        for frac_c, split in zip((0.1, 0.15), splits)
+    )
+    report.checks.append(
+        ValidationCheck(
+            name="sum-SE gradient and Hessian vs finite differences",
+            passed=worst_newton <= 1e-4,
+            measured=worst_newton,
+            limit=1e-4,
         )
     )
     return report

@@ -39,7 +39,7 @@ def test_unknown_key_named():
 @pytest.mark.parametrize(
     "key",
     ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise",
-     "quartic_variant", "budget_tol", "include_pi"],
+     "quartic_variant", "budget_tol", "include_pi", "se_tol", "power_tol"],
 )
 def test_removed_solver_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -92,15 +92,8 @@ def test_sweep_mode_validated():
 
 
 def test_solver_and_settings_keys():
-    text = """
-max_iterations = 50
-se_tol = 1e-3
-power_tol = 1e-8
-"""
-    _, _, solver = parse_config(text)
+    _, _, solver = parse_config("max_iterations = 50\n")
     assert solver.max_iterations == 50
-    assert solver.se_tol == 1e-3
-    assert solver.power_tol == 1e-8
 
 
 @pytest.mark.parametrize(
@@ -109,14 +102,12 @@ power_tol = 1e-8
      "power_tol = nan", "power_tol = inf", "power_tol = -1e-9"],
 )
 def test_bad_solver_values_rejected(line):
+    # se_tol and power_tol were removed with the allocator's settled-powers
+    # and sum-SE stopping rules: any value of them is now an unknown key
     key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"^{key} must be"):
+    message = f"^{key} must be" if key == "max_iterations" else f"unknown key '{key}'"
+    with pytest.raises(ConfigError, match=message):
         parse_config(line + "\n")
-
-
-def test_zero_solver_tolerances_accepted():
-    _, _, solver = parse_config("max_iterations = 1\nse_tol = 0\npower_tol = 0\n")
-    assert (solver.max_iterations, solver.se_tol, solver.power_tol) == (1, 0.0, 0.0)
 
 
 def test_bad_number_rejected():

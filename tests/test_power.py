@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rssim.config import SweepSpec
 from rssim.errors import NumericalError
 from rssim.estimation import build_estimation_model
 import rssim.link as link
@@ -17,9 +18,10 @@ from rssim.power import (
     ila_wf,
     linearization_terms,
     stationarity_residuals,
+    sum_se_hessian,
 )
 from rssim.precoding import build_common_weight_problem, solve_common_weights
-from rssim.runner import derive_point_seed, evaluate_drop
+from rssim.runner import derive_point_seed, evaluate_drop, run_sweep
 from rssim.scenario import (
     CovarianceSet,
     ScenarioConfig,
@@ -90,6 +92,43 @@ def test_linearization_matches_finite_differences(small_setup):
     point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
     worst = linearization_fd_errors(point, table, config.noise_mw, rho_total, 0)
     assert worst <= 1e-5
+
+
+def se_central_differences(point, table, config, h):
+    """Gradient and Hessian of se_report(...).sum_se over the private powers
+    by central differences with step h."""
+    K = len(point.rho)
+    steps = h * np.eye(K)
+
+    def f(delta):
+        return se_report(PowerVector(point.rho_c, point.rho + delta), table, config).sum_se
+
+    grad = np.array([f(e) - f(-e) for e in steps]) / (2 * h)
+    hess = np.array([[f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in steps] for a in steps])
+    return grad, hess / (4 * h * h)
+
+
+@pytest.mark.parametrize("K", [3, 12])
+@pytest.mark.parametrize("common", ["closed", "open"])
+def test_sum_se_gradient_and_hessian_match_central_differences(K, common):
+    # g = gain_private - sigma2_private and the exact Hessian, both over
+    # the sum of log-rates, are the sum SE's derivatives over prelog / ln 2;
+    # with the common stream open the bottleneck stays the same UE over
+    # every difference step
+    config, _, _, model = make_scenario(M=16, K=K, seed=3)
+    table = rs_table(config, model)
+    rho_total = config.rho_total_mw
+    rho_c = 0.2 * rho_total if common == "open" else 0.0
+    rho = (rho_total - rho_c) * np.random.default_rng(K).dirichlet(np.ones(K))
+    point = PowerVector(rho_c, rho)
+    l_min = se_report(point, table, config).l_min
+    terms = linearization_terms(point, table, config.noise_mw, l_min if rho_c > 0 else None)
+    scale = config.prelog / np.log(2.0)
+    grad = scale * (terms.gain_private - terms.sigma2_private)
+    hess = scale * sum_se_hessian(point, table, config.noise_mw, l_min)
+    fd_grad, fd_hess = se_central_differences(point, table, config, 3e-3 * rho.min())
+    assert np.abs(fd_grad - grad).max() <= 1e-5 * np.abs(grad).max()
+    assert np.abs(fd_hess - hess).max() <= 1e-4 * np.abs(hess).max()
 
 
 def random_points(K, rho_total, seed):
@@ -518,12 +557,13 @@ def assert_returns_last_iterate(alloc):
     assert alloc.mu == last.mu
 
 
-def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(small_setup):
-    config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights)
+def test_ila_wf_unreachable_tolerance_returns_the_last_iterate():
+    # the iteration cap alone stops a run that would converge later
+    config, _, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    table = closed_form_moments(model)
+    assert ila_wf(table, config.rho_total_mw, config.noise_mw, config).iterations > 6
     alloc = ila_wf(
-        table, config.rho_total_mw, config.noise_mw, config,
-        IlaWfOptions(max_iterations=6, se_tol=0.0),  # strict < 0 never fires
+        table, config.rho_total_mw, config.noise_mw, config, IlaWfOptions(max_iterations=6)
     )
     assert not alloc.converged
     assert alloc.iterations == 6
@@ -531,16 +571,72 @@ def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(small_setup):
     assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
 
 
+# lower bounds on the sum SE of the low-pilot runs below, above what
+# water-filling alone reaches in 200 iterations: 0.9169155, 0.9311897 and
+# 0.9328512
+LOW_PILOT_SUM_SE = {20.0: 0.9169156, 30.0: 0.931421, 40.0: 0.932910}
+
+
 @pytest.mark.parametrize("dbm", [20.0, 30.0, 40.0])
 def test_capped_run_returns_its_last_and_best_iterate(dbm):
-    # the low-pilot geometry, where the allocation creeps up to the cap:
-    # the sum SE still rises, so the last iterate is also the best one
+    # the low-pilot geometry, where water-filling creeps towards a KKT point
+    # that the Newton finish reaches: the run converges and its last iterate
+    # is also its best one
     config = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, rho_total_dbm=dbm, seed=0)
     _, alloc, _ = evaluate_drop(config, ("no_rs",), derive_point_seed(0, 0))["no_rs"]
-    assert not alloc.converged
-    assert alloc.iterations == 200
+    assert alloc.converged
     assert_returns_last_iterate(alloc)
     assert alloc.trace[-1].sum_se == max(record.sum_se for record in alloc.trace)
+    assert alloc.trace[-1].sum_se >= LOW_PILOT_SUM_SE[dbm]
+
+
+# the criterion-6 grid and the low-pilot geometry of the benchmark
+CONVERGENCE_SWEEPS = {
+    "criterion-6 grid": (
+        ScenarioConfig(M=64, K=8, seed=0), (0.0, 5.0, 10.0, 20.0, 30.0, 40.0), 10,
+    ),
+    "low pilot": (ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, seed=0), (10.0, 20.0, 30.0, 40.0), 3),
+}
+
+
+@pytest.mark.parametrize("sweep", list(CONVERGENCE_SWEEPS))
+def test_every_allocation_converges(sweep, monkeypatch):
+    # water-filling alone stops 4 of the 60 grid runs and 8 of the 12
+    # low-pilot runs at the cap; with the Newton finish every run, joint or
+    # not, converges
+    config, values, drops = CONVERGENCE_SWEEPS[sweep]
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(ila_wf(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(runner, "ila_wf", recording)
+    rows = run_sweep(SweepSpec(axis="power_dbm", values=values, drops=drops), config)
+    assert len(rows) == 2 * len(values) * drops
+    assert all(row.converged for row in rows)
+    assert len(runs) >= len(values) * drops
+    assert all(run.converged for run in runs)
+
+
+def test_low_pilot_sweep_takes_few_iterations(monkeypatch):
+    # the benchmark's low-pilot workload at seed 1, whose power offset is
+    # drawn as below: water-filling alone takes 749 iterations over its 4
+    # allocator runs and stops 3 of them at the cap
+    config = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, seed=0)
+    offset = np.random.default_rng(1).uniform(-0.25, 0.25)
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(ila_wf(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(runner, "ila_wf", recording)
+    values = tuple(v + offset for v in (10.0, 20.0, 30.0, 40.0))
+    run_sweep(SweepSpec(axis="power_dbm", values=values), config)
+    assert len(runs) == 4
+    assert all(run.converged for run in runs)
+    assert sum(run.iterations for run in runs) <= 120
 
 
 def test_ila_wf_trace_records_sum_se(small_setup):
@@ -563,9 +659,8 @@ def test_ila_wf_converges_far_from_uniform_split(mode):
 
 
 def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
-    # each iterate is linearized once: the stationarity check and the next
-    # budget-exact step read the same terms; this point takes dozens of
-    # iterations and runs the check on most of them
+    # each iterate is linearized once: the stopping test, the water-filling
+    # step and the Newton step from it read the same terms
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
     calls = []
 
@@ -575,17 +670,18 @@ def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
 
     monkeypatch.setattr(power, "linearization_terms", recording)
     _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
-    assert alloc.iterations > 50
+    assert alloc.converged
+    assert len(calls) == alloc.iterations + 1
     assert all(before != after for before, after in zip(calls, calls[1:]))
 
 
 def test_ila_wf_evaluates_each_iterate_twice(monkeypatch):
     # per iterate, the SE report and the linearization evaluate the
-    # denominators once each; the stationarity check reads the terms, the
-    # tie rule reads the last iterate's report, and only the row's report
-    # comes on top
+    # denominators once each; each Newton step tried adds two, for its
+    # Hessian and for its sum-SE rise; the tie rule reads the last
+    # iterate's report, and only the row's report comes on top
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
-    denominator_calls, linearizations = [], []
+    denominator_calls, linearizations, newton_steps = [], [], []
 
     def counting_denominators(*args):
         denominator_calls.append(args)
@@ -595,9 +691,16 @@ def test_ila_wf_evaluates_each_iterate_twice(monkeypatch):
         linearizations.append(args)
         return linearization_terms(*args)
 
+    def counting_newton_step(*args):
+        newton_steps.append(args)
+        return newton_step(*args)
+
+    newton_step = power._newton_step
     monkeypatch.setattr(link, "stream_denominators", counting_denominators)
     monkeypatch.setattr(power, "stream_denominators", counting_denominators)
     monkeypatch.setattr(power, "linearization_terms", counting_linearization)
+    monkeypatch.setattr(power, "_newton_step", counting_newton_step)
     _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
-    assert alloc.iterations > 50
-    assert len(denominator_calls) <= 2 * len(linearizations) + 1
+    assert alloc.converged
+    assert newton_steps
+    assert len(denominator_calls) == 2 * len(linearizations) + 2 * len(newton_steps) + 1

@@ -345,6 +345,23 @@ def test_cli_infinite_snr_is_a_config_error(tmp_path, capsys, command, lines, na
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_cli_underflowing_weight_couplings_are_a_numerical_error(tmp_path, capsys, command):
+    # at noise_dbm = 3000 the pilot SNR is about 1e-298: UE 0's couplings are
+    # positive (about 5e-317) but underflow to 0 once weighted by sqrt(pi),
+    # which is not a UE that cannot be served
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("M = 16\nK = 3\naxis = power_dbm\nvalues = 20\nnoise_dbm = 3000\n")
+    args = [command, "--config", str(cfg)]
+    if command != "validate":
+        args += ["--output", str(tmp_path / "x.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UE 0: positive weight-problem couplings")
+    assert "underflow to 0 when weighted by sqrt(pi)" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_cli_negative_seed_option_is_a_config_error(capsys, command):
     assert main([command, "--seed", "-1"]) == 1

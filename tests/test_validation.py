@@ -8,9 +8,12 @@ import rssim.validation
 from rssim.errors import ConfigError
 from rssim.moments import QuarticAdjudication
 from rssim.scenario import ScenarioConfig
+from rssim.link import PowerVector
+from rssim.moments import closed_form_moments
 from rssim.validation import (
     run_validation,
     simplex_grid_max_min,
+    sum_se_derivative_fd_errors,
     tolerance_excess,
 )
 
@@ -60,6 +63,23 @@ def test_validation_suite_passes_on_default_scenario():
     # other's deviation
     quartic = report.checks[0]
     assert "rejected variant" in quartic.detail
+    assert report.checks[-1].name == "sum-SE gradient and Hessian vs finite differences"
+
+
+def test_derivative_check_fails_a_hessian_without_the_common_term(small_setup, monkeypatch):
+    # with the common stream open, the common rate's term is part of the
+    # Hessian over the private powers; leaving it out fails the check
+    config, _, model, weights = small_setup
+    table = closed_form_moments(model, weights)
+    rho_total = config.rho_total_mw
+    point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
+    assert sum_se_derivative_fd_errors(point, table, config.noise_mw, 0) <= 1e-5
+    exact = rssim.validation.sum_se_hessian
+    monkeypatch.setattr(
+        rssim.validation, "sum_se_hessian",
+        lambda p, *args: exact(PowerVector(0.0, p.rho), *args),
+    )
+    assert sum_se_derivative_fd_errors(point, table, config.noise_mw, 0) > 1e-2
 
 
 def test_real_vote_winner_fails_validation(monkeypatch, capsys):
