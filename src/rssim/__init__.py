@@ -25,15 +25,11 @@ from .estimation import (
     sample_channels,
     simulate_batch,
 )
-from .link import PowerVector, SEReport, gamma_common, gamma_private, se_report
+from .link import PowerVector, SEReport, se_report
 from .moments import (
     MomentTable,
     closed_form_moments,
-    common_gain,
-    common_second_moment,
     default_quartic_variant,
-    mr_cross_power,
-    mr_gain,
     select_quartic_variant,
 )
 from .power import (
@@ -42,7 +38,6 @@ from .power import (
     PowerAllocation,
     ila_wf,
     linearization_terms,
-    stationarity_residuals,
 )
 from .precoding import (
     CommonWeightProblem,

@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (RssimError, FileNotFoundError) as exc:
+    except RssimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
 

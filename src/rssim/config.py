@@ -110,5 +110,11 @@ def parse_config(text: str):
 
 
 def load_config(path) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a config file; a path that is not a readable UTF-8
+    file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config(text)

@@ -81,25 +81,6 @@ def _guard_denominator(value, scale, sigma2: float, context: str):
     return np.where(value > 0, value, 1e-12 * sigma2)
 
 
-def gamma_private(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
-    """Private-stream SINR of UE k after the common stream is cancelled."""
-    own = moments.own_private[k]
-    delta_c = moments.common_variance[k]
-    rx = float(moments.G_private[k] @ powers.rho)
-    den = rx - powers.rho[k] * own + powers.rho_c * delta_c + sigma2
-    den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_private[{k}]")
-    return float(powers.rho[k] * own / den)
-
-
-def gamma_common(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
-    """Common-stream SINR at UE k, private streams treated as noise."""
-    delta_c = moments.common_variance[k]
-    rx = float(moments.G_private[k] @ powers.rho)
-    den = rx + powers.rho_c * delta_c + sigma2
-    den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_common[{k}]")
-    return float(powers.rho_c * moments.own_common[k] / den)
-
-
 def se_report(powers: PowerVector, moments: MomentTable, config: ScenarioConfig) -> SEReport:
     """Full spectral-efficiency report at a power point.
 

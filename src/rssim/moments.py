@@ -80,20 +80,6 @@ def _real_trace(value, context: str):
     return value.real if value.ndim else float(value.real)
 
 
-def mr_gain(k: int, model: EstimationModel) -> float:
-    """Squared mean effective channel of UE k under MR, equal to tr(Phi_k)."""
-    return float(model.phi_trace[k])
-
-
-def mr_cross_power(k: int, i: int, model: EstimationModel) -> float:
-    """Mean squared response of UE k to the MR beam of UE i."""
-    denom = model.phi_trace[i]
-    if denom <= 0:
-        raise InvalidWeightsError(f"UE {i} has a degenerate estimate (tr(Phi) = 0)")
-    num = model.r_phi_trace[k, i] + np.abs(model.cross_trace[i, k]) ** 2
-    return float(num / denom)
-
-
 def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     """Closed form of E{c c^H B c c^H} for c with i.i.d. unit-variance
     complex Gaussian entries, under the chosen fourth-moment convention."""
@@ -128,36 +114,6 @@ def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
     return norm2
 
 
-def common_gain(k: int, weights, model: EstimationModel) -> complex:
-    """Mean effective channel of UE k under the weighted-estimate common
-    precoder.  Real for the array covariances produced by the scenario
-    generator; complex in general."""
-    weights = np.asarray(weights, dtype=float)
-    norm2 = _common_norm_squared(weights, model)
-    return complex(weights @ model.cross_trace[:, k]) / np.sqrt(norm2)
-
-
-def common_second_moment(k: int, weights, model: EstimationModel) -> float:
-    """Mean squared response of UE k to the common precoder.
-
-    The diagonal (same-estimate) terms use the MR-style identity; the
-    off-diagonal pairs use ``estimate_pair_moment``.  The pair sum is real
-    because swapping the pair conjugates the term.
-    """
-    weights = np.asarray(weights, dtype=float)
-    norm2 = _common_norm_squared(weights, model)
-    ct = model.cross_trace
-    t3 = model.triple_trace
-    diag = float(
-        np.sum(weights**2 * (model.r_phi_trace[k, :] + np.abs(ct[:, k]) ** 2))
-    )
-    outer = np.outer(weights, weights)
-    np.fill_diagonal(outer, 0.0)
-    pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3[:, :, k])))
-    total = _real_trace(pair_sum, "common second moment pair sum") + diag
-    return total / norm2
-
-
 def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     """Assemble the full closed-form moment table for MR private beams and,
     if weights are given, the weighted-estimate common beam.
@@ -167,7 +123,8 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     For the common beam, sum_i w_i hhat_i = R_w Q^{-1} y is the MMSE estimate
     of a virtual UE with covariance R_w = sum_i w_i R_i (w real).  Since
     tr(C_ki) = conj(tr(C_ik)) and tr(R_i Q^{-1} R_i R_k) = tr(R_k Phi_i), the
-    diagonal and pair terms of ``common_second_moment`` sum to
+    diagonal (same-estimate) terms and the ``estimate_pair_moment`` pair terms
+    sum to
         sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power

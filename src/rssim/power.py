@@ -14,7 +14,7 @@ powers, so the sum SE has an exact Hessian, and Newton steps on the KKT
 system of the active set finish the run at a KKT point.
 
 The coefficients come as arrays from ``linearization_terms``; ``rssim
-validate`` checks them, the gradient and the Hessian against finite
+validate`` checks the gradient they give and the Hessian against finite
 differences.
 """
 
@@ -41,28 +41,21 @@ class IlaWfOptions:
 
 @dataclass
 class LinearizationTerms:
-    """All first-order coefficients at one tentative power point.
+    """The first-order coefficients the allocator reads at one tentative power point.
 
     sigma1_* are the signal-power coefficients of the water-filling
-    updates, sigma2_* the leakage coefficients.  zeta[k, i] is the response
-    of UE i's rate to the power of beam k (zero on the diagonal; the own
-    response enters through alpha instead), zeta_common[k] the response of
-    the common rate to beam k, and zeta_private_common[i] the response of
-    UE i's rate to the common power.  The zeta responses are nonpositive;
-    sigma2 aggregates alpha minus the zeta sums, so it is a nonnegative
-    leakage power.  gain_* are the own-signal coefficients over the
-    current numerators, the first terms of the stationarity residuals.
+    updates, sigma2_* the leakage coefficients: a stream's own-denominator
+    response minus the (nonpositive) responses of every other stream's rate
+    to its power, so a nonnegative leakage power.  gain_* are the
+    own-signal coefficients over the current numerators, so gain - sigma2
+    is the gradient of the sum of log-rates at a fixed common bottleneck,
+    which ``rssim validate`` checks against finite differences.
     """
 
     sigma1_private: np.ndarray
     sigma2_private: np.ndarray
     sigma1_common: float
     sigma2_common: float
-    alpha_private: np.ndarray
-    zeta: np.ndarray
-    zeta_common: np.ndarray
-    alpha_common: float
-    zeta_private_common: np.ndarray
     gain_private: np.ndarray
     gain_common: float
 
@@ -103,7 +96,7 @@ class PowerAllocation:
 def linearization_terms(
     rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int | None
 ) -> LinearizationTerms:
-    """Evaluate every linearization coefficient at one power point, with the
+    """Evaluate the linearization coefficients at one power point, with the
     common rate linearized at UE ``l_min``; ``None`` takes the bottleneck
     argmin_k |g_c,k|^2 / den_c,k, also its rho_c -> 0 limit."""
     G = moments.G_private
@@ -118,6 +111,10 @@ def linearization_terms(
     den_sig = sigma2 + rho_hat.rho_c * delta_c + rx - rho_hat.rho * np.diagonal(G)
     sigma1_private = np.diagonal(G) / den_sig
 
+    # rate responses: alpha of each stream's own denominator, zeta[k, i] of
+    # UE i's rate to beam k (zero on the diagonal, where alpha enters),
+    # zeta_common[k] of the common rate to beam k, and zeta_private_common[i]
+    # of UE i's rate to the common power
     alpha_private = (np.diagonal(G) - own) / den_p
     inv_gap = 1.0 / num_p - 1.0 / den_p  # <= 0, zero where rho_hat.rho is zero
     zeta = G.T * inv_gap[None, :]        # zeta[k, i] = G[i, k] * gap_i
@@ -140,26 +137,9 @@ def linearization_terms(
         sigma2_private=sigma2_private,
         sigma1_common=sigma1_common,
         sigma2_common=sigma2_common,
-        alpha_private=alpha_private,
-        zeta=zeta,
-        zeta_common=zeta_common,
-        alpha_common=alpha_common,
-        zeta_private_common=zeta_private_common,
         gain_private=np.diagonal(G) / num_p,
         gain_common=moments.G_common[l_min] / num_c[l_min],
     )
-
-
-def stationarity_residuals(powers: PowerVector, mu: float, moments: MomentTable, sigma2: float):
-    """First-order optimality residuals g - mu at a power point.
-
-    g is the gradient gain - sigma2 of the sum of log-rates, which equals
-    mu on every stream with power at a KKT point; returns the private
-    residual vector and the common residual (None when rho_c = 0).
-    """
-    terms = linearization_terms(powers, moments, sigma2, None)
-    res_common = float(terms.gain_common - terms.sigma2_common - mu) if powers.rho_c > 0 else None
-    return terms.gain_private - terms.sigma2_private - mu, res_common
 
 
 def sum_se_hessian(rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_min: int):

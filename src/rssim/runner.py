@@ -221,6 +221,8 @@ def write_rows(rows, output_path: str):
     directory = os.path.dirname(os.path.abspath(output_path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory does not exist: {directory}")
+    if os.path.isdir(output_path):
+        raise ConfigError(f"output path is a directory: {output_path}")
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

@@ -3,7 +3,7 @@
 Each check pairs a closed-form quantity with a brute-force or Monte Carlo
 estimate that shares no code with the path it validates: sample means for
 the moment tables, a simplex grid search for the weight program, central
-finite differences for the linearization coefficients, and the
+finite differences for the sum-SE gradient and Hessian, and the
 fourth-moment vote for the quartic variant.  The report lists one
 pass/fail line per check with the measured error.
 """
@@ -277,9 +277,9 @@ def simplex_grid_max_min(v: np.ndarray, step: float = 0.01) -> float:
 
 
 def _log_ratio(rho_c, rho, moments: MomentTable, sigma2: float, l_min: int):
-    """ln(num) - ln(den) of every stream, recomputed from the moment table
-    directly (independent of the production denominator code)."""
-    K = moments.K
+    """ln(num) - ln(den) of every private stream and of the common stream at
+    UE ``l_min``, recomputed from the moment table directly (independent of
+    the production denominator code)."""
     G = moments.G_private
     own = np.abs(moments.g_private) ** 2
     delta_c = np.maximum(moments.G_common - np.abs(moments.g_common) ** 2, 0.0)
@@ -289,92 +289,51 @@ def _log_ratio(rho_c, rho, moments: MomentTable, sigma2: float, l_min: int):
     num_p = den_p + rho * own
     den_c = rx[l_min] + rho_c * delta_c[l_min] + sigma2
     num_c = den_c + rho_c * np.abs(moments.g_common[l_min]) ** 2
-    return (
-        np.log(num_p) - np.log(den_p),
-        np.log(num_c) - np.log(den_c),
-        np.log(den_p),
-        np.log(den_c),
-    )
-
-
-def linearization_fd_errors(
-    rho_hat: PowerVector,
-    moments: MomentTable,
-    sigma2: float,
-    rho_total: float,
-    l_min: int,
-    step_scale: float = 1e-6,
-) -> float:
-    """Worst relative error of the analytic linearization coefficients
-    against central finite differences of the log-rate pieces."""
-    terms = linearization_terms(rho_hat, moments, sigma2, l_min)
-    h = step_scale * rho_total
-    K = moments.K
-
-    def fd(fun):
-        return (fun(h) - fun(-h)) / (2 * h)
-
-    worst = 0.0
-
-    def rel(analytic, numeric):
-        scale = max(abs(analytic), abs(numeric), 1e-12 / rho_total)
-        return abs(analytic - numeric) / scale
-
-    for k in range(K):
-        def with_rho_k(delta, idx=k):
-            rho = rho_hat.rho.copy()
-            rho[idx] = rho[idx] + delta
-            return _log_ratio(rho_hat.rho_c, rho, moments, sigma2, l_min)
-
-        ratios_p = fd(lambda d: with_rho_k(d)[0])
-        ratio_c = fd(lambda d: with_rho_k(d)[1])
-        den_k = fd(lambda d: with_rho_k(d)[2][k])
-        for i in range(K):
-            if i != k:
-                worst = max(worst, rel(terms.zeta[k, i], ratios_p[i]))
-        worst = max(worst, rel(terms.alpha_private[k], den_k))
-        worst = max(worst, rel(terms.zeta_common[k], ratio_c))
-
-    def with_rho_c(delta):
-        return _log_ratio(rho_hat.rho_c + delta, rho_hat.rho, moments, sigma2, l_min)
-
-    ratios_p_c = fd(lambda d: with_rho_c(d)[0])
-    den_c = fd(lambda d: with_rho_c(d)[3])
-    for i in range(K):
-        worst = max(worst, rel(terms.zeta_private_common[i], ratios_p_c[i]))
-    worst = max(worst, rel(terms.alpha_common, den_c))
-    return worst
+    return np.log(num_p) - np.log(den_p), np.log(num_c) - np.log(den_c)
 
 
 def sum_se_derivative_fd_errors(
     rho_hat: PowerVector,
     moments: MomentTable,
     sigma2: float,
+    rho_total: float,
     l_min: int,
-) -> float:
-    """Worst error of the sum-SE gradient gain_private - sigma2_private and
-    of ``sum_se_hessian`` against central differences of the summed
-    log-rates (the sum SE over prelog / ln 2) at a fixed common bottleneck,
-    each relative to its largest entry.  The step, 3e-3 times the smallest
-    private power, keeps both truncation and rounding below 1e-5."""
+):
+    """Errors of the sum-SE gradient gain - sigma2 and of ``sum_se_hessian``
+    against central differences of the summed log-rates (the sum SE over
+    prelog / ln 2) at a fixed common bottleneck; returns (gradient error,
+    Hessian error).
+
+    The gradient is checked over all K + 1 powers, the common one included,
+    with the step 1e-6 rho_total, each entry relative to the larger of its
+    two values (at least 1e-12 / rho_total).  The Hessian over the private
+    powers is checked relative to its largest entry, with the step 3e-3
+    times the smallest positive private power, which keeps both truncation
+    and rounding below 1e-5."""
     terms = linearization_terms(rho_hat, moments, sigma2, l_min)
-    grad = terms.gain_private - terms.sigma2_private
+    grad = np.append(
+        terms.gain_common - terms.sigma2_common, terms.gain_private - terms.sigma2_private
+    )
     hess = sum_se_hessian(rho_hat, moments, sigma2, l_min)
-    steps = 3e-3 * rho_hat.rho.min() * np.eye(moments.K)
 
     def f(delta):
-        rho = rho_hat.rho + delta
-        ratios_p, ratio_c, _, _ = _log_ratio(rho_hat.rho_c, rho, moments, sigma2, l_min)
+        """Summed log-rates with the powers (rho_c, rho) moved by delta."""
+        ratios_p, ratio_c = _log_ratio(
+            rho_hat.rho_c + delta[0], rho_hat.rho + delta[1:], moments, sigma2, l_min
+        )
         return ratios_p.sum() + ratio_c
 
-    fd_grad = np.array([f(e) - f(-e) for e in steps]) / (2 * steps[0, 0])
+    h = 1e-6 * rho_total
+    fd_grad = np.array([f(e) - f(-e) for e in h * np.eye(moments.K + 1)]) / (2 * h)
+    scale = np.maximum(np.maximum(np.abs(grad), np.abs(fd_grad)), 1e-12 / rho_total)
+    grad_error = float((np.abs(grad - fd_grad) / scale).max())
+
+    h = 3e-3 * rho_hat.rho[rho_hat.rho > 0].min(initial=rho_total)
+    steps = h * np.eye(moments.K + 1)[1:]
     fd_hess = np.array([
         [f(a + b) - f(a - b) - f(b - a) + f(-a - b) for b in steps] for a in steps
-    ]) / (4 * steps[0, 0] ** 2)
-    return max(
-        float(np.abs(fd_grad - grad).max() / np.abs(grad).max()),
-        float(np.abs(fd_hess - hess).max() / np.abs(hess).max()),
-    )
+    ]) / (4 * h**2)
+    return grad_error, float(np.abs(fd_hess - hess).max() / np.abs(hess).max())
 
 
 def run_validation(
@@ -548,42 +507,27 @@ def run_validation(
         )
     )
 
-    # linearization coefficients vs finite differences at two representative
+    # the sum-SE gradient the allocator steps along and the exact Hessian of
+    # its Newton steps, with the common rate at UE 0, at two representative
     # power points (moderate denominators keep the central-difference
-    # truncation well inside the tolerance)
-    worst_fd = 0.0
+    # truncation well inside the tolerances)
     splits = [
         np.full(small.K, 0.8 / small.K),
         0.7 * np.arange(small.K, 0, -1) / np.arange(small.K, 0, -1).sum(),
     ]
-    for frac_c, split in zip((0.1, 0.15), splits):
-        pv = PowerVector(rho_total * frac_c, rho_total * split)
-        worst_fd = max(
-            worst_fd, linearization_fd_errors(pv, closed, sigma2, rho_total, 0)
-        )
-    report.checks.append(
-        ValidationCheck(
-            name="linearization coefficients vs finite differences",
-            passed=worst_fd <= 1e-5,
-            measured=worst_fd,
-            limit=1e-5,
-        )
-    )
-
-    # the gradient and the exact Hessian the allocator's Newton steps use,
-    # at the same two points, with the common rate at UE 0
-    worst_newton = max(
+    errors = np.array([
         sum_se_derivative_fd_errors(
-            PowerVector(rho_total * frac_c, rho_total * split), closed, sigma2, 0
+            PowerVector(rho_total * frac_c, rho_total * split), closed, sigma2, rho_total, 0
         )
         for frac_c, split in zip((0.1, 0.15), splits)
-    )
-    report.checks.append(
-        ValidationCheck(
-            name="sum-SE gradient and Hessian vs finite differences",
-            passed=worst_newton <= 1e-4,
-            measured=worst_newton,
-            limit=1e-4,
+    ]).max(axis=0)
+    for name, measured, limit in zip(("gradient", "Hessian"), errors, (1e-5, 1e-4)):
+        report.checks.append(
+            ValidationCheck(
+                name=f"sum-SE {name} vs finite differences",
+                passed=bool(measured <= limit),
+                measured=float(measured),
+                limit=limit,
+            )
         )
-    )
     return report

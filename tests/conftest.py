@@ -3,6 +3,7 @@ import pytest
 
 from rssim.estimation import build_estimation_model
 from rssim.moments import closed_form_moments
+from rssim.power import linearization_terms
 from rssim.precoding import build_common_weight_problem, solve_common_weights
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 
@@ -22,6 +23,18 @@ def solve_weights_for(config, model):
         model, mr, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
     )
     return solve_common_weights(problem)[0]
+
+
+def stationarity_residuals(powers, mu, moments, sigma2):
+    """First-order optimality residuals g - mu at a power point.
+
+    g is the gradient gain - sigma2 of the sum of log-rates, which equals
+    mu on every stream with power at a KKT point; returns the private
+    residual vector and the common residual (None when rho_c = 0).
+    """
+    terms = linearization_terms(powers, moments, sigma2, None)
+    res_common = float(terms.gain_common - terms.sigma2_common - mu) if powers.rho_c > 0 else None
+    return terms.gain_private - terms.sigma2_private - mu, res_common
 
 
 def diagonal_covariances(betas, M):

@@ -5,9 +5,9 @@ see them live).  Criteria 6b and 6c encode directional claims about the
 rate-split gain that the validated closed-form model does not reproduce at
 desk scale (the optimized allocation keeps the common stream off, making
 both transmission modes coincide); they are asserted faithfully and are
-expected to fail: brute-force search over the split confirms the
-optimized allocations genuinely gain nothing from the common stream at
-this scale, so both modes return identical powers.
+expected to fail.  ``test_post_sic_leakage_keeps_the_common_stream_off``
+records why: at every 40 dBm optimum the private rate lost to the common
+stream's post-SIC residual outweighs what opening the stream would gain.
 """
 
 import time
@@ -19,24 +19,26 @@ from rssim.config import SweepSpec
 from rssim.estimation import build_estimation_model
 from rssim.link import PowerVector, se_report
 from rssim.moments import closed_form_moments, select_quartic_variant
-from rssim.power import ila_wf, stationarity_residuals
+from rssim.power import ila_wf, linearization_terms
 from rssim.precoding import (
     CommonWeightProblem,
     build_common_weight_problem,
     solve_common_weights,
 )
-from rssim.runner import render_csv, run_sweep
+from rssim.runner import derive_point_seed, evaluate_drop, render_csv, run_sweep
 from rssim.scenario import ScenarioConfig, generate_scenario
 from rssim.validation import (
     colinearity_identity_error,
-    linearization_fd_errors,
     mc_estimation_stats,
     mc_moment_table,
     relative_frobenius,
     simplex_grid_max_min,
+    sum_se_derivative_fd_errors,
     tolerance_excess,
     well_conditioned_covariances,
 )
+
+from conftest import stationarity_residuals
 
 
 def announce(number, name, passed, detail):
@@ -170,8 +172,9 @@ def test_criterion_4_quartic_moment_adjudication():
 def test_criterion_5_ila_wf_contracts():
     """100 seeded scenarios at M=64, K=5, 20 dBm: budget-feasible to
     1e-6 rho_T, stationarity residuals <= 1e-4 mu for positive powers,
-    sum SE >= initialization in >= 95 cases, linearization terms match
-    finite differences within 1e-5."""
+    sum SE >= initialization in >= 95 cases, the sum-SE gradient the
+    linearization gives matches finite differences within 1e-5 on every
+    entry, the common power's included."""
     t0 = time.time()
     config = ScenarioConfig(M=64, K=5, rho_total_dbm=20)
     rho_total = config.rho_total_mw
@@ -194,7 +197,7 @@ def test_criterion_5_ila_wf_contracts():
             se_report(alloc.powers, table, config).sum_se
             >= se_report(init, table, config).sum_se
         )
-        fd = linearization_fd_errors(
+        fd, _ = sum_se_derivative_fd_errors(
             alloc.powers, table, sigma2, rho_total, alloc.l_min
         )
         worst_fd = max(worst_fd, fd)
@@ -269,6 +272,40 @@ def test_criterion_6c_no_rs_saturation_signature(power_sweep):
         6, "power-sweep saturation, no-RS increase 30->40 <= 25% of RS increase", ok,
         f"no-RS increase {inc_no:.4f}, RS increase {inc_rs:.4f} "
         "(identical allocations at this scale)",
+    )
+
+
+def test_post_sic_leakage_keeps_the_common_stream_off():
+    """Why 6b/6c fail: on every drop of the power-sweep fixture at 40 dBm the
+    common stream stays shut, and at the no-RS optimum its first-order
+    certificate c = d/d rho_c - mu is negative.  Without the private rate
+    that the common stream's post-SIC residual rho_c * delta_c takes,
+    L = sum_i delta_c,i (1/den_i - 1/num_i), the certificate would be
+    positive: the mean-gain cancellation of the receiver model, not the
+    common stream's own gain, keeps it off."""
+    config = ScenarioConfig(M=64, K=8, rho_total_dbm=40.0, seed=0)
+    sigma2 = config.noise_mw
+    ratios = []
+    for drop in range(10):
+        seed = derive_point_seed(config.seed, drop)
+        results = evaluate_drop(config, ("rs", "no_rs"), seed)
+        _, alloc, weights = results["rs"]
+        optimum = results["no_rs"][1]
+        assert alloc.powers.rho_c == 0.0 and optimum.converged and optimum.mu > 0
+        _, cov = generate_scenario(config, np.random.default_rng(seed))
+        table = closed_form_moments(build_estimation_model(cov, config.rho_tr_effective), weights)
+        terms = linearization_terms(optimum.powers, table, sigma2, None)
+        c = terms.gain_common - terms.sigma2_common - optimum.mu
+        rho = optimum.powers.rho
+        signal = rho * np.abs(table.g_private) ** 2
+        den = table.G_private @ rho - signal + sigma2  # rho_c = 0: no residual yet
+        delta_c = table.G_common - np.abs(table.g_common) ** 2
+        leakage = float(delta_c @ (1.0 / den - 1.0 / (den + signal)))
+        assert c < 0 < c + leakage, (drop, c, leakage)
+        ratios.append(leakage / optimum.mu)
+    announce(
+        6, "post-SIC leakage keeps the common stream off at 40 dBm", True,
+        f"c < 0 < c + L on 10/10 drops, median L/mu {np.median(ratios):.0f}",
     )
 
 

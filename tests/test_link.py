@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rssim.errors import NumericalError
-from rssim.link import PowerVector, gamma_common, gamma_private, se_report
+from rssim.link import PowerVector, _guard_denominator, se_report
 from rssim.moments import MomentTable, closed_form_moments
 from rssim.scenario import ScenarioConfig
 from rssim.validation import mc_moment_table
@@ -18,6 +18,26 @@ def table_from(g, G, g_c=None, G_c=None):
         g_common=np.zeros(K, dtype=complex) if g_c is None else np.asarray(g_c, dtype=complex),
         G_common=np.zeros(K) if G_c is None else np.asarray(G_c, dtype=float),
     )
+
+
+def gamma_private(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
+    """Private-stream SINR of UE k after the common stream is cancelled, by
+    direct substitution; se_report computes all of them as arrays."""
+    own = moments.own_private[k]
+    delta_c = moments.common_variance[k]
+    rx = float(moments.G_private[k] @ powers.rho)
+    den = rx - powers.rho[k] * own + powers.rho_c * delta_c + sigma2
+    den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_private[{k}]")
+    return float(powers.rho[k] * own / den)
+
+
+def gamma_common(k: int, powers: PowerVector, moments: MomentTable, sigma2: float) -> float:
+    """Common-stream SINR at UE k, private streams treated as noise."""
+    delta_c = moments.common_variance[k]
+    rx = float(moments.G_private[k] @ powers.rho)
+    den = rx + powers.rho_c * delta_c + sigma2
+    den = _guard_denominator(den, rx + powers.rho_c * delta_c + sigma2, sigma2, f"gamma_common[{k}]")
+    return float(powers.rho_c * moments.own_common[k] / den)
 
 
 def test_gamma_private_direct_substitution():

@@ -7,14 +7,12 @@ from rssim.errors import InvalidWeightsError, NumericalError
 from rssim.estimation import build_estimation_model
 from rssim.moments import (
     MomentTable,
+    _common_norm_squared,
+    _real_trace,
     closed_form_moments,
-    common_gain,
-    common_second_moment,
     default_quartic_variant,
     estimate_pair_moment,
     mc_c_quartic,
-    mr_cross_power,
-    mr_gain,
     quartic_identity,
     select_quartic_variant,
 )
@@ -24,6 +22,54 @@ from rssim.validation import mc_moment_table, tolerance_excess
 from conftest import diagonal_covariances, make_scenario
 
 MC_SAMPLES = 60_000
+
+
+# Per-UE reference forms of the closed-form table entries, one UE (or UE
+# pair) at a time; closed_form_moments builds the same entries as array
+# expressions over the trace tables.
+
+def mr_gain(k: int, model) -> float:
+    """Squared mean effective channel of UE k under MR, equal to tr(Phi_k)."""
+    return float(model.phi_trace[k])
+
+
+def mr_cross_power(k: int, i: int, model) -> float:
+    """Mean squared response of UE k to the MR beam of UE i."""
+    denom = model.phi_trace[i]
+    if denom <= 0:
+        raise InvalidWeightsError(f"UE {i} has a degenerate estimate (tr(Phi) = 0)")
+    num = model.r_phi_trace[k, i] + np.abs(model.cross_trace[i, k]) ** 2
+    return float(num / denom)
+
+
+def common_gain(k: int, weights, model) -> complex:
+    """Mean effective channel of UE k under the weighted-estimate common
+    precoder.  Real for the array covariances produced by the scenario
+    generator; complex in general."""
+    weights = np.asarray(weights, dtype=float)
+    norm2 = _common_norm_squared(weights, model)
+    return complex(weights @ model.cross_trace[:, k]) / np.sqrt(norm2)
+
+
+def common_second_moment(k: int, weights, model) -> float:
+    """Mean squared response of UE k to the common precoder.
+
+    The diagonal (same-estimate) terms use the MR-style identity; the
+    off-diagonal pairs use ``estimate_pair_moment``.  The pair sum is real
+    because swapping the pair conjugates the term.
+    """
+    weights = np.asarray(weights, dtype=float)
+    norm2 = _common_norm_squared(weights, model)
+    ct = model.cross_trace
+    t3 = model.triple_trace
+    diag = float(
+        np.sum(weights**2 * (model.r_phi_trace[k, :] + np.abs(ct[:, k]) ** 2))
+    )
+    outer = np.outer(weights, weights)
+    np.fill_diagonal(outer, 0.0)
+    pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3[:, :, k])))
+    total = _real_trace(pair_sum, "common second moment pair sum") + diag
+    return total / norm2
 
 
 def test_mr_gain_diagonal_closed_form():

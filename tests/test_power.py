@@ -17,7 +17,6 @@ from rssim.power import (
     _budget_exact_sweep,
     ila_wf,
     linearization_terms,
-    stationarity_residuals,
     sum_se_hessian,
 )
 from rssim.precoding import build_common_weight_problem, solve_common_weights
@@ -28,9 +27,9 @@ from rssim.scenario import (
     generate_scenario,
     local_scattering_covariance,
 )
-from rssim.validation import linearization_fd_errors
+from rssim.validation import sum_se_derivative_fd_errors
 
-from conftest import make_scenario, solve_weights_for
+from conftest import make_scenario, solve_weights_for, stationarity_residuals
 
 
 def rs_table(config, model):
@@ -72,26 +71,44 @@ def test_linearization_single_ue_no_common():
     terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 1.0, 0)
     # empty interference sums leave sigma1 = G / sigma^2
     assert terms.sigma1_private[0] == pytest.approx(1.3)
-    assert terms.zeta[0, 0] == 0.0
+    # with no other stream the leakage is the own-denominator response alone:
+    # (G - |g|^2) / (rho (G - |g|^2) + sigma^2)
+    assert terms.sigma2_private[0] == pytest.approx(0.3 / 1.6)
 
 
 def test_linearization_zero_power_zero_zeta(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    rho = np.array([0.0, 5.0, 3.0])
-    terms = linearization_terms(PowerVector(1.0, rho), table, config.noise_mw, 0)
-    assert np.all(terms.zeta[:, 0] == 0.0)  # NUM_0 = DEN_0 at zero self-power
+    point = PowerVector(1.0, np.array([0.0, 5.0, 3.0]))
+    terms = linearization_terms(point, table, config.noise_mw, 1)
     assert np.all(terms.sigma2_private >= 0.0)
     assert terms.sigma2_common >= 0.0
+    # UE 0 has no power, so NUM_0 = DEN_0 and its rate stays zero whatever
+    # the other beams send it: its cross responses enter no other coefficient
+    G = table.G_private.copy()
+    G[0, 1:] *= 3.0
+    louder = MomentTable(
+        g_private=table.g_private, G_private=G, g_common=table.g_common, G_common=table.G_common
+    )
+    other = linearization_terms(point, louder, config.noise_mw, 1)
+    for name in ("sigma1_private", "sigma2_private", "gain_private"):
+        assert np.array_equal(getattr(other, name)[1:], getattr(terms, name)[1:])
+    for name in ("sigma1_common", "sigma2_common", "gain_common"):
+        assert getattr(other, name) == getattr(terms, name)
 
 
 def test_linearization_matches_finite_differences(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
     rho_total = config.rho_total_mw
-    point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
-    worst = linearization_fd_errors(point, table, config.noise_mw, rho_total, 0)
-    assert worst <= 1e-5
+    # gain - sigma2 over all K + 1 powers, the common one included, at every
+    # bottleneck UE and with one private stream off
+    sigma2 = config.noise_mw
+    for split in (np.full(config.K, 0.8 / config.K), np.array([0.0, 0.5, 0.3])):
+        point = PowerVector(0.1 * rho_total, split * rho_total)
+        for l_min in range(config.K):
+            grad_error, _ = sum_se_derivative_fd_errors(point, table, sigma2, rho_total, l_min)
+            assert grad_error <= 1e-5
 
 
 def se_central_differences(point, table, config, h):
@@ -284,9 +301,7 @@ def coefficient_terms(sigma1, sigma2, common=None):
     s1c, s2c = common if common is not None else (0.0, 0.0)
     return LinearizationTerms(
         sigma1_private=np.array(sigma1, dtype=float), sigma2_private=np.array(sigma2, dtype=float),
-        sigma1_common=s1c, sigma2_common=s2c, alpha_private=np.zeros(K), zeta=np.zeros((K, K)),
-        zeta_common=np.zeros(K), alpha_common=0.0, zeta_private_common=np.zeros(K),
-        gain_private=np.zeros(K), gain_common=0.0,
+        sigma1_common=s1c, sigma2_common=s2c, gain_private=np.zeros(K), gain_common=0.0,
     )
 
 
@@ -452,8 +467,9 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
     # the pinned run is the run on the table without common weights, the
     # no-RS allocation and the RS fallback; rho_c * delta_c = 0 and gap_c = 0
     # in each of its linearizations, so at every iterate the table with the
-    # common stream gives the same private terms and, with its breakpoint at
-    # or below the private multiplier, the same budget step
+    # common stream gives the same private terms whatever its bottleneck UE
+    # (the common rate does not respond to the private powers) and, with its
+    # breakpoint at or below the private multiplier, the same budget step
     config, _, model, weights = small_setup
     far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     for cfg, mdl, w in [
@@ -468,9 +484,11 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
                 linearization_terms(point, t, cfg.noise_mw, None)
                 for t in (mr_table, weighted_table)
             )
-            for name in ("sigma1_private", "sigma2_private", "alpha_private", "zeta", "gain_private"):
+            for name in ("sigma1_private", "sigma2_private", "gain_private"):
                 assert np.array_equal(getattr(mr, name), getattr(weighted, name))
-            assert not np.any(mr.zeta_common) and not np.any(weighted.zeta_common)
+            for l_min in range(cfg.K):
+                at_l = linearization_terms(point, weighted_table, cfg.noise_mw, l_min)
+                assert np.array_equal(at_l.sigma2_private, mr.sigma2_private)
             mr_step, weighted_step = (
                 _budget_exact_sweep(t, cfg.rho_total_mw) for t in (mr, weighted)
             )

@@ -368,6 +368,30 @@ def test_cli_negative_seed_option_is_a_config_error(capsys, command):
     assert capsys.readouterr().err.startswith("config error: seed")
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, command, case):
+    path = tmp_path / "sweep.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not utf-8":
+        path.write_bytes("M = 8\nK = 2\naxis = power_dbm\nvalues = 20 # \u00b1\n".encode("latin-1"))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file '{path}'")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_output_that_is_a_directory_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 20\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: output path is a directory: {out}\n"
+    assert out.is_dir() and not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sweep.cfg"]
+
+
 def test_cli_validate_refuses_small_trials():
     assert main(["validate", "--trials", "500"]) == 1
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,11 @@ def test_validation_suite_passes_on_default_scenario():
     # other's deviation
     quartic = report.checks[0]
     assert "rejected variant" in quartic.detail
-    assert report.checks[-1].name == "sum-SE gradient and Hessian vs finite differences"
+    assert len(report.checks) == 10
+    assert [c.name for c in report.checks[-2:]] == [
+        "sum-SE gradient vs finite differences",
+        "sum-SE Hessian vs finite differences",
+    ]
 
 
 def test_derivative_check_fails_a_hessian_without_the_common_term(small_setup, monkeypatch):
@@ -73,13 +78,51 @@ def test_derivative_check_fails_a_hessian_without_the_common_term(small_setup, m
     table = closed_form_moments(model, weights)
     rho_total = config.rho_total_mw
     point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
-    assert sum_se_derivative_fd_errors(point, table, config.noise_mw, 0) <= 1e-5
+    assert max(sum_se_derivative_fd_errors(point, table, config.noise_mw, rho_total, 0)) <= 1e-5
     exact = rssim.validation.sum_se_hessian
     monkeypatch.setattr(
         rssim.validation, "sum_se_hessian",
         lambda p, *args: exact(PowerVector(0.0, p.rho), *args),
     )
-    assert sum_se_derivative_fd_errors(point, table, config.noise_mw, 0) > 1e-2
+    grad_error, hess_error = sum_se_derivative_fd_errors(
+        point, table, config.noise_mw, rho_total, 0
+    )
+    assert grad_error <= 1e-5 < 1e-2 < hess_error
+
+
+# linearizations with one leakage piece broken, from the correct terms t,
+# the common rate's own-denominator response alpha_c and its responses
+# zeta_c to the private powers
+BROKEN_LEAKAGE = {
+    "no common response": lambda t, alpha_c, zeta_c: replace(
+        t, sigma2_private=t.sigma2_private + zeta_c
+    ),
+    "post-SIC leakage sign flip": lambda t, alpha_c, zeta_c: replace(
+        t, sigma2_common=2 * alpha_c - t.sigma2_common
+    ),
+    "no alpha_c": lambda t, alpha_c, zeta_c: replace(t, sigma2_common=t.sigma2_common - alpha_c),
+}
+
+
+@pytest.mark.parametrize("mutant", list(BROKEN_LEAKAGE))
+def test_gradient_check_fails_broken_leakage_coefficients(small_setup, monkeypatch, mutant):
+    # each mutant moves only the gradient; the Hessian is computed apart
+    config, _, model, weights = small_setup
+    table = closed_form_moments(model, weights)
+    rho_total, sigma2 = config.rho_total_mw, config.noise_mw
+    point = PowerVector(0.1 * rho_total, np.full(config.K, 0.8 * rho_total / config.K))
+    den_c = table.G_private[0] @ point.rho + point.rho_c * table.common_variance[0] + sigma2
+    num_c = den_c + point.rho_c * table.own_common[0]
+    alpha_c = table.common_variance[0] / den_c
+    zeta_c = table.G_private[0] * (1.0 / num_c - 1.0 / den_c)
+    exact = rssim.validation.linearization_terms
+    monkeypatch.setattr(
+        rssim.validation, "linearization_terms",
+        lambda *args: BROKEN_LEAKAGE[mutant](exact(*args), alpha_c, zeta_c),
+    )
+    grad_error, hess_error = sum_se_derivative_fd_errors(point, table, sigma2, rho_total, 0)
+    assert hess_error <= 1e-5
+    assert grad_error > 1e-3  # a hundred times the report's limit
 
 
 def test_real_vote_winner_fails_validation(monkeypatch, capsys):
