@@ -11,7 +11,7 @@ from dataclasses import replace
 from .config import MODES, load_config
 from .errors import ConfigError, RssimError
 from .power import IlaWfOptions
-from .runner import evaluate_drop, render_csv, result_row, run_sweep, write_rows
+from .runner import check_output_path, evaluate_drop, render_csv, result_row, run_sweep, write_rows
 from .scenario import ScenarioConfig
 from .validation import run_validation
 
@@ -66,6 +66,8 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.command == "run":
             modes = _modes(args.mode)
+            if args.output:
+                check_output_path(args.output)
             results = evaluate_drop(config, modes, config.seed, solver)
             rows = [result_row(config, mode, config.seed, results[mode]) for mode in modes]
             text = render_csv(rows)

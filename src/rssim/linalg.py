@@ -55,24 +55,27 @@ def outer_sums(a, b):
         Re(a conj(b))^2 = a_r^2 b_r^2 + a_i^2 b_i^2 + 2 a_r a_i b_r b_i
         Im(a conj(b))^2 = a_i^2 b_r^2 + a_r^2 b_i^2 - 2 a_r a_i b_r b_i,
 
-    so both squared sums come from one real (3M x n)(n x 3L) product per
-    batch index.
+    so both squared sums come from two real products per batch index: the
+    squares [a_r^2; a_i^2] (2M x n) times [b_r^2; b_i^2]^T (n x 2L), and
+    the mixed terms a_r a_i (M x n) times (b_r b_i)^T (n x L).
     """
     a = np.moveaxis(a, 0, -1)  # (..., M, n)
     b = np.moveaxis(b, 0, -1)  # (..., L, n)
     M, L = a.shape[-2], b.shape[-2]
     total = a @ b.conj().swapaxes(-1, -2)
 
-    def parts(x):
+    def squares(x):
         re, im = x.real, x.imag
-        return np.concatenate([re * re, im * im, re * im], axis=-2)
+        return np.concatenate([re * re, im * im], axis=-2), re * im
 
-    x = parts(a) @ parts(b).swapaxes(-1, -2)
-    rr_rr = x[..., :M, :L]             # sum a_r^2 b_r^2
-    rr_ii = x[..., :M, L:2 * L]        # sum a_r^2 b_i^2
-    ii_rr = x[..., M:2 * M, :L]        # sum a_i^2 b_r^2
-    ii_ii = x[..., M:2 * M, L:2 * L]   # sum a_i^2 b_i^2
-    cross = 2.0 * x[..., 2 * M:, 2 * L:]  # 2 sum a_r a_i b_r b_i
+    a_sq, a_mixed = squares(a)
+    b_sq, b_mixed = squares(b)
+    x = a_sq @ b_sq.swapaxes(-1, -2)
+    rr_rr = x[..., :M, :L]   # sum a_r^2 b_r^2
+    rr_ii = x[..., :M, L:]   # sum a_r^2 b_i^2
+    ii_rr = x[..., M:, :L]   # sum a_i^2 b_r^2
+    ii_ii = x[..., M:, L:]   # sum a_i^2 b_i^2
+    cross = 2.0 * (a_mixed @ b_mixed.swapaxes(-1, -2))  # 2 sum a_r a_i b_r b_i
     return total, rr_rr + ii_ii + cross, ii_rr + rr_ii - cross
 
 

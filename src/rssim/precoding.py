@@ -6,13 +6,17 @@ channel across UEs, which after squaring reduces to a linear
 program over the weight simplex.  Like the MR private beams
 hhat_i / sqrt(tr Phi_i), it is normalized deterministically: the expected
 squared norm, not the per-realization norm, equals one.
+
+The linear programs are solved by HiGHS through ``scipy.optimize.milp``
+with no integrality: the same solve as ``linprog(method="highs")``, with
+less input and result handling around it.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
@@ -109,11 +113,8 @@ def solve_common_weights(problem: CommonWeightProblem):
     c = np.zeros(K + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-v.T, np.ones((K, 1))])   # t - v[:, k] @ a <= 0
-    b_ub = np.zeros(K)
-    a_eq = np.zeros((1, K + 1))
-    a_eq[0, :K] = 1.0
-    bounds = [(0.0, None)] * K + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    lower = np.append(np.zeros(K), -np.inf)
+    res = _lp(c, a_ub, np.zeros(K), np.append(np.ones(K), 0.0), 1.0, lower)
     if not res.success:
         raise NumericalError(f"weight LP failed: {res.message}")
     t_star = float(res.x[-1])
@@ -159,19 +160,27 @@ def _lexicographic_refinement(v: np.ndarray, t_floor: float, vertex: np.ndarray)
             continue
         c = np.zeros(n_free)
         c[0] = 1.0  # minimize the first still-free weight
-        a_ub = -v[j:, :].T
         b_ub = -t_floor + (v[:j, :].T @ np.array(fixed) if j else np.zeros(K))
-        a_eq = np.ones((1, n_free))
-        b_eq = [1.0 - sum(fixed)]
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=[(0.0, None)] * n_free, method="highs",
-        )
+        res = _lp(c, -v[j:, :].T, b_ub, np.ones(n_free), 1.0 - sum(fixed), np.zeros(n_free))
         if not res.success:
             raise NumericalError(f"weight tie-break LP failed at position {j}: {res.message}")
         vertex[j:] = res.x
         fixed.append(max(float(res.x[0]), 0.0))
     return np.array(fixed)
+
+
+def _lp(c, a_ub, b_ub, a_eq, b_eq: float, lower):
+    """Minimize c @ x subject to a_ub @ x <= b_ub, a_eq @ x = b_eq and
+    x >= lower.
+
+    Solved with ``milp`` (see the module docstring).  Returns its result.
+    """
+    constraints = LinearConstraint(
+        np.vstack([a_ub, a_eq]),
+        np.append(np.full(len(b_ub), -np.inf), b_eq),
+        np.append(b_ub, b_eq),
+    )
+    return milp(c, constraints=constraints, bounds=Bounds(lower, np.inf))
 
 
 def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.ndarray:

@@ -78,6 +78,19 @@ def derive_point_seed(master_seed: int, drop_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def build_drop(config: ScenarioConfig, seed: int):
+    """Build the layers of a drop that no transmit power enters.
+
+    Returns (estimation model, table without the common stream): the
+    scenario, the estimation model and the MR moment table depend on the
+    geometry, the pilot power and the seed, not on ``rho_total_dbm``.
+    """
+    rng = np.random.default_rng(seed)
+    _, cov = generate_scenario(config, rng)
+    model = build_estimation_model(cov, config.rho_tr_effective)
+    return model, closed_form_moments(model)
+
+
 def evaluate_drop(
     config: ScenarioConfig,
     modes,
@@ -86,26 +99,37 @@ def evaluate_drop(
 ) -> dict:
     """Run the full pipeline for one drop in each of the given modes.
 
+    Returns {mode: (SEReport, PowerAllocation, weights)}; see
+    ``allocate_drop``.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return allocate_drop(config, modes, build_drop(config, seed), solver)
+
+
+def allocate_drop(
+    config: ScenarioConfig,
+    modes,
+    drop,
+    solver: IlaWfOptions | None = None,
+) -> dict:
+    """Solve the given modes on a drop built by ``build_drop``.
+
     Returns {mode: (SEReport, PowerAllocation, weights)}.  The modes share
     the drop: the scenario, the estimation model and the table without the
-    common stream are built once.  In "no_rs" mode the common stream is
-    absent: no weights are solved and the allocation runs on that table.
+    common stream.  In "no_rs" mode the common stream is absent: no
+    weights are solved and the allocation runs on that table.
     The "rs" allocation runs first, on the table with the common stream.
     When it never opened the common stream it is, bit for bit, the run on
     the table without it, so it serves as the "no_rs" allocation too.
     Otherwise the "no_rs" run is solved as well and is the fallback: "rs"
     reports the joint run only if it ``beats`` the "no_rs" run.
     """
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     solver = solver or IlaWfOptions()
-    rng = np.random.default_rng(seed)
-    _, cov = generate_scenario(config, rng)
-    model = build_estimation_model(cov, config.rho_tr_effective)
+    model, mr_table = drop
     sigma2 = config.noise_mw
     rho_total = config.rho_total_mw
-    mr_table = closed_form_moments(model)
     results = {}
     fallback = None
     if "rs" in modes:
@@ -184,22 +208,32 @@ def run_sweep(
 ) -> list:
     """Evaluate every (value, drop, mode) combination of a sweep.
 
-    Drops run one after another, each evaluated once for all modes, and
-    rows come in the order values outer, then drops, then modes.  When an
-    output path is given the CSV is written atomically: a partial file is
-    never left behind.
+    Each (value, drop) is solved once for all modes.  On a power sweep each
+    drop is also built once, by ``build_drop``, and shared by every power
+    value; on the antenna and user axes M or K changes the drop, so every
+    point builds its own.  Rows come in the order values outer, then drops,
+    then modes.  The output path is checked before any point is evaluated;
+    the CSV is written atomically, so a partial file is never left behind.
     """
     spec.validate()
+    if output_path is not None:
+        check_output_path(output_path)
+    configs = [apply_axis(config, spec.axis, value) for value in spec.values]
     rows = []
-    for value in spec.values:
-        point_config = apply_axis(config, spec.axis, value)
-        for drop in range(spec.drops):
-            seed = derive_point_seed(config.seed, drop)
-            results = evaluate_drop(point_config, spec.modes, seed, solver)
+    for drop in range(spec.drops):
+        seed = derive_point_seed(config.seed, drop)
+        shared = build_drop(config, seed) if spec.axis == "power_dbm" else None
+        for value, point_config in zip(spec.values, configs):
+            results = allocate_drop(
+                point_config, spec.modes, shared or build_drop(point_config, seed), solver
+            )
             rows.extend(
                 result_row(point_config, mode, seed, results[mode], spec.axis, value, drop)
                 for mode in spec.modes
             )
+    # the values strictly increase and the sort is stable: values outer,
+    # then drops, then modes
+    rows.sort(key=lambda row: row.axis_value)
 
     if output_path is not None:
         write_rows(rows, output_path)
@@ -215,14 +249,22 @@ def render_csv(rows) -> str:
     return buf.getvalue()
 
 
-def write_rows(rows, output_path: str):
-    """Atomic CSV write: render, write to a sibling temp file, rename."""
-    data = render_csv(rows)
+def check_output_path(output_path: str) -> str:
+    """Raise ConfigError unless a CSV can be written at output_path: its
+    directory must exist and the path must not be a directory.  Returns
+    that directory."""
     directory = os.path.dirname(os.path.abspath(output_path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory does not exist: {directory}")
     if os.path.isdir(output_path):
         raise ConfigError(f"output path is a directory: {output_path}")
+    return directory
+
+
+def write_rows(rows, output_path: str):
+    """Atomic CSV write: render, write to a sibling temp file, rename."""
+    data = render_csv(rows)
+    directory = check_output_path(output_path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 
 import rssim.precoding as precoding
 from rssim.config import SweepSpec
@@ -27,7 +27,9 @@ SWEEP_POWERS_DBM = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0)
 
 def full_chain(v, t_floor, vertex):
     """The tie-break chain with one LP at every stage and no skipping:
-    K - 1 stage LPs after the epigraph LP.  ``vertex`` is ignored."""
+    K - 1 stage LPs after the epigraph LP.  ``vertex`` is ignored.  Its
+    stages go through ``linprog``, so the chain tests also pin the
+    package's ``milp`` stage solves to ``linprog``'s, bit for bit."""
     K = v.shape[0]
     fixed = []
     for j in range(K - 1):
@@ -161,11 +163,11 @@ def test_power_sweep_skips_the_stages_the_vertex_fixes_at_zero(monkeypatch):
     # solves all 7 stages of K = 8 and makes 48 calls
     calls = []
 
-    def counting_linprog(*args, **kwargs):
+    def counting_milp(*args, **kwargs):
         calls.append(args)
-        return linprog(*args, **kwargs)
+        return milp(*args, **kwargs)
 
-    monkeypatch.setattr(precoding, "linprog", counting_linprog)
+    monkeypatch.setattr(precoding, "milp", counting_milp)
     spec = SweepSpec(axis="power_dbm", values=SWEEP_POWERS_DBM, drops=1)
     run_sweep(spec, ScenarioConfig(M=64, K=8, seed=0))
     assert len(calls) == 24
@@ -177,11 +179,11 @@ def test_chain_fallback_is_logged(monkeypatch, caplog):
     problem = CommonWeightProblem(u=u, pi=rng.uniform(0.5, 2.0, size=20))
     results = []
 
-    def recording_linprog(*args, **kwargs):
-        results.append(linprog(*args, **kwargs))
+    def recording_milp(*args, **kwargs):
+        results.append(milp(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(precoding, "linprog", recording_linprog)
+    monkeypatch.setattr(precoding, "milp", recording_milp)
     with caplog.at_level(logging.DEBUG, logger="rssim.precoding"):
         weights, _ = solve_common_weights(problem)
     [record] = caplog.records

@@ -104,22 +104,66 @@ def test_run_sweep_row_count_and_order(tmp_path):
     assert [(r.axis_value, r.drop, r.mode) for r in rows] == expected
 
 
-@pytest.mark.parametrize("modes", [("rs", "no_rs"), ("rs",), ("no_rs",)])
-def test_sweep_rows_equal_point_rows(modes):
-    """A sweep evaluates each drop once for all its modes; every row equals
-    the row of that point evaluated on its own, field for field."""
-    config = small_config(seed=11)
-    spec = SweepSpec(axis="power_dbm", values=(0.0, 30.0), drops=2, modes=modes)
-    expected = [
+def isolated_point_rows(spec, config):
+    """The rows of a sweep, each point evaluated on its own by run_point."""
+    return [
         run_point(
             apply_axis(config, spec.axis, value), mode, derive_point_seed(config.seed, drop),
             axis=spec.axis, axis_value=value, drop=drop,
         )
         for value in spec.values
         for drop in range(spec.drops)
-        for mode in modes
+        for mode in spec.modes
     ]
-    assert run_sweep(spec, config) == expected
+
+
+@pytest.mark.parametrize("modes", [("rs", "no_rs"), ("rs",), ("no_rs",)])
+def test_sweep_rows_equal_point_rows(modes):
+    """A sweep evaluates each drop once for all its modes; every row equals
+    the row of that point evaluated on its own, field for field."""
+    config = small_config(seed=11)
+    spec = SweepSpec(axis="power_dbm", values=(0.0, 30.0), drops=2, modes=modes)
+    assert run_sweep(spec, config) == isolated_point_rows(spec, config)
+
+
+@pytest.mark.parametrize(
+    "axis, values",
+    [("power_dbm", (0.0, 15.0, 30.0)), ("antennas", (8.0, 12.0, 16.0))],
+    ids=["power_dbm", "antennas"],
+)
+def test_sweep_rows_equal_isolated_points(axis, values):
+    """A power sweep shares each drop's scenario, estimation model and MR
+    table across its values; an antenna sweep builds every point's own.
+    Either way each row equals its point evaluated in isolation."""
+    config = small_config(seed=11)
+    spec = SweepSpec(axis=axis, values=values, drops=2)
+    assert run_sweep(spec, config) == isolated_point_rows(spec, config)
+
+
+@pytest.mark.parametrize(
+    "axis, values, builds, moment_tables",
+    [
+        # one build per drop; one MR table per drop and one common table per point
+        ("power_dbm", (0.0, 15.0, 30.0), 2, 2 + 6),
+        # M changes the drop: one build and both tables per (value, drop)
+        ("antennas", (8.0, 12.0, 16.0), 6, 6 + 6),
+    ],
+    ids=["power_dbm", "antennas"],
+)
+def test_power_sweep_builds_each_drop_once(axis, values, builds, moment_tables, monkeypatch):
+    calls = {}
+    for name in ("generate_scenario", "build_estimation_model", "closed_form_moments"):
+        def counting(*args, _name=name, _original=getattr(rssim.runner, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rssim.runner, name, counting)
+    run_sweep(SweepSpec(axis=axis, values=values, drops=2), small_config())
+    assert calls == {
+        "generate_scenario": builds,
+        "build_estimation_model": builds,
+        "closed_form_moments": moment_tables,
+    }
 
 
 def recording_allocations(monkeypatch):
@@ -390,6 +434,29 @@ def test_cli_output_that_is_a_directory_is_a_config_error(tmp_path, capsys, comm
     assert capsys.readouterr().err == f"config error: output path is a directory: {out}\n"
     assert out.is_dir() and not any(out.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sweep.cfg"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", ["directory", "missing directory"])
+def test_cli_output_path_is_checked_before_any_point(tmp_path, capsys, monkeypatch, command, case):
+    """Every point evaluation starts with the scenario, made to raise here,
+    so the output path's ConfigError must come before any point runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was evaluated before the output path was checked")
+
+    monkeypatch.setattr(rssim.runner, "generate_scenario", refuse)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 20, 30\n")
+    if case == "directory":
+        out = tmp_path / "out"
+        out.mkdir()
+        expected = f"output path is a directory: {out}"
+    else:
+        out = tmp_path / "absent" / "out.csv"
+        expected = f"output directory does not exist: {out.parent}"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
 
 
 def test_cli_validate_refuses_small_trials():
