@@ -70,10 +70,7 @@ def main(argv=None) -> int:
                 check_output_path(args.output)
             results = evaluate_drop(config, modes, config.seed, solver)
             rows = [result_row(config, mode, config.seed, results[mode]) for mode in modes]
-            text = render_csv(rows)
-            if args.output:
-                write_rows(rows, args.output)
-            sys.stdout.write(text)
+            sys.stdout.write(write_rows(rows, args.output) if args.output else render_csv(rows))
             return EXIT_OK
         if args.command == "sweep":
             if sweep is None:

@@ -7,12 +7,13 @@ program over the weight simplex.  Like the MR private beams
 hhat_i / sqrt(tr Phi_i), it is normalized deterministically: the expected
 squared norm, not the per-realization norm, equals one.
 
-The linear programs are solved by HiGHS through ``scipy.optimize.milp``
-with no integrality: the same solve as ``linprog(method="highs")``, with
-less input and result handling around it.
+The program is one epigraph linear program, solved by HiGHS through
+``scipy.optimize.milp`` with no integrality: the same solve as
+``linprog(method="highs")``, with less input and result handling around
+it.  Any optimal weight vector fits the max-min design, so the vertex
+HiGHS returns is used as it is, unless the uniform vector is optimal too.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
 from .moments import MomentTable
-
-logger = logging.getLogger(__name__)
 
 # imaginary leakage allowed in the nominally-real weight-problem entries
 U_REAL_TOL = 1e-10
@@ -92,12 +91,11 @@ def solve_common_weights(problem: CommonWeightProblem):
     weight simplex.
 
     Solved as the epigraph linear program: max t subject to
-    sum_i a_i v[i, k] >= t for every UE k, a >= 0, sum a = 1.  Ties are
-    broken deterministically: the uniform vector wins when it is optimal,
-    otherwise the lexicographically smallest optimal vertex is returned,
-    refined from the epigraph LP's vertex.  If that refinement fails, the
-    vertex itself is returned and the failing stage is logged at debug
-    level.  Returns (weights, achieved min).
+    sum_i a_i v[i, k] >= t for every UE k, a >= 0, sum a = 1.  Any optimum
+    serves the max-min design; the one returned is the uniform vector when
+    it is optimal, otherwise the vertex HiGHS returns, clipped at 0 and
+    renormalized, which is deterministic for a given SciPy.  Returns
+    (weights, achieved min).
     """
     K = problem.K
     v = problem.constraint_matrix()
@@ -109,78 +107,28 @@ def solve_common_weights(problem: CommonWeightProblem):
     if K == 1:
         return np.array([1.0]), float(v[0, 0])
 
-    # variables [a_0 .. a_{K-1}, t]; maximize t
+    # variables [a_0 .. a_{K-1}, t]; maximize t subject to
+    # t - v[:, k] @ a <= 0 for every k and sum a = 1
     c = np.zeros(K + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([-v.T, np.ones((K, 1))])   # t - v[:, k] @ a <= 0
-    lower = np.append(np.zeros(K), -np.inf)
-    res = _lp(c, a_ub, np.zeros(K), np.append(np.ones(K), 0.0), 1.0, lower)
+    constraints = LinearConstraint(
+        np.vstack([np.hstack([-v.T, np.ones((K, 1))]), np.append(np.ones(K), 0.0)]),
+        np.append(np.full(K, -np.inf), 1.0),
+        np.append(np.zeros(K), 1.0),
+    )
+    res = milp(c, constraints=constraints, bounds=Bounds(np.append(np.zeros(K), -np.inf), np.inf))
     if not res.success:
         raise NumericalError(f"weight LP failed: {res.message}")
     t_star = float(res.x[-1])
 
     uniform = np.full(K, 1.0 / K)
     t_uniform = float(np.min(uniform @ v))
-    slack = 1e-12 * max(1.0, abs(t_star))
-    if t_uniform >= t_star - slack:
+    if t_uniform >= t_star - 1e-12 * max(1.0, abs(t_star)):
         return uniform, t_uniform
 
-    try:
-        weights = _lexicographic_refinement(
-            v, t_star - 1e-9 * max(1.0, abs(t_star)), res.x[:K].copy()
-        )
-    except NumericalError as exc:
-        # accumulated stage rounding can starve the last free weights at
-        # larger K; the unrefined vertex is already optimal and deterministic
-        logger.debug("weight tie-break chain fell back to the epigraph vertex: %s", exc)
-        weights = np.clip(res.x[:K], 0.0, None)
-        weights = weights / weights.sum()
+    weights = np.clip(res.x[:K], 0.0, None)
+    weights = weights / weights.sum()
     return weights, float(np.min(weights @ v))
-
-
-def _lexicographic_refinement(v: np.ndarray, t_floor: float, vertex: np.ndarray) -> np.ndarray:
-    """Among weight vectors achieving at least t_floor, pick the
-    lexicographically smallest one with a chain of small LPs.
-
-    Stage j minimizes a_j with a_0 .. a_{j-1} fixed.  ``vertex`` is a
-    feasible weight vector whose first j entries are the weights fixed so
-    far; each solved stage writes its solution into ``vertex[j:]``.  When
-    ``vertex[j]`` is already 0 it is the stage's optimum (a_j >= 0), so
-    a_j = 0 is fixed without solving that stage's LP.
-    """
-    K = v.shape[0]
-    fixed: list[float] = []
-    for j in range(K):
-        n_free = K - j
-        if n_free == 1:
-            fixed.append(max(1.0 - sum(fixed), 0.0))
-            break
-        if vertex[j] == 0.0:
-            fixed.append(0.0)
-            continue
-        c = np.zeros(n_free)
-        c[0] = 1.0  # minimize the first still-free weight
-        b_ub = -t_floor + (v[:j, :].T @ np.array(fixed) if j else np.zeros(K))
-        res = _lp(c, -v[j:, :].T, b_ub, np.ones(n_free), 1.0 - sum(fixed), np.zeros(n_free))
-        if not res.success:
-            raise NumericalError(f"weight tie-break LP failed at position {j}: {res.message}")
-        vertex[j:] = res.x
-        fixed.append(max(float(res.x[0]), 0.0))
-    return np.array(fixed)
-
-
-def _lp(c, a_ub, b_ub, a_eq, b_eq: float, lower):
-    """Minimize c @ x subject to a_ub @ x <= b_ub, a_eq @ x = b_eq and
-    x >= lower.
-
-    Solved with ``milp`` (see the module docstring).  Returns its result.
-    """
-    constraints = LinearConstraint(
-        np.vstack([a_ub, a_eq]),
-        np.append(np.full(len(b_ub), -np.inf), b_eq),
-        np.append(b_ub, b_eq),
-    )
-    return milp(c, constraints=constraints, bounds=Bounds(lower, np.inf))
 
 
 def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.ndarray:

@@ -262,7 +262,8 @@ def check_output_path(output_path: str) -> str:
 
 
 def write_rows(rows, output_path: str):
-    """Atomic CSV write: render, write to a sibling temp file, rename."""
+    """Atomic CSV write: render, write to a sibling temp file, rename.
+    Returns the CSV text written."""
     data = render_csv(rows)
     directory = check_output_path(output_path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -274,3 +275,4 @@ def write_rows(rows, output_path: str):
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+    return data

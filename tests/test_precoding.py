@@ -6,7 +6,7 @@ from scipy.optimize import linprog, milp
 
 import rssim.precoding as precoding
 from rssim.config import SweepSpec
-from rssim.errors import InvalidWeightsError, NumericalError
+from rssim.errors import InvalidWeightsError
 from rssim.estimation import build_estimation_model, simulate_batch
 from rssim.precoding import (
     CommonWeightProblem,
@@ -15,67 +15,13 @@ from rssim.precoding import (
     solve_common_weights,
 )
 from rssim.moments import closed_form_moments
-from rssim.runner import derive_point_seed, run_sweep
-from rssim.scenario import ScenarioConfig, generate_scenario
-from rssim.units import dbm_to_mw
+from rssim.runner import run_sweep
+from rssim.scenario import ScenarioConfig
 from rssim.validation import simplex_grid_max_min
 
 from conftest import diagonal_covariances
 
 SWEEP_POWERS_DBM = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0)
-
-
-def full_chain(v, t_floor, vertex):
-    """The tie-break chain with one LP at every stage and no skipping:
-    K - 1 stage LPs after the epigraph LP.  ``vertex`` is ignored.  Its
-    stages go through ``linprog``, so the chain tests also pin the
-    package's ``milp`` stage solves to ``linprog``'s, bit for bit."""
-    K = v.shape[0]
-    fixed = []
-    for j in range(K - 1):
-        n_free = K - j
-        c = np.zeros(n_free)
-        c[0] = 1.0
-        b_ub = -t_floor + (v[:j, :].T @ np.array(fixed) if j else np.zeros(K))
-        res = linprog(
-            c, A_ub=-v[j:, :].T, b_ub=b_ub, A_eq=np.ones((1, n_free)),
-            b_eq=[1.0 - sum(fixed)], bounds=[(0.0, None)] * n_free, method="highs",
-        )
-        if not res.success:
-            raise NumericalError(f"full chain failed at position {j}")
-        fixed.append(max(float(res.x[0]), 0.0))
-    fixed.append(max(1.0 - sum(fixed), 0.0))
-    return np.array(fixed)
-
-
-def solve_or_none(problem, caplog):
-    """``solve_common_weights``, or None when its chain fell back."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="rssim.precoding"):
-        weights, t = solve_common_weights(problem)
-    return None if caplog.records else (weights, t)
-
-
-def skipping_and_full_chain(problem, monkeypatch, caplog):
-    skipping = solve_or_none(problem, caplog)
-    with monkeypatch.context() as patched:
-        patched.setattr(precoding, "_lexicographic_refinement", full_chain)
-        full = solve_or_none(problem, caplog)
-    return skipping, full
-
-
-def scenario_problems(config, powers_dbm):
-    """Weight problems of drop 0 of master seed 0 at each total power."""
-    rng = np.random.default_rng(derive_point_seed(0, 0))
-    _, cov = generate_scenario(config, rng)
-    model = build_estimation_model(cov, config.rho_tr_effective)
-    mr = closed_form_moments(model)
-    return [
-        build_common_weight_problem(
-            model, mr, np.full(config.K, dbm_to_mw(p) / config.K), config.noise_mw
-        )
-        for p in powers_dbm
-    ]
 
 
 def test_mr_expected_norm_is_one(small_setup):
@@ -123,44 +69,50 @@ def test_solve_weights_matches_grid_oracle():
         assert abs(t_star - t_grid) <= 1e-2 * abs(t_star)
 
 
-@pytest.mark.parametrize(
-    "config, powers_dbm",
-    [
-        (ScenarioConfig(M=64, K=8, seed=0), SWEEP_POWERS_DBM),
-        (ScenarioConfig(M=16, K=12, rho_tr_dbm=-10.0, seed=0), (10.0, 20.0, 30.0, 40.0)),
-        (ScenarioConfig(M=200, K=20, seed=0), (20.0,)),
-    ],
-    ids=["64x8", "16x12-low-pilot", "200x20"],
-)
-def test_skipping_chain_matches_full_chain_on_scenarios(config, powers_dbm, monkeypatch, caplog):
-    for problem in scenario_problems(config, powers_dbm):
-        skipping, full = skipping_and_full_chain(problem, monkeypatch, caplog)
-        assert skipping is not None and full is not None
-        assert np.array_equal(skipping[0], full[0])
-        assert skipping[1] == full[1]
+def assert_deterministic_epigraph_optimum(problem):
+    K, v = problem.K, problem.constraint_matrix()
+    weights, t = solve_common_weights(problem)
+    assert np.all(weights >= 0.0), K
+    assert abs(weights.sum() - 1.0) <= 1e-12, K
+    assert t == np.min(weights @ v), K
+    # the epigraph LP through linprog: variables [a, t], maximize t
+    res = linprog(
+        np.append(np.zeros(K), -1.0),
+        A_ub=np.hstack([-v.T, np.ones((K, 1))]), b_ub=np.zeros(K),
+        A_eq=np.append(np.ones(K), 0.0)[None, :], b_eq=[1.0],
+        bounds=[(0.0, None)] * K + [(None, None)], method="highs",
+    )
+    assert res.success, K
+    assert t >= -res.fun - 1e-9 * abs(res.fun), K
+    again, _ = solve_common_weights(problem)
+    assert np.array_equal(weights, again), K
 
 
-def test_skipping_chain_matches_full_chain_on_random_problems(monkeypatch, caplog):
-    # drawn like test_solve_weights_matches_grid_oracle, K from 2 to 20; a
-    # problem counts only where neither chain falls back to the epigraph
-    # vertex, since the chains can fail at different stages
+def test_solve_weights_is_a_deterministic_epigraph_optimum(caplog):
+    # drawn like test_solve_weights_matches_grid_oracle, K from 2 to 20
     rng = np.random.default_rng(11)
-    compared = 0
-    while compared < 500:
-        K = int(rng.integers(2, 21))
-        u = np.abs(rng.normal(1.0, 0.5, size=(K, K))) + 0.05
-        problem = CommonWeightProblem(u=u, pi=rng.uniform(0.5, 2.0, size=K))
-        skipping, full = skipping_and_full_chain(problem, monkeypatch, caplog)
-        if skipping is None or full is None:
-            continue
-        assert np.array_equal(skipping[0], full[0]), K
-        assert skipping[1] == full[1], K
-        compared += 1
+    with caplog.at_level(logging.DEBUG, logger="rssim.precoding"):
+        for _ in range(500):
+            K = int(rng.integers(2, 21))
+            u = np.abs(rng.normal(1.0, 0.5, size=(K, K))) + 0.05
+            pi = rng.uniform(0.5, 2.0, size=K)
+            assert_deterministic_epigraph_optimum(CommonWeightProblem(u=u, pi=pi))
+    assert not caplog.records
 
 
-def test_power_sweep_skips_the_stages_the_vertex_fixes_at_zero(monkeypatch):
-    # 6 rs points, each one epigraph LP and 3 stage LPs; the full chain
-    # solves all 7 stages of K = 8 and makes 48 calls
+def test_solve_weights_logs_nothing_where_refinement_failed(caplog):
+    # the K = 20 problem of seed 2, on which refining the vertex to the
+    # lexicographically smallest optimum fails with an infeasible stage LP
+    rng = np.random.default_rng(2)
+    u = np.abs(rng.normal(1.0, 0.5, size=(20, 20))) + 0.05
+    problem = CommonWeightProblem(u=u, pi=rng.uniform(0.5, 2.0, size=20))
+    with caplog.at_level(logging.DEBUG, logger="rssim.precoding"):
+        assert_deterministic_epigraph_optimum(problem)
+    assert not caplog.records
+
+
+def test_power_sweep_solves_one_weight_lp_per_rs_point(monkeypatch):
+    # 6 rs points, one epigraph LP each; the uniform vector is optimal at none
     calls = []
 
     def counting_milp(*args, **kwargs):
@@ -170,28 +122,7 @@ def test_power_sweep_skips_the_stages_the_vertex_fixes_at_zero(monkeypatch):
     monkeypatch.setattr(precoding, "milp", counting_milp)
     spec = SweepSpec(axis="power_dbm", values=SWEEP_POWERS_DBM, drops=1)
     run_sweep(spec, ScenarioConfig(M=64, K=8, seed=0))
-    assert len(calls) == 24
-
-
-def test_chain_fallback_is_logged(monkeypatch, caplog):
-    rng = np.random.default_rng(2)
-    u = np.abs(rng.normal(1.0, 0.5, size=(20, 20))) + 0.05
-    problem = CommonWeightProblem(u=u, pi=rng.uniform(0.5, 2.0, size=20))
-    results = []
-
-    def recording_milp(*args, **kwargs):
-        results.append(milp(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(precoding, "milp", recording_milp)
-    with caplog.at_level(logging.DEBUG, logger="rssim.precoding"):
-        weights, _ = solve_common_weights(problem)
-    [record] = caplog.records
-    assert record.levelno == logging.DEBUG
-    assert "fell back to the epigraph vertex" in record.getMessage()
-    assert "failed at position 16" in record.getMessage()
-    vertex = np.clip(results[0].x[:20], 0.0, None)
-    assert np.array_equal(weights, vertex / vertex.sum())
+    assert len(calls) == len(SWEEP_POWERS_DBM)
 
 
 def test_solve_weights_scale_invariant_direction():

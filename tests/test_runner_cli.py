@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rssim.cli
 import rssim.moments
 import rssim.power
 import rssim.runner
@@ -332,6 +333,21 @@ def test_cli_run_both_modes_equals_point_rows(tmp_path, capsys):
     config = small_config(rho_total_dbm=30, seed=6)
     rows = [run_point(config, mode, seed=6) for mode in ("rs", "no_rs")]
     assert capsys.readouterr().out == render_csv(rows)
+
+
+def test_cli_run_output_renders_the_csv_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_render_csv(rows):
+        calls.append(rows)
+        return render_csv(rows)
+
+    monkeypatch.setattr(rssim.runner, "render_csv", counting_render_csv)
+    monkeypatch.setattr(rssim.cli, "render_csv", counting_render_csv)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--seed", "6", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_cli_config_error_exit_code(tmp_path):
