@@ -79,6 +79,68 @@ def outer_sums(a, b):
     return total, rr_rr + ii_ii + cross, ii_rr + rr_ii - cross
 
 
+def batch_sizes(n: int, size: int):
+    """Sizes of the consecutive draws that make up n samples, at most ``size``
+    each; the draw size fixes how a random stream is consumed."""
+    full, rest = divmod(n, size)
+    return [size] * full + ([rest] if rest else [])
+
+
+class SampleMean:
+    """Streaming sample mean of real or complex samples with its standard error.
+
+    Keeps the running sum, the sums of the squared real and imaginary parts
+    and the count.  ``add`` takes raw samples along a leading axis;
+    ``add_sums`` takes the (S, S_re2, S_im2) triple of ``outer_sums``.  The
+    imaginary parts of real samples are never squared.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.total = self.re2 = self.im2 = 0.0
+
+    def add(self, samples):
+        im2 = (samples.imag**2).sum(axis=0) if np.iscomplexobj(samples) else 0.0
+        self.add_sums(samples.sum(axis=0), (samples.real**2).sum(axis=0), im2, len(samples))
+
+    def add_sums(self, total, re2, im2, n: int):
+        self.total = self.total + total
+        self.re2 = self.re2 + re2
+        self.im2 = self.im2 + im2
+        self.n += n
+
+    @property
+    def mean(self):
+        return self.total / self.n
+
+    def _variances(self):
+        mean = self.mean
+        var_re = np.maximum(self.re2 / self.n - mean.real**2, 0.0)
+        var_im = np.maximum(self.im2 / self.n - mean.imag**2, 0.0)
+        return var_re, var_im
+
+    @property
+    def se(self):
+        """Standard error of the mean, real and imaginary parts combined."""
+        var_re, var_im = self._variances()
+        return np.sqrt((var_re + var_im) / self.n)
+
+    @property
+    def part_se(self):
+        """Standard errors of the real and of the imaginary part of the mean."""
+        return tuple(np.sqrt(var / self.n) for var in self._variances())
+
+    def z_scores(self, expected=0.0):
+        """Per entry, |mean - expected| in standard errors of the real or the
+        imaginary part, whichever is larger; SEs are floored at 1e-300."""
+        dev = self.mean - expected
+        se_re, se_im = self.part_se
+        return np.maximum(
+            np.abs(dev.real) / np.maximum(se_re, 1e-300),
+            np.abs(dev.imag) / np.maximum(se_im, 1e-300),
+        )
+
+
 def standard_complex_gaussian(rng, shape):
     """Draw i.i.d. CN(0, 1) entries (unit variance per complex entry)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

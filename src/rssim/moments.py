@@ -8,7 +8,8 @@ estimates, which the closed forms take from a circularly-symmetric complex
 Gaussian (E{|c_m|^4} = 2).  The real-Gaussian alternative (E{|c_m|^4} = 3)
 survives only in the Monte Carlo vote ``select_quartic_variant``, an oracle
 that ``rssim validate`` runs to confirm that the circular value is the one
-the estimates follow.
+the estimates follow.  The vote's sample means stream through
+``linalg.SampleMean``, which the closed forms never read.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +19,12 @@ import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import EstimationModel
-from .linalg import outer_sums, standard_complex_gaussian
+from .linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
 
 QUARTIC_VARIANTS = ("real", "circular")
+
+# samples per draw of the quartic vote; the draw size fixes the random stream
+QUARTIC_BATCH = 50_000
 
 # imaginary parts of nominally-real traces above this (relative) level
 # indicate a broken covariance set rather than rounding
@@ -34,19 +38,14 @@ class MomentTable:
     ``G_private[k, i]`` is the mean squared response of UE k to the beam of
     UE i; ``g_private[k]`` is the mean response of UE k to its own beam.
     Common-stream entries are zero when no common precoder is in use, and
-    such a table has no common stream.  Monte Carlo tables also carry
-    standard-error estimates.  The last three fields are fixed by the
-    entries and derived from them once.
+    such a table has no common stream.  The last three fields are fixed by
+    the entries and derived from them once.
     """
 
     g_private: np.ndarray   # (K,) complex
     G_private: np.ndarray   # (K, K) real
     g_common: np.ndarray    # (K,) complex
     G_common: np.ndarray    # (K,) real
-    se_g_private: np.ndarray | None = None
-    se_G_private: np.ndarray | None = None
-    se_g_common: np.ndarray | None = None
-    se_G_common: np.ndarray | None = None
     own_private: np.ndarray = field(init=False)      # |g_private|^2
     own_common: np.ndarray = field(init=False)       # |g_common|^2
     common_variance: np.ndarray = field(init=False)  # max(G_common - |g_common|^2, 0)
@@ -91,10 +90,10 @@ def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     raise ValueError(f"unknown quartic variant {variant!r}")
 
 
-def estimate_pair_moment(k: int, i: int, j: int, model: EstimationModel) -> complex:
-    """E{h_k^H hhat_i hhat_j^H h_k} for i != j, assembled from the
-    estimate-colinearity substitution, the error-covariance split, and the
-    circular quartic moment.
+def estimate_pair_moments(model: EstimationModel) -> np.ndarray:
+    """The (K, K, K) table [k, i, j] = E{h_k^H hhat_i hhat_j^H h_k}, valid
+    for i != j, assembled from the estimate-colinearity substitution, the
+    error-covariance split, and the circular quartic moment.
 
     The substitution hhat_j = R_j R_i^{-1} hhat_i carries a trailing
     R_k^{-1} R_i factor into the quartic term; the inverses cancel
@@ -103,7 +102,7 @@ def estimate_pair_moment(k: int, i: int, j: int, model: EstimationModel) -> comp
     which is the form evaluated here (exact for any covariances, no ridge).
     """
     ct = model.cross_trace
-    return complex(ct[i, k] * ct[k, j] + model.triple_trace[i, j, k])
+    return ct.T[:, :, None] * ct[:, None, :] + np.moveaxis(model.triple_trace, 2, 0)
 
 
 def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
@@ -123,12 +122,13 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     For the common beam, sum_i w_i hhat_i = R_w Q^{-1} y is the MMSE estimate
     of a virtual UE with covariance R_w = sum_i w_i R_i (w real).  Since
     tr(C_ki) = conj(tr(C_ik)) and tr(R_i Q^{-1} R_i R_k) = tr(R_k Phi_i), the
-    diagonal (same-estimate) terms and the ``estimate_pair_moment`` pair terms
+    diagonal (same-estimate) terms and the ``estimate_pair_moments`` pair terms
     sum to
         sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power
     formula for the virtual UE, at one Q^{-1} solve and one M x M product.
+    No sample is drawn here; ``validation.mc_moment_table`` is the oracle.
     """
     degenerate = np.flatnonzero(model.phi_trace <= 0)
     if degenerate.size:
@@ -159,29 +159,16 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     return table
 
 
-def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator, chunk: int = 50_000):
-    """Monte Carlo estimate of E{c c^H B c c^H} with componentwise
-    standard errors, accumulated in chunks to bound memory."""
+def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator) -> SampleMean:
+    """Monte Carlo estimate of E{c c^H B c c^H}, accumulated in draws of
+    ``QUARTIC_BATCH`` samples to bound memory."""
     M = B.shape[0]
-    s1 = np.zeros((M, M), dtype=complex)
-    s2_re = np.zeros((M, M))
-    s2_im = np.zeros((M, M))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
+    estimate = SampleMean()
+    for m in batch_sizes(n, QUARTIC_BATCH):
         c = standard_complex_gaussian(rng, (m, M))
         q = np.einsum("nm,mk,nk->n", c.conj(), B, c, optimize=True)
-        term, term_re2, term_im2 = outer_sums(q[:, None] * c, c)
-        s1 += term
-        s2_re += term_re2
-        s2_im += term_im2
-        done += m
-    mean = s1 / n
-    var_re = np.maximum(s2_re / n - mean.real**2, 0.0)
-    var_im = np.maximum(s2_im / n - mean.imag**2, 0.0)
-    se_re = np.sqrt(var_re / n)
-    se_im = np.sqrt(var_im / n)
-    return mean, se_re, se_im
+        estimate.add_sums(*outer_sums(q[:, None] * c, c), m)
+    return estimate
 
 
 @dataclass
@@ -194,26 +181,6 @@ class QuarticAdjudication:
     max_abs_dev: dict    # variant -> worst |deviation|
 
 
-def adjudicate_quartic_pair(B: np.ndarray, n: int, rng: np.random.Generator, z_limit: float = 3.0):
-    """Compare both closed-form variants of E{c c^H B c c^H} against a
-    Monte Carlo estimate; a variant passes when every real and imaginary
-    component deviates by less than ``z_limit`` standard errors."""
-    mean, se_re, se_im = mc_c_quartic(B, n, rng)
-    se_re = np.maximum(se_re, 1e-300)
-    se_im = np.maximum(se_im, 1e-300)
-    out = {}
-    for variant in QUARTIC_VARIANTS:
-        closed = quartic_identity(B, variant)
-        dev = mean - closed
-        z = max(np.abs(dev.real / se_re).max(), np.abs(dev.imag / se_im).max())
-        out[variant] = {
-            "max_z": float(z),
-            "max_abs_dev": float(np.abs(dev).max()),
-            "passes": bool(z <= z_limit),
-        }
-    return out
-
-
 def select_quartic_variant(
     n_pairs: int = 5,
     m_values=(2, 4, 8),
@@ -224,26 +191,27 @@ def select_quartic_variant(
     """Run the variant vote on ``n_pairs`` random complex matrices B.
 
     The vote happens in the coordinates of the unit Gaussian, where the two
-    variants differ by diag(B).  The winner is the variant with the
-    smallest worst-case deviation; ``unique`` is True when exactly one
-    variant passes the z-test on every component of every B.
+    variants differ by diag(B).  A variant passes when every real and
+    imaginary component of every B deviates from the Monte Carlo estimate
+    by at most ``z_limit`` standard errors.  The winner is the variant with
+    the smallest worst-case deviation; ``unique`` is True when exactly one
+    variant passes.
     """
     rng = np.random.default_rng(seed)
     worst_z = {v: 0.0 for v in QUARTIC_VARIANTS}
     worst_dev = {v: 0.0 for v in QUARTIC_VARIANTS}
-    passes = {v: True for v in QUARTIC_VARIANTS}
     for p in range(n_pairs):
         M = int(m_values[p % len(m_values)])
         # a draw nothing reads, kept so that every B and the vote's samples
         # stay on the same random stream
         standard_complex_gaussian(rng, (M, M))
         B = standard_complex_gaussian(rng, (M, M)) * np.sqrt(2.0)
-        result = adjudicate_quartic_pair(B, n_samples, rng, z_limit)
+        estimate = mc_c_quartic(B, n_samples, rng)
         for v in QUARTIC_VARIANTS:
-            worst_z[v] = max(worst_z[v], result[v]["max_z"])
-            worst_dev[v] = max(worst_dev[v], result[v]["max_abs_dev"])
-            passes[v] = passes[v] and result[v]["passes"]
-    passing = [v for v in QUARTIC_VARIANTS if passes[v]]
+            closed = quartic_identity(B, v)
+            worst_z[v] = max(worst_z[v], float(estimate.z_scores(closed).max()))
+            worst_dev[v] = max(worst_dev[v], float(np.abs(estimate.mean - closed).max()))
+    passing = [v for v in QUARTIC_VARIANTS if worst_z[v] <= z_limit]
     winner = passing[0] if len(passing) == 1 else min(worst_z, key=worst_z.get)
     return QuarticAdjudication(
         winner=winner,

@@ -173,24 +173,23 @@ NEWTON_HALVINGS = 3
 
 def ila_wf(
     moments: MomentTable,
-    rho_total: float,
-    sigma2: float,
     config: ScenarioConfig,
     options: IlaWfOptions | None = None,
 ) -> PowerAllocation:
     """One allocation run: budget-exact water-filling, finished by active-set Newton steps.
 
-    The run starts from no common power and a uniform private split, and
-    relinearizes at every iterate.  Once the common stream is off and the
-    set of private streams with power has held for ``NEWTON_AFTER``
-    iterates, and while the water-filling step keeps that set, the run
-    takes Newton steps on the set's KKT system with the budget as an
-    equality (Bertsekas, SIAM J. Control Optim. 1982).  The budget binds
-    at every KKT point, since scaling all powers up raises every SINR.
-    Otherwise, or when the Newton step fails, the run takes the
-    water-filling step, the only step that opens a stream.  It stops as
-    converged when ``_kkt_test`` passes; at the iteration cap it returns
-    its last iterate with ``converged=False``.
+    The budget and the noise power come from ``config``, which also scores
+    every iterate through ``se_report``.  The run starts from no common
+    power and a uniform private split, and relinearizes at every iterate.
+    Once the common stream is off and the set of private streams with power
+    has held for ``NEWTON_AFTER`` iterates, and while the water-filling
+    step keeps that set, the run takes Newton steps on the set's KKT system
+    with the budget as an equality (Bertsekas, SIAM J. Control Optim.
+    1982).  The budget binds at every KKT point, since scaling all powers
+    up raises every SINR.  Otherwise, or when the Newton step fails, the
+    run takes the water-filling step, the only step that opens a stream.
+    It stops as converged when ``_kkt_test`` passes; at the iteration cap
+    it returns its last iterate with ``converged=False``.
 
     On a table without common weights the common stream never joins a
     step.  While it has no power a run reads no common-stream entry of its
@@ -198,6 +197,7 @@ def ila_wf(
     table without common weights.
     """
     opts = options or IlaWfOptions()
+    rho_total, sigma2 = config.rho_total_mw, config.noise_mw
 
     def linearize(rc, r, rep):
         """The linearization at an iterate and the water-filling step from it."""

@@ -128,24 +128,22 @@ def allocate_drop(
     """
     solver = solver or IlaWfOptions()
     model, mr_table = drop
-    sigma2 = config.noise_mw
-    rho_total = config.rho_total_mw
     results = {}
     fallback = None
     if "rs" in modes:
         problem = build_common_weight_problem(
-            model, mr_table, np.full(config.K, rho_total / config.K), sigma2
+            model, mr_table, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
         )
         weights, _ = solve_common_weights(problem)
         moments = closed_form_moments(model, weights)
-        joint = fallback = ila_wf(moments, rho_total, sigma2, config, solver)
+        joint = fallback = ila_wf(moments, config, solver)
         if joint.common_opened:
-            fallback = ila_wf(mr_table, rho_total, sigma2, config, solver)
+            fallback = ila_wf(mr_table, config, solver)
         alloc = joint if joint.beats(fallback) else fallback
         results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
     if "no_rs" in modes:
         if fallback is None:
-            fallback = ila_wf(mr_table, rho_total, sigma2, config, solver)
+            fallback = ila_wf(mr_table, config, solver)
         results["no_rs"] = (se_report(fallback.powers, mr_table, config), fallback, None)
     return results
 

@@ -34,8 +34,8 @@ from rssim.validation import (
     relative_frobenius,
     simplex_grid_max_min,
     sum_se_derivative_fd_errors,
-    tolerance_excess,
     well_conditioned_covariances,
+    worst_moment_excess,
 )
 
 from conftest import stationarity_residuals
@@ -73,16 +73,10 @@ def test_criterion_1_closed_form_moment_oracle():
         M, K = sizes[case % len(sizes)]
         config = ScenarioConfig(M=M, K=K, seed=8100 + case)
         _, model, weights, closed = build_tables(config, 8100 + case)
-        mc, _ = mc_moment_table(
+        mc, info = mc_moment_table(
             model, 100_000, np.random.default_rng(9100 + case), weights
         )
-        worst = max(
-            worst,
-            tolerance_excess(closed.g_private, mc.g_private, mc.se_g_private).max(),
-            tolerance_excess(closed.G_private, mc.G_private, mc.se_G_private).max(),
-            tolerance_excess(closed.g_common, mc.g_common, mc.se_g_common).max(),
-            tolerance_excess(closed.G_common, mc.G_common, mc.se_G_common).max(),
-        )
+        worst = max(worst, worst_moment_excess(closed, mc, info["se"]))
     elapsed = time.time() - t0
     ok = worst <= 1.0 and elapsed < 300
     assert announce(
@@ -183,7 +177,7 @@ def test_criterion_5_ila_wf_contracts():
     worst_res, worst_fd = 0.0, 0.0
     for case in range(100):
         _, model, weights, table = build_tables(config, 8200 + case)
-        alloc = ila_wf(table, rho_total, sigma2, config)
+        alloc = ila_wf(table, config)
         feasible += alloc.powers.total <= rho_total * (1 + 1e-6)
         res_p, res_c = stationarity_residuals(alloc.powers, alloc.mu, table, sigma2)
         active = alloc.powers.rho > 0

@@ -367,7 +367,7 @@ def test_budget_step_rejects_nonpositive_sigma1():
 def test_ila_wf_initialization_state(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     first = alloc.trace[0]
     assert first.iteration == 0
     assert first.rho_c == 0.0
@@ -381,7 +381,7 @@ def criterion_7_two_ue_joint_run():
     config = ScenarioConfig(M=64, K=2, rho_total_dbm=20, seed=0)
     _, cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
     table = rs_table(config, build_estimation_model(cov, config.rho_tr_effective))
-    return config, ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    return config, ila_wf(table, config)
 
 
 def test_ila_wf_budget_feasible(small_setup):
@@ -390,7 +390,7 @@ def test_ila_wf_budget_feasible(small_setup):
     # included
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     c7_config, joint = criterion_7_two_ue_joint_run()
     assert joint.common_opened
     for cfg, run in ((config, alloc), (c7_config, joint)):
@@ -403,15 +403,13 @@ def test_ila_wf_symmetric_two_ues():
     R = local_scattering_covariance(1.5, [0.3, -0.2, 0.8], np.radians(10), 16)
     cov = CovarianceSet(R=np.stack([R, R]), beta=np.array([1.5, 1.5]))
     model = build_estimation_model(cov, 50.0)
-    config = ScenarioConfig(M=16, K=2)
+    config = ScenarioConfig(M=16, K=2, noise_dbm=-30.0)  # 100 mW budget, 1e-3 mW noise
     mr = closed_form_moments(model)
-    problem = build_common_weight_problem(model, mr, np.full(2, 50.0), 1e-3)
+    problem = build_common_weight_problem(model, mr, np.full(2, 50.0), config.noise_mw)
     weights, _ = solve_common_weights(problem)
     assert np.array_equal(weights, [0.5, 0.5])
     # the tie rule picks between the runs with and without the common stream
-    joint, fallback = (
-        ila_wf(closed_form_moments(model, w), 100.0, 1e-3, config) for w in (weights, None)
-    )
+    joint, fallback = (ila_wf(closed_form_moments(model, w), config) for w in (weights, None))
     alloc = joint if joint.beats(fallback) else fallback
     assert alloc.converged
     rel = abs(alloc.powers.rho[0] - alloc.powers.rho[1]) / alloc.powers.rho[0]
@@ -421,7 +419,7 @@ def test_ila_wf_symmetric_two_ues():
 def test_ila_wf_stationarity_at_convergence(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     assert alloc.converged
     res_p, res_c = stationarity_residuals(alloc.powers, alloc.mu, table, config.noise_mw)
     active = alloc.powers.rho > 0
@@ -436,7 +434,7 @@ def test_ila_wf_stationarity_at_convergence(small_setup):
 def test_ila_wf_improves_on_uniform_init(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     init = PowerVector(0.0, np.full(config.K, config.rho_total_mw / config.K))
     assert (
         se_report(alloc.powers, table, config).sum_se
@@ -447,7 +445,7 @@ def test_ila_wf_improves_on_uniform_init(small_setup):
 def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup):
     config, _, model, _ = small_setup
     table = closed_form_moments(model)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     assert alloc.powers.rho_c == 0.0
     for record in alloc.trace:
         assert record.rho_c == 0.0
@@ -476,7 +474,7 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
         mr_table, weighted_table = (closed_form_moments(mdl, x) for x in (None, w))
-        pinned = ila_wf(mr_table, cfg.rho_total_mw, cfg.noise_mw, cfg)
+        pinned = ila_wf(mr_table, cfg)
         assert not pinned.common_opened
         for record in pinned.trace:
             point = PowerVector(0.0, record.rho)
@@ -509,7 +507,7 @@ def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setu
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
         weighted, mr = (
-            ila_wf(closed_form_moments(mdl, x), cfg.rho_total_mw, cfg.noise_mw, cfg)
+            ila_wf(closed_form_moments(mdl, x), cfg)
             for x in (w, None)
         )
         assert not weighted.common_opened
@@ -561,10 +559,7 @@ def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
         assert len(runs) == 1
         table, joint = runs[0]
         assert not joint.common_opened
-        pinned = ila_wf(
-            without_common_stream(table), point_config.rho_total_mw, point_config.noise_mw,
-            point_config,
-        )
+        pinned = ila_wf(without_common_stream(table), point_config)
         assert joint.converged or not pinned.converged
 
 
@@ -579,10 +574,8 @@ def test_ila_wf_unreachable_tolerance_returns_the_last_iterate():
     # the iteration cap alone stops a run that would converge later
     config, _, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     table = closed_form_moments(model)
-    assert ila_wf(table, config.rho_total_mw, config.noise_mw, config).iterations > 6
-    alloc = ila_wf(
-        table, config.rho_total_mw, config.noise_mw, config, IlaWfOptions(max_iterations=6)
-    )
+    assert ila_wf(table, config).iterations > 6
+    alloc = ila_wf(table, config, IlaWfOptions(max_iterations=6))
     assert not alloc.converged
     assert alloc.iterations == 6
     assert_returns_last_iterate(alloc)
@@ -660,7 +653,7 @@ def test_low_pilot_sweep_takes_few_iterations(monkeypatch):
 def test_ila_wf_trace_records_sum_se(small_setup):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config.rho_total_mw, config.noise_mw, config)
+    alloc = ila_wf(table, config)
     assert len(alloc.trace) == len({r.iteration for r in alloc.trace})
     assert all(np.isfinite(r.sum_se) for r in alloc.trace)
 
