@@ -16,14 +16,6 @@ def hermitian_part(a):
     return 0.5 * (a + a.conj().T)
 
 
-def max_hermitian_asymmetry(a):
-    """Largest |A - A^H| entry relative to the largest |A| entry."""
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return 0.0
-    return np.abs(a - a.conj().T).max() / scale
-
-
 def sampling_factor(r):
     """Factor L with L @ L^H = R suitable for drawing Gaussian vectors.
 

@@ -15,15 +15,15 @@ system of the active set finish the run at a KKT point.
 
 The coefficients come as arrays from ``linearization_terms``; ``rssim
 validate`` checks the gradient they give and the Hessian against finite
-differences.
+differences.  Runs are not scored here; ``runner.allocate_drop`` scores them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .link import PowerVector, se_report, stream_denominators
+from .errors import ConfigError, NumericalError
+from .link import PowerVector, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
 
@@ -61,36 +61,14 @@ class LinearizationTerms:
 
 
 @dataclass
-class IterationRecord:
-    iteration: int
-    rho_c: float
-    rho: np.ndarray
-    sum_se: float
-    mu: float
-
-
-@dataclass
 class PowerAllocation:
+    """The last iterate of one run, and whether any iterate gave the common stream power."""
+
     powers: PowerVector
     mu: float
     iterations: int
-    trace: list = field(default_factory=list)
     converged: bool = False
-    l_min: int = 0
-
-    @property
-    def common_opened(self) -> bool:
-        """Whether any iterate of the run gave the common stream power."""
-        return any(record.rho_c > 0 for record in self.trace)
-
-    def beats(self, baseline: "PowerAllocation") -> bool:
-        """The tie rule: this run wins over ``baseline`` only if it converged
-        and either the baseline did not converge or this run ends with common
-        power at a strictly higher last-iterate sum SE."""
-        return self.converged and (
-            not baseline.converged
-            or (self.powers.rho_c > 0 and self.trace[-1].sum_se > baseline.trace[-1].sum_se)
-        )
+    common_opened: bool = False
 
 
 def linearization_terms(
@@ -178,18 +156,19 @@ def ila_wf(
 ) -> PowerAllocation:
     """One allocation run: budget-exact water-filling, finished by active-set Newton steps.
 
-    The budget and the noise power come from ``config``, which also scores
-    every iterate through ``se_report``.  The run starts from no common
-    power and a uniform private split, and relinearizes at every iterate.
-    Once the common stream is off and the set of private streams with power
-    has held for ``NEWTON_AFTER`` iterates, and while the water-filling
-    step keeps that set, the run takes Newton steps on the set's KKT system
-    with the budget as an equality (Bertsekas, SIAM J. Control Optim.
-    1982).  The budget binds at every KKT point, since scaling all powers
-    up raises every SINR.  Otherwise, or when the Newton step fails, the
-    run takes the water-filling step, the only step that opens a stream.
-    It stops as converged when ``_kkt_test`` passes; at the iteration cap
-    it returns its last iterate with ``converged=False``.
+    The budget and the noise power come from ``config``.  The run starts
+    from no common power and a uniform private split, and linearizes each
+    iterate once, at the bottleneck UE ``linearization_terms`` picks (at
+    rho_c > 0, in exact arithmetic, ``se_report``'s).  Once the common
+    stream is off and the set of private streams with power has held for
+    ``NEWTON_AFTER`` iterates, and while the water-filling step keeps that
+    set, the run takes Newton steps on the set's KKT system with the budget
+    as an equality (Bertsekas, SIAM J. Control Optim. 1982).  The budget
+    binds at every KKT point, since scaling all powers up raises every
+    SINR.  Otherwise, or when the Newton step fails, the run takes the
+    water-filling step, the only step that opens a stream.  It stops as
+    converged when ``_kkt_test`` passes; at the iteration cap it returns its
+    last iterate with ``converged=False``.
 
     On a table without common weights the common stream never joins a
     step.  While it has no power a run reads no common-stream entry of its
@@ -199,48 +178,39 @@ def ila_wf(
     opts = options or IlaWfOptions()
     rho_total, sigma2 = config.rho_total_mw, config.noise_mw
 
-    def linearize(rc, r, rep):
+    def linearize(rc, r):
         """The linearization at an iterate and the water-filling step from it."""
-        point = PowerVector(rc, r)
-        terms = linearization_terms(point, moments, sigma2, rep.l_min if rc > 0 else None)
+        terms = linearization_terms(PowerVector(rc, r), moments, sigma2, None)
         return terms, _budget_exact_sweep(terms, rho_total)
 
     rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
-    report = se_report(PowerVector(rho_c, rho), moments, config)
-    terms, water = linearize(rho_c, rho, report)
-    trace = [IterationRecord(0, rho_c, rho.copy(), report.sum_se, 0.0)]
+    terms, water = linearize(rho_c, rho)
     spent = True  # the uniform start spends the budget
     held = 1
-    mu = 0.0
-    converged = False
-    iteration = 0
+    opened = False
     for iteration in range(1, opts.max_iterations + 1):
         new_c, new_rho, mu_wf = water
         step = None
         if held >= NEWTON_AFTER and rho_c == new_c == 0 and np.array_equal(new_rho > 0, rho > 0):
-            step = _newton_step(terms, rho, moments, sigma2, rho_total, config)
+            step = _newton_step(terms, rho, moments, sigma2, rho_total)
         if step is None:
-            report = se_report(PowerVector(new_c, new_rho), moments, config)
             spent = mu_wf > 0
         else:
-            new_rho, report, full = step
+            new_rho, full = step
             spent = spent or full
         same_set = (new_c > 0) == (rho_c > 0) and np.array_equal(new_rho > 0, rho > 0)
         held = held + 1 if same_set else 1
         rho_c, rho = new_c, new_rho
-        terms, water = linearize(rho_c, rho, report)
+        opened = opened or rho_c > 0
+        terms, water = linearize(rho_c, rho)
         mu, converged = _kkt_test(terms, rho_c, rho, spent, water[0] == 0)
-        trace.append(IterationRecord(iteration, rho_c, rho.copy(), report.sum_se, mu))
         if converged:
             break
 
-    return PowerAllocation(
-        powers=PowerVector(rho_c, rho.copy()), mu=mu, iterations=iteration,
-        trace=trace, converged=converged, l_min=report.l_min,
-    )
+    return PowerAllocation(PowerVector(rho_c, rho), mu, iteration, converged, opened)
 
 
-def _newton_step(terms, rho, moments, sigma2, rho_total, config):
+def _newton_step(terms, rho, moments, sigma2, rho_total):
     """One KKT Newton step on the private streams with power, at rho_c = 0.
 
     Solves [H_AA, -1; 1^T, 0] [d; dmu] = [mu 1 - g_A; rho_total - sum rho_A]
@@ -248,7 +218,7 @@ def _newton_step(terms, rho, moments, sigma2, rho_total, config):
     until every active power stays positive and the sum SE strictly rises,
     summed as log1p of the changes of the affine numerators and
     denominators, which keeps its sign where the sum SE would round to
-    equal.  Returns (rho, SE report, whether the budget is spent), or None.
+    equal.  Returns (rho, whether the budget is spent), or None.
     """
     active = rho > 0
     n = int(active.sum())
@@ -274,7 +244,7 @@ def _newton_step(terms, rho, moments, sigma2, rho_total, config):
             shift = G @ move
             rise = np.log1p(shift / num) - np.log1p((shift - move * moments.own_private) / den)
             if rise.sum() > 0:
-                return trial, se_report(PowerVector(0.0, trial), moments, config), t == 1.0
+                return trial, t == 1.0
         t *= 0.5
     return None
 
@@ -311,18 +281,22 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
     joins only when its breakpoint sigma1_c - slope_c lies above their
     multiplier; otherwise its level there is zero and the private solution
     is exact; a table without common weights has sigma1_c = 0, so its
-    common stream never joins.  Returns (rho_c, rho, mu).
+    common stream never joins.  Returns (rho_c, rho, mu); raises
+    NumericalError when a budget far below 1/sigma1 rounds every level to zero.
     """
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
     levels, mu = _water_fill(s1, s2, rho_total)
-    if terms.sigma1_common - max(terms.sigma2_common, 0.0) <= mu:
-        return 0.0, levels, mu
-    levels, mu = _water_fill(
-        np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
-    )
-    return float(levels[-1]), levels[:-1], mu
+    rho_c = 0.0
+    if terms.sigma1_common - max(terms.sigma2_common, 0.0) > mu:
+        levels, mu = _water_fill(
+            np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
+        )
+        rho_c, levels = float(levels[-1]), levels[:-1]
+    if rho_c == 0 and not levels.any():
+        raise NumericalError(f"a budget of {rho_total:.3e} mW rounds every stream's power to zero")
+    return rho_c, levels, mu
 
 
 def _water_fill(s1: np.ndarray, s2: np.ndarray, rho_total: float):

@@ -123,28 +123,37 @@ def allocate_drop(
     The "rs" allocation runs first, on the table with the common stream.
     When it never opened the common stream it is, bit for bit, the run on
     the table without it, so it serves as the "no_rs" allocation too.
-    Otherwise the "no_rs" run is solved as well and is the fallback: "rs"
-    reports the joint run only if it ``beats`` the "no_rs" run.
+    Otherwise the "no_rs" run is solved as well, and by the tie rule "rs"
+    reports the joint run only if it converged and either the fallback did
+    not or the joint run ends with common power at a strictly higher sum
+    SE.  Each run is scored once; at rho_c = 0 both tables score alike.
     """
-    solver = solver or IlaWfOptions()
     model, mr_table = drop
+
+    def scored(table):
+        alloc = ila_wf(table, config, solver)
+        return se_report(alloc.powers, table, config), alloc
+
     results = {}
-    fallback = None
+    no_rs = None
     if "rs" in modes:
         problem = build_common_weight_problem(
             model, mr_table, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
         )
         weights, _ = solve_common_weights(problem)
-        moments = closed_form_moments(model, weights)
-        joint = fallback = ila_wf(moments, config, solver)
+        rs = no_rs = scored(closed_form_moments(model, weights))
+        report, joint = rs
         if joint.common_opened:
-            fallback = ila_wf(mr_table, config, solver)
-        alloc = joint if joint.beats(fallback) else fallback
-        results["rs"] = (se_report(alloc.powers, moments, config), alloc, weights)
+            no_rs = scored(mr_table)
+            fallback_report, fallback = no_rs
+            joint_wins = joint.converged and (
+                not fallback.converged
+                or (joint.powers.rho_c > 0 and report.sum_se > fallback_report.sum_se)
+            )
+            rs = rs if joint_wins else no_rs
+        results["rs"] = (*rs, weights)
     if "no_rs" in modes:
-        if fallback is None:
-            fallback = ila_wf(mr_table, config, solver)
-        results["no_rs"] = (se_report(fallback.powers, mr_table, config), fallback, None)
+        results["no_rs"] = (*(no_rs or scored(mr_table)), None)
     return results
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import ConfigError, InfeasibleGeometryError
-from .linalg import max_hermitian_asymmetry
 from .units import db_to_linear, dbm_to_mw
 
 PATHLOSS_INTERCEPT_DB = -34.53
@@ -169,20 +168,6 @@ class CovarianceSet:
     @property
     def M(self) -> int:
         return self.R.shape[1]
-
-    def validate(self, hermitian_tol=1e-12, psd_tol=1e-10, diag_tol=1e-10):
-        for i in range(self.K):
-            r = self.R[i]
-            beta = self.beta[i]
-            if max_hermitian_asymmetry(r) > hermitian_tol:
-                raise ConfigError(f"R[{i}] is not Hermitian within tolerance")
-            eigs = np.linalg.eigvalsh(r)
-            if eigs[0] < -psd_tol * beta:
-                raise ConfigError(f"R[{i}] is not PSD: min eigenvalue {eigs[0]:.3e}")
-            if np.abs(np.diag(r).real - beta).max() > diag_tol * beta:
-                raise ConfigError(f"R[{i}] diagonal deviates from beta={beta:.3e}")
-            if abs(np.trace(r).real / self.M - beta) > diag_tol * beta:
-                raise ConfigError(f"beta[{i}] inconsistent with tr(R)/M")
 
 
 def large_scale_gain_db(distance_km: float, shadow_db: float = 0.0) -> float:

@@ -187,12 +187,10 @@ def test_criterion_5_ila_wf_contracts():
         worst_res = max(worst_res, res)
         stationary += res <= 1e-4
         init = PowerVector(0.0, np.full(config.K, rho_total / config.K))
-        ascent += (
-            se_report(alloc.powers, table, config).sum_se
-            >= se_report(init, table, config).sum_se
-        )
+        report = se_report(alloc.powers, table, config)
+        ascent += report.sum_se >= se_report(init, table, config).sum_se
         fd, _ = sum_se_derivative_fd_errors(
-            alloc.powers, table, sigma2, rho_total, alloc.l_min
+            alloc.powers, table, sigma2, rho_total, report.l_min
         )
         worst_fd = max(worst_fd, fd)
         fd_ok += fd <= 1e-5

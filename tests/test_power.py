@@ -19,7 +19,6 @@ from rssim.power import (
     linearization_terms,
     sum_se_hessian,
 )
-from rssim.precoding import build_common_weight_problem, solve_common_weights
 from rssim.runner import derive_point_seed, evaluate_drop, run_sweep
 from rssim.scenario import (
     CovarianceSet,
@@ -364,15 +363,32 @@ def test_budget_step_rejects_nonpositive_sigma1():
         _budget_exact_sweep(terms, 5.0)
 
 
-def test_ila_wf_initialization_state(small_setup):
+def linearized_points(monkeypatch):
+    """The point of every linearization the allocator makes from now on;
+    a run linearizes each of its iterates once, in order."""
+    points = []
+
+    def recording(rho_hat, *args):
+        points.append(rho_hat)
+        return linearization_terms(rho_hat, *args)
+
+    monkeypatch.setattr(power, "linearization_terms", recording)
+    return points
+
+
+def traced_run(monkeypatch, moments, config, options=None):
+    """An allocator run and its iterates, the first one included."""
+    points = linearized_points(monkeypatch)
+    return ila_wf(moments, config, options), points
+
+
+def test_ila_wf_initialization_state(small_setup, monkeypatch):
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config)
-    first = alloc.trace[0]
-    assert first.iteration == 0
+    _, points = traced_run(monkeypatch, table, config)
+    first = points[0]
     assert first.rho_c == 0.0
     assert np.allclose(first.rho, config.rho_total_mw / config.K)
-    assert first.mu == 0.0
 
 
 def criterion_7_two_ue_joint_run():
@@ -384,36 +400,66 @@ def criterion_7_two_ue_joint_run():
     return config, ila_wf(table, config)
 
 
-def test_ila_wf_budget_feasible(small_setup):
+def test_ila_wf_budget_feasible(small_setup, monkeypatch):
     # every budget-exact step spends the budget to rounding, so no iterate
     # needs a feasibility check, the joint run that opens the common stream
     # included
     config, _, model, weights = small_setup
     table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config)
+    alloc, points = traced_run(monkeypatch, table, config)
+    joint_points = linearized_points(monkeypatch)
     c7_config, joint = criterion_7_two_ue_joint_run()
     assert joint.common_opened
-    for cfg, run in ((config, alloc), (c7_config, joint)):
+    assert any(point.rho_c > 0 for point in joint_points)
+    for cfg, run, run_points in ((config, alloc, points), (c7_config, joint, joint_points)):
         assert run.powers.total <= cfg.rho_total_mw * (1 + 1e-12)
-        for record in run.trace:
-            assert record.rho_c + record.rho.sum() <= cfg.rho_total_mw * (1 + 1e-12)
+        assert len(run_points) == run.iterations + 1
+        for point in run_points:
+            assert point.total <= cfg.rho_total_mw * (1 + 1e-12)
 
 
-def test_ila_wf_symmetric_two_ues():
+def symmetric_two_ue_drop():
+    """Two UEs with the same covariance: the config and the drop."""
     R = local_scattering_covariance(1.5, [0.3, -0.2, 0.8], np.radians(10), 16)
     cov = CovarianceSet(R=np.stack([R, R]), beta=np.array([1.5, 1.5]))
     model = build_estimation_model(cov, 50.0)
     config = ScenarioConfig(M=16, K=2, noise_dbm=-30.0)  # 100 mW budget, 1e-3 mW noise
-    mr = closed_form_moments(model)
-    problem = build_common_weight_problem(model, mr, np.full(2, 50.0), config.noise_mw)
-    weights, _ = solve_common_weights(problem)
-    assert np.array_equal(weights, [0.5, 0.5])
+    return config, (model, closed_form_moments(model))
+
+
+def test_ila_wf_symmetric_two_ues():
+    config, drop = symmetric_two_ue_drop()
     # the tie rule picks between the runs with and without the common stream
-    joint, fallback = (ila_wf(closed_form_moments(model, w), config) for w in (weights, None))
-    alloc = joint if joint.beats(fallback) else fallback
+    _, alloc, weights = runner.allocate_drop(config, ("rs",), drop)["rs"]
+    assert np.array_equal(weights, [0.5, 0.5])
     assert alloc.converged
     rel = abs(alloc.powers.rho[0] - alloc.powers.rho[1]) / alloc.powers.rho[0]
     assert rel < 1e-8
+
+
+@pytest.mark.parametrize("joint_converges", [False, True])
+def test_tie_rule_takes_the_joint_run_only_if_it_converged(joint_converges, monkeypatch):
+    # the symmetric drop's joint run opens the common stream and stops at the
+    # cap above the converged fallback: 2.597 against 1.516 bit/s/Hz; marked
+    # converged, it wins, because it ends with common power at a higher sum SE
+    config, drop = symmetric_two_ue_drop()
+    runs = []
+
+    def recording(moments, *args, **kwargs):
+        alloc = ila_wf(moments, *args, **kwargs)
+        if not runs and joint_converges:
+            alloc.converged = True
+        runs.append(alloc)
+        return alloc
+
+    monkeypatch.setattr(runner, "ila_wf", recording)
+    report, alloc, _ = runner.allocate_drop(config, ("rs",), drop)["rs"]
+    joint, fallback = runs
+    assert joint.common_opened and joint.iterations == 200
+    assert joint.powers.rho_c == pytest.approx(98.6, abs=0.05)
+    assert fallback.converged and fallback.powers.rho_c == 0.0
+    assert alloc is (joint if joint_converges else fallback)
+    assert report.sum_se == pytest.approx(2.597 if joint_converges else 1.516, abs=5e-4)
 
 
 def test_ila_wf_stationarity_at_convergence(small_setup):
@@ -426,9 +472,6 @@ def test_ila_wf_stationarity_at_convergence(small_setup):
     assert np.abs(res_p[active]).max() <= 1e-4 * alloc.mu
     if res_c is not None:
         assert abs(res_c) <= 1e-4 * alloc.mu
-    # the reported bottleneck matches the final allocation
-    report = se_report(alloc.powers, table, config)
-    assert report.l_min == alloc.l_min
 
 
 def test_ila_wf_improves_on_uniform_init(small_setup):
@@ -442,26 +485,30 @@ def test_ila_wf_improves_on_uniform_init(small_setup):
     )
 
 
-def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup):
+def test_ila_wf_keeps_the_common_stream_off_on_the_mr_table(small_setup, monkeypatch):
     config, _, model, _ = small_setup
     table = closed_form_moments(model)
-    alloc = ila_wf(table, config)
+    alloc, points = traced_run(monkeypatch, table, config)
     assert alloc.powers.rho_c == 0.0
-    for record in alloc.trace:
-        assert record.rho_c == 0.0
+    assert not alloc.common_opened
+    assert all(point.rho_c == 0.0 for point in points)
 
 
 def assert_same_run(a, b):
-    assert a.powers.rho_c == b.powers.rho_c
-    assert np.array_equal(a.powers.rho, b.powers.rho)
-    assert (a.mu, a.iterations, a.converged, a.l_min) == (b.mu, b.iterations, b.converged, b.l_min)
-    assert len(a.trace) == len(b.trace)
-    for x, y in zip(a.trace, b.trace):
-        assert (x.iteration, x.rho_c, x.sum_se, x.mu) == (y.iteration, y.rho_c, y.sum_se, y.mu)
+    """Two (run, iterates) pairs from ``traced_run`` agree bit for bit."""
+    (run_a, points_a), (run_b, points_b) = a, b
+    assert run_a.powers.rho_c == run_b.powers.rho_c
+    assert np.array_equal(run_a.powers.rho, run_b.powers.rho)
+    assert (run_a.mu, run_a.iterations, run_a.converged, run_a.common_opened) == (
+        run_b.mu, run_b.iterations, run_b.converged, run_b.common_opened
+    )
+    assert len(points_a) == len(points_b)
+    for x, y in zip(points_a, points_b):
+        assert x.rho_c == y.rho_c
         assert np.array_equal(x.rho, y.rho)
 
 
-def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
+def test_pinned_run_does_not_read_the_common_stream_entries(small_setup, monkeypatch):
     # the pinned run is the run on the table without common weights, the
     # no-RS allocation and the RS fallback; rho_c * delta_c = 0 and gap_c = 0
     # in each of its linearizations, so at every iterate the table with the
@@ -474,10 +521,10 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
         mr_table, weighted_table = (closed_form_moments(mdl, x) for x in (None, w))
-        pinned = ila_wf(mr_table, cfg)
+        pinned, points = traced_run(monkeypatch, mr_table, cfg)
         assert not pinned.common_opened
-        for record in pinned.trace:
-            point = PowerVector(0.0, record.rho)
+        for point in points:
+            assert point.rho_c == 0.0
             mr, weighted = (
                 linearization_terms(point, t, cfg.noise_mw, None)
                 for t in (mr_table, weighted_table)
@@ -495,7 +542,7 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup):
             assert mr_step[2] == weighted_step[2]
 
 
-def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setup):
+def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setup, monkeypatch):
     # every budget step leaves the common stream out while its breakpoint is
     # at or below the private multiplier, and at rho_c = 0 the linearization
     # reads no common-stream entry, so the joint run equals the pinned run,
@@ -507,10 +554,10 @@ def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setu
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
         weighted, mr = (
-            ila_wf(closed_form_moments(mdl, x), cfg)
+            traced_run(monkeypatch, closed_form_moments(mdl, x), cfg)
             for x in (w, None)
         )
-        assert not weighted.common_opened
+        assert not weighted[0].common_opened
         assert_same_run(weighted, mr)
 
 
@@ -563,22 +610,22 @@ def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
         assert joint.converged or not pinned.converged
 
 
-def assert_returns_last_iterate(alloc):
-    last = alloc.trace[-1]
+def assert_returns_last_iterate(alloc, points):
+    assert len(points) == alloc.iterations + 1
+    last = points[-1]
     assert alloc.powers.rho_c == last.rho_c
     assert np.array_equal(alloc.powers.rho, last.rho)
-    assert alloc.mu == last.mu
 
 
-def test_ila_wf_unreachable_tolerance_returns_the_last_iterate():
+def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(monkeypatch):
     # the iteration cap alone stops a run that would converge later
     config, _, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     table = closed_form_moments(model)
     assert ila_wf(table, config).iterations > 6
-    alloc = ila_wf(table, config, IlaWfOptions(max_iterations=6))
+    alloc, points = traced_run(monkeypatch, table, config, IlaWfOptions(max_iterations=6))
     assert not alloc.converged
     assert alloc.iterations == 6
-    assert_returns_last_iterate(alloc)
+    assert_returns_last_iterate(alloc, points)
     assert alloc.powers.total <= config.rho_total_mw * (1 + 1e-6)
 
 
@@ -589,16 +636,20 @@ LOW_PILOT_SUM_SE = {20.0: 0.9169156, 30.0: 0.931421, 40.0: 0.932910}
 
 
 @pytest.mark.parametrize("dbm", [20.0, 30.0, 40.0])
-def test_capped_run_returns_its_last_and_best_iterate(dbm):
+def test_capped_run_returns_its_last_and_best_iterate(dbm, monkeypatch):
     # the low-pilot geometry, where water-filling creeps towards a KKT point
     # that the Newton finish reaches: the run converges and its last iterate
     # is also its best one
     config = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, rho_total_dbm=dbm, seed=0)
-    _, alloc, _ = evaluate_drop(config, ("no_rs",), derive_point_seed(0, 0))["no_rs"]
+    seed = derive_point_seed(0, 0)
+    points = linearized_points(monkeypatch)
+    report, alloc, _ = evaluate_drop(config, ("no_rs",), seed)["no_rs"]
     assert alloc.converged
-    assert_returns_last_iterate(alloc)
-    assert alloc.trace[-1].sum_se == max(record.sum_se for record in alloc.trace)
-    assert alloc.trace[-1].sum_se >= LOW_PILOT_SUM_SE[dbm]
+    assert_returns_last_iterate(alloc, points)
+    _, table = runner.build_drop(config, seed)
+    sum_se = [se_report(point, table, config).sum_se for point in points]
+    assert sum_se[-1] == report.sum_se == max(sum_se)
+    assert report.sum_se >= LOW_PILOT_SUM_SE[dbm]
 
 
 # the criterion-6 grid and the low-pilot geometry of the benchmark
@@ -650,14 +701,6 @@ def test_low_pilot_sweep_takes_few_iterations(monkeypatch):
     assert sum(run.iterations for run in runs) <= 120
 
 
-def test_ila_wf_trace_records_sum_se(small_setup):
-    config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights)
-    alloc = ila_wf(table, config)
-    assert len(alloc.trace) == len({r.iteration for r in alloc.trace})
-    assert all(np.isfinite(r.sum_se) for r in alloc.trace)
-
-
 @pytest.mark.parametrize("mode", ["rs", "no_rs"])
 def test_ila_wf_converges_far_from_uniform_split(mode):
     # at a 1000 m pathloss reference the uniform start is far from the
@@ -686,11 +729,10 @@ def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
     assert all(before != after for before, after in zip(calls, calls[1:]))
 
 
-def test_ila_wf_evaluates_each_iterate_twice(monkeypatch):
-    # per iterate, the SE report and the linearization evaluate the
-    # denominators once each; each Newton step tried adds two, for its
-    # Hessian and for its sum-SE rise; the tie rule reads the last
-    # iterate's report, and only the row's report comes on top
+def test_ila_wf_evaluates_each_iterate_once(monkeypatch):
+    # per iterate, the linearization evaluates the denominators once; each
+    # Newton step tried adds two, for its Hessian and for its sum-SE rise;
+    # the row's report alone comes on top
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
     denominator_calls, linearizations, newton_steps = [], [], []
 
@@ -714,4 +756,4 @@ def test_ila_wf_evaluates_each_iterate_twice(monkeypatch):
     _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
     assert alloc.converged
     assert newton_steps
-    assert len(denominator_calls) == 2 * len(linearizations) + 2 * len(newton_steps) + 1
+    assert len(denominator_calls) == len(linearizations) + 2 * len(newton_steps) + 1

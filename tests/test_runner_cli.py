@@ -233,8 +233,7 @@ def test_rs_falls_back_to_the_no_rs_run(drop, two_ue_sweeps, monkeypatch):
     joint, fallback = (alloc for _, alloc in runs)
     assert joint.common_opened
     assert joint.converged == (drop in (6, 7))
-    assert not joint.beats(fallback)
-    # so the rs row reports the no_rs run
+    # the rs row reports the no_rs run
     rs, no_rs = two_ue_sweeps[MODES][2 * drop:2 * drop + 2]
     assert (rs.rho_c, rs.iterations, rs.sum_se) == (no_rs.rho_c, no_rs.iterations, no_rs.sum_se)
     assert rs.iterations == fallback.iterations != joint.iterations
@@ -420,6 +419,30 @@ def test_cli_underflowing_weight_couplings_are_a_numerical_error(tmp_path, capsy
     assert err.startswith("error: UE 0: positive weight-problem couplings")
     assert "underflow to 0 when weighted by sqrt(pi)" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, dbm, code",
+    [("run", -200, 2), ("run", -165, 2), ("run", -160, 0),
+     ("sweep", -200, 2), ("sweep", -170, 2), ("sweep", -165, 0)],
+)
+def test_cli_budget_that_rounds_every_level_away_is_a_numerical_error(
+    tmp_path, capsys, command, dbm, code
+):
+    # at M = 8, K = 3 a budget this small rounds every water-filling level to
+    # zero, so the run would spend none of it and write all-zero rows; 5 dB
+    # more still gives the streams power (the sweep's drop is another one)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"M = 8\nK = 3\nrho_total_dbm = {dbm}\naxis = power_dbm\nvalues = {dbm}\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        budget = f"{dbm_to_mw(dbm):.3e}"
+        assert err == f"error: a budget of {budget} mW rounds every stream's power to zero\n"
+        assert not out.exists()
+    else:
+        assert out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -157,11 +157,31 @@ def test_local_scattering_diagonal_exact():
     assert np.allclose(np.diag(r).imag, 0.0)
 
 
+def max_hermitian_asymmetry(a):
+    """Largest |A - A^H| entry relative to the largest |A| entry."""
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return 0.0
+    return np.abs(a - a.conj().T).max() / scale
+
+
+def assert_covariance_invariants(cov, hermitian_tol=1e-12, psd_tol=1e-10, diag_tol=1e-10):
+    """Each R_i is Hermitian and PSD, with its diagonal and tr(R_i)/M equal to beta_i."""
+    for i in range(cov.K):
+        r = cov.R[i]
+        beta = cov.beta[i]
+        assert max_hermitian_asymmetry(r) <= hermitian_tol, f"R[{i}] is not Hermitian"
+        eigs = np.linalg.eigvalsh(r)
+        assert eigs[0] >= -psd_tol * beta, f"R[{i}] is not PSD: min eigenvalue {eigs[0]:.3e}"
+        assert np.abs(np.diag(r).real - beta).max() <= diag_tol * beta, f"R[{i}] diagonal"
+        assert abs(np.trace(r).real / cov.M - beta) <= diag_tol * beta, f"beta[{i}] vs tr(R)/M"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_generated_covariances_pass_invariants(seed):
     config = ScenarioConfig(M=24, K=4, seed=seed)
     _, cov = generate_scenario(config, np.random.default_rng(seed))
-    cov.validate()  # Hermitian, PSD, diagonal equal to beta
+    assert_covariance_invariants(cov)
 
 
 def test_generate_scenario_deterministic(small_setup=None):
