@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             sys.stdout.write(f"wrote {len(rows)} rows to {output}\n")
             unconverged = sum(not row.converged for row in rows)
             sys.stderr.write(
-                f"sweep: {len(rows)} rows written, {unconverged} allocator runs not converged\n"
+                f"sweep: {len(rows)} rows written, {unconverged} rows not converged\n"
             )
             return EXIT_OK
         if args.command == "validate":

@@ -7,11 +7,12 @@ non-concave second part and every other stream's sensitivity are
 linearized at the current point, and the resulting separable concave
 surrogate is solved exactly: the water-filling breakpoints give the
 active set, and Newton's method on that set solves the Lagrange
-multiplier of the total power budget.  Water-filling finds the active set
-within a few steps but then converges only linearly.  At a fixed common
-bottleneck every rate is ln(num) - ln(den) with num and den affine in the
-powers, so the sum SE has an exact Hessian, and Newton steps on the KKT
-system of the active set finish the run at a KKT point.
+multiplier of the total power budget, which every step spends.
+Water-filling finds the active set within a few steps but then converges
+only linearly.  At a fixed common bottleneck every rate is ln(num) -
+ln(den) with num and den affine in the powers, so the sum SE has an exact
+Hessian, and Newton steps on the KKT system of the active set finish the
+run at a KKT point.
 
 The coefficients come as arrays from ``linearization_terms``; ``rssim
 validate`` checks the gradient they give and the Hessian against finite
@@ -166,7 +167,10 @@ def ila_wf(
     as an equality (Bertsekas, SIAM J. Control Optim. 1982).  The budget
     binds at every KKT point, since scaling all powers up raises every
     SINR.  Otherwise, or when the Newton step fails, the run takes the
-    water-filling step, the only step that opens a stream.  It stops as
+    water-filling step, the only step that opens a stream.  Both steps
+    keep the budget as an equality, so every iterate spends it; within a
+    water-filling step the multiplier is negative where the linearized
+    demand at zero price falls short of the budget.  It stops as
     converged when ``_kkt_test`` passes; at the iteration cap it returns its
     last iterate with ``converged=False``.
 
@@ -185,25 +189,20 @@ def ila_wf(
 
     rho_c, rho = 0.0, np.full(moments.K, rho_total / moments.K)
     terms, water = linearize(rho_c, rho)
-    spent = True  # the uniform start spends the budget
     held = 1
     opened = False
     for iteration in range(1, opts.max_iterations + 1):
-        new_c, new_rho, mu_wf = water
-        step = None
+        new_c, new_rho, _ = water
         if held >= NEWTON_AFTER and rho_c == new_c == 0 and np.array_equal(new_rho > 0, rho > 0):
             step = _newton_step(terms, rho, moments, sigma2, rho_total)
-        if step is None:
-            spent = mu_wf > 0
-        else:
-            new_rho, full = step
-            spent = spent or full
+            if step is not None:
+                new_rho = step
         same_set = (new_c > 0) == (rho_c > 0) and np.array_equal(new_rho > 0, rho > 0)
         held = held + 1 if same_set else 1
         rho_c, rho = new_c, new_rho
         opened = opened or rho_c > 0
         terms, water = linearize(rho_c, rho)
-        mu, converged = _kkt_test(terms, rho_c, rho, spent, water[0] == 0)
+        mu, converged = _kkt_test(terms, rho_c, rho, water[0] == 0)
         if converged:
             break
 
@@ -218,7 +217,8 @@ def _newton_step(terms, rho, moments, sigma2, rho_total):
     until every active power stays positive and the sum SE strictly rises,
     summed as log1p of the changes of the affine numerators and
     denominators, which keeps its sign where the sum SE would round to
-    equal.  Returns (rho, whether the budget is spent), or None.
+    equal.  The current powers spend the budget, so every d sums to zero
+    up to rounding and the new powers spend it too.  Returns them, or None.
     """
     active = rho > 0
     n = int(active.sum())
@@ -244,20 +244,21 @@ def _newton_step(terms, rho, moments, sigma2, rho_total):
             shift = G @ move
             rise = np.log1p(shift / num) - np.log1p((shift - move * moments.own_private) / den)
             if rise.sum() > 0:
-                return trial, t == 1.0
+                return trial
         t *= 0.5
     return None
 
 
-def _kkt_test(terms: LinearizationTerms, rho_c, rho, spent: bool, common_shut: bool):
+def _kkt_test(terms: LinearizationTerms, rho_c, rho, common_shut: bool):
     """The stopping test at one iterate; returns (mu, converged).
 
-    mu is the mean gradient over the streams with power, clamped at zero,
-    or zero while the budget is slack.  Converged means each such stream's
-    g - mu is within KKT_TOL of their largest own-signal gain, no private
-    stream without power has g above mu, and a common stream without power
-    stays shut in the water-filling step (``common_shut``), whose private
-    multiplier equals mu at a KKT point.
+    mu is the mean gradient over the streams with power, clamped at zero.
+    Every iterate spends the budget, so mu estimates the budget's
+    multiplier, which is positive at a KKT point.  Converged means each
+    such stream's g - mu is within KKT_TOL of their largest own-signal
+    gain, no private stream without power has g above mu, and a common
+    stream without power stays shut in the water-filling step
+    (``common_shut``), whose private multiplier equals mu at a KKT point.
     """
     g = terms.gain_private - terms.sigma2_private
     active = rho > 0
@@ -265,7 +266,7 @@ def _kkt_test(terms: LinearizationTerms, rho_c, rho, spent: bool, common_shut: b
     if rho_c > 0:
         g_active = np.append(g_active, terms.gain_common - terms.sigma2_common)
         gains = np.append(gains, terms.gain_common)
-    mu = max(float(g_active.mean()), 0.0) if spent and g_active.size else 0.0
+    mu = max(float(g_active.mean()), 0.0) if g_active.size else 0.0
     converged = bool(
         np.all(np.abs(g_active - mu) <= KKT_TOL * gains.max(initial=0.0))
         and np.all(g[~active] <= mu)
@@ -277,19 +278,21 @@ def _kkt_test(terms: LinearizationTerms, rho_c, rho, spent: bool, common_shut: b
 def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
     """Water-fill one linearization with the multiplier solved exactly for the budget.
 
+    The step spends the whole budget; its multiplier mu can be negative.
     The private streams are water-filled alone first.  The common stream
-    joins only when its breakpoint sigma1_c - slope_c lies above their
-    multiplier; otherwise its level there is zero and the private solution
-    is exact; a table without common weights has sigma1_c = 0, so its
-    common stream never joins.  Returns (rho_c, rho, mu); raises
-    NumericalError when a budget far below 1/sigma1 rounds every level to zero.
+    joins only when its signal coefficient sigma1_c is positive and its
+    breakpoint sigma1_c - slope_c lies above their multiplier; otherwise
+    its level there is zero and the private solution is exact; a table
+    without common weights has sigma1_c = 0, so its common stream never
+    joins.  Returns (rho_c, rho, mu); raises NumericalError when a budget
+    far below 1/sigma1 rounds every level to zero.
     """
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
         raise ValueError(f"sigma1 must be positive, got {s1.min():.3e}")
     levels, mu = _water_fill(s1, s2, rho_total)
     rho_c = 0.0
-    if terms.sigma1_common - max(terms.sigma2_common, 0.0) > mu:
+    if terms.sigma1_common > 0 and terms.sigma1_common - max(terms.sigma2_common, 0.0) > mu:
         levels, mu = _water_fill(
             np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
         )
@@ -303,45 +306,40 @@ def _water_fill(s1: np.ndarray, s2: np.ndarray, rho_total: float):
     """Budget-exact water-filling of streams with positive coefficients s1.
 
     Stream k fills to (1/(mu + slope_k) - 1/sigma1_k)^+, so it is active
-    iff mu < b_k = sigma1_k - slope_k, and the filled total is continuous
-    and strictly decreasing in mu until every stream is off.  Evaluating it
-    at all breakpoints b_k at once gives the interval that holds the budget
-    root and thereby the active set A; on it the root of
+    iff mu < b_k = sigma1_k - slope_k.  Above the floor -min slope_k the
+    filled total is continuous and strictly decreasing in mu, from
+    unbounded down to zero once every stream is off, so the budget has
+    exactly one root there, negative where the total at mu = 0 falls short
+    of the budget.  Evaluating the total at all breakpoints b_k above the
+    floor at once gives the interval that holds the root and thereby the
+    active set A; on it the root of
     sum_A 1/(mu + slope_k) = rho_total + sum_A 1/sigma1_k is found by
     Newton's method (Palomar & Fonollosa, IEEE TSP 2005).  Returns
     (levels, mu).
     """
     inv_s1 = 1.0 / s1
     slope = np.maximum(s2, 0.0)
-
-    def fill(mu):
-        return np.maximum(1.0 / (mu + slope) - inv_s1, 0.0)
-
-    with np.errstate(divide="ignore"):
-        levels = fill(0.0)
-    levels[slope == 0] = 10.0 * rho_total  # zero slope at zero price: unbounded demand
-    mu = 0.0  # stays zero when the budget is slack even at zero price
-    if levels.sum() > rho_total:
-        # filled total at every positive breakpoint; streams with b_k <= 0 never open
-        b = s1 - slope
-        points = np.sort(b[b > 0])
-        above = b[None, :] > points[:, None]
-        at_points = np.where(above, 1.0 / (points[:, None] + slope) - inv_s1, 0.0).sum(axis=1)
-        # totals fall with the breakpoint and the last one is 0, so the root lies
-        # above the last breakpoint whose total still exceeds the budget
-        exceeding = np.flatnonzero(at_points > rho_total)
-        left = points[exceeding[-1]] if exceeding.size else 0.0
-        active = b > left
-        slope_a = slope[active]
-        demand = rho_total + inv_s1[active].sum()
-        # the one-stream bound 1/(mu + min slope) >= demand holds below the root;
-        # the sum is convex and decreasing, so Newton rises monotonically from there
-        mu = max(left, 1.0 / demand - slope_a.min())
-        for _ in range(100):
-            inv = 1.0 / (mu + slope_a)
-            step = (inv.sum() - demand) / (inv @ inv)
-            mu += step
-            if step <= 1e-15 * mu:
-                break
-        levels = fill(mu)
-    return levels, mu
+    floor = -slope.min()
+    # filled total at every breakpoint above the floor; streams with b_k at or
+    # below it never open
+    b = s1 - slope
+    points = np.sort(b[b > floor])
+    above = b[None, :] > points[:, None]
+    at_points = np.where(above, 1.0 / (points[:, None] + slope) - inv_s1, 0.0).sum(axis=1)
+    # totals fall with the breakpoint and the last one is 0, so the root lies
+    # above the last breakpoint whose total still exceeds the budget
+    exceeding = np.flatnonzero(at_points > rho_total)
+    left = points[exceeding[-1]] if exceeding.size else floor
+    active = b > left
+    slope_a = slope[active]
+    demand = rho_total + inv_s1[active].sum()
+    # the one-stream bound 1/(mu + min slope) >= demand holds below the root;
+    # the sum is convex and decreasing, so Newton rises monotonically from there
+    mu = max(left, 1.0 / demand - slope_a.min())
+    for _ in range(100):
+        inv = 1.0 / (mu + slope_a)
+        step = (inv.sum() - demand) / (inv @ inv)
+        mu += step
+        if step <= 1e-15 * abs(mu):
+            break
+    return np.maximum(1.0 / (mu + slope) - inv_s1, 0.0), mu

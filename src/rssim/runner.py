@@ -12,7 +12,7 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,14 +25,11 @@ from .power import IlaWfOptions, ila_wf
 from .precoding import build_common_weight_problem, solve_common_weights
 from .scenario import ScenarioConfig, generate_scenario
 
-CSV_COLUMNS = (
-    "axis", "axis_value", "drop", "mode", "sum_se", "se_common",
-    "se_private_total", "rho_c", "l_min", "iterations", "seed",
-)
-
 
 @dataclass
 class ResultRow:
+    """One result row; every field but ``converged`` is a CSV column, in order."""
+
     axis: str
     axis_value: float
     drop: int
@@ -47,19 +44,14 @@ class ResultRow:
     converged: bool  # whether the allocator converged; not a CSV column
 
     def as_csv_values(self):
-        return (
-            self.axis,
-            _fmt(self.axis_value),
-            str(self.drop),
-            self.mode,
-            _fmt(self.sum_se),
-            _fmt(self.se_common),
-            _fmt(self.se_private_total),
-            _fmt(self.rho_c),
-            str(self.l_min),
-            str(self.iterations),
-            str(self.seed),
+        return tuple(
+            _fmt(getattr(self, f.name)) if f.type is float else str(getattr(self, f.name))
+            for f in _CSV_FIELDS
         )
+
+
+_CSV_FIELDS = tuple(f for f in fields(ResultRow) if f.name != "converged")
+CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 
 
 def _fmt(x: float) -> str:

@@ -244,23 +244,17 @@ def scalar_budget_step(point, table, sigma2, rho_total, l_min):
 
 def scalar_water_filling(terms, rho_total):
     """Stream by stream water-filling levels for (sigma1, sigma2) pairs, with
-    the multiplier bisected to the budget; returns (levels, mu)."""
+    the multiplier bisected to the budget on (-min slope, hi], where the
+    total falls from unbounded to the budget; returns (levels, mu)."""
 
     def total(mu):
-        levels = []
-        for s1, s2 in terms:
-            try:
-                levels.append(waterfill(mu, s1, max(s2, 0.0)))
-            except NumericalError:
-                levels.append(10.0 * rho_total)
+        levels = [waterfill(mu, s1, max(s2, 0.0)) for s1, s2 in terms]
         return np.sum(levels), levels
 
-    if total(0.0)[0] <= rho_total:
-        return total(0.0)[1], 0.0
-    lo, hi = 0.0, REFERENCE_BRACKET_TOP
+    lo, hi = -min(max(s2, 0.0) for _, s2 in terms), REFERENCE_BRACKET_TOP
     while total(hi)[0] > rho_total and hi < 1e15:
         hi *= 2.0
-    while hi - lo >= 1e-14 * hi:
+    while hi - lo >= 1e-14 * abs(hi):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if total(mid)[0] > rho_total else (lo, mid)
     return total(hi)[1], hi
@@ -287,8 +281,7 @@ def test_budget_step_matches_scalar_water_filling(coefficient_cases, mr_table):
             )
             levels, mu_ref = scalar_budget_step(point, table, sigma2, rho_total, 0)
             assert mu == pytest.approx(mu_ref, rel=1e-10)
-            if mu > 0:
-                assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
+            assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
             np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
             assert rho_c == pytest.approx(levels[K] if len(levels) > K else 0.0, rel=1e-9, abs=1e-12 * rho_total)
 
@@ -312,6 +305,7 @@ BUDGET_STEP_CASES = {
     "tied breakpoints": ([2.0, 2.0, 3.0, 5.0], [1.0, 1.0, 2.0, 2.0], (4.0, 3.0), [0.05, 2 / 15, 0.3, 1.0]),
     "one stream active": ([100.0, 1.1, 1.2], [0.0, 1.0, 1.0], None, [1.0]),
     "all streams active": ([2.0, 3.0, 4.0], [0.1, 0.2, 0.3], (2.5, 0.4), [5.0]),
+    # the budget exceeds the total at zero price, so the multiplier is negative
     "slack budget": ([2.0, 3.0], [1.0, 1.0], None, [5.0]),
     "coefficients spread over 1e10": (
         [1e-2, 3.0, 1e4, 1e8], [1e-4, 0.5, 2e3, 1e6], (5e5, 10.0), [1e-3, 1.0, 1e2, 5e3],
@@ -332,10 +326,9 @@ def test_budget_step_matches_scalar_reference_on_edge_coefficients(case):
         assert mu == pytest.approx(mu_ref, rel=1e-10, abs=0)
         np.testing.assert_allclose(rho, levels[:K], rtol=1e-9, atol=1e-12 * rho_total)
         assert rho_c == pytest.approx(sum(levels[K:]), rel=1e-9, abs=1e-12 * rho_total)
-        if mu > 0:
-            assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
-        else:
-            assert rho_c + rho.sum() <= rho_total
+        assert rho_c + rho.sum() == pytest.approx(rho_total, rel=1e-12, abs=0)
+        if case == "slack budget":
+            assert mu < 0
 
 
 def test_budget_step_zero_slope_at_zero_price_is_unbounded():
@@ -401,21 +394,32 @@ def criterion_7_two_ue_joint_run():
 
 
 def test_ila_wf_budget_feasible(small_setup, monkeypatch):
-    # every budget-exact step spends the budget to rounding, so no iterate
-    # needs a feasibility check, the joint run that opens the common stream
-    # included
+    # every water-filling step and every Newton step spends the budget to
+    # rounding, the joint runs that open the common stream included; on the
+    # low-pilot drop, 5 of the 10 iterates come from water-filling steps whose
+    # linearized demand at zero price falls short of the budget
     config, _, model, weights = small_setup
-    table = closed_form_moments(model, weights)
-    alloc, points = traced_run(monkeypatch, table, config)
+    low_pilot = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, rho_total_dbm=10, seed=0)
+    symmetric_config, (symmetric_model, _) = symmetric_two_ue_drop()
+    symmetric = traced_run(
+        monkeypatch, rs_table(symmetric_config, symmetric_model), symmetric_config
+    )
+    runs = [
+        (config, *traced_run(monkeypatch, closed_form_moments(model, weights), config)),
+        (symmetric_config, *symmetric),
+        (low_pilot, *traced_run(
+            monkeypatch, runner.build_drop(low_pilot, derive_point_seed(0, 0))[1], low_pilot
+        )),
+    ]
     joint_points = linearized_points(monkeypatch)
     c7_config, joint = criterion_7_two_ue_joint_run()
-    assert joint.common_opened
+    runs.append((c7_config, joint, joint_points))
+    assert joint.common_opened and symmetric[0].common_opened
     assert any(point.rho_c > 0 for point in joint_points)
-    for cfg, run, run_points in ((config, alloc, points), (c7_config, joint, joint_points)):
-        assert run.powers.total <= cfg.rho_total_mw * (1 + 1e-12)
+    for cfg, run, run_points in runs:
         assert len(run_points) == run.iterations + 1
         for point in run_points:
-            assert point.total <= cfg.rho_total_mw * (1 + 1e-12)
+            assert point.total == pytest.approx(cfg.rho_total_mw, rel=1e-12, abs=0)
 
 
 def symmetric_two_ue_drop():
@@ -429,19 +433,24 @@ def symmetric_two_ue_drop():
 
 def test_ila_wf_symmetric_two_ues():
     config, drop = symmetric_two_ue_drop()
-    # the tie rule picks between the runs with and without the common stream
-    _, alloc, weights = runner.allocate_drop(config, ("rs",), drop)["rs"]
+    # the joint run puts almost the whole budget on the common stream and
+    # converges, so by the tie rule it beats the no_rs run's 1.516 bit/s/Hz
+    report, alloc, weights = runner.allocate_drop(config, ("rs",), drop)["rs"]
     assert np.array_equal(weights, [0.5, 0.5])
     assert alloc.converged
+    assert alloc.powers.rho_c > 0
+    assert alloc.powers.total == pytest.approx(config.rho_total_mw, rel=1e-12, abs=0)
+    assert report.sum_se == pytest.approx(2.597, abs=5e-4)
     rel = abs(alloc.powers.rho[0] - alloc.powers.rho[1]) / alloc.powers.rho[0]
     assert rel < 1e-8
 
 
 @pytest.mark.parametrize("joint_converges", [False, True])
 def test_tie_rule_takes_the_joint_run_only_if_it_converged(joint_converges, monkeypatch):
-    # the symmetric drop's joint run opens the common stream and stops at the
-    # cap above the converged fallback: 2.597 against 1.516 bit/s/Hz; marked
-    # converged, it wins, because it ends with common power at a higher sum SE
+    # capped at 10 iterations, the symmetric drop's joint run opens the common
+    # stream and stops above the converged fallback: 2.597 against 1.516
+    # bit/s/Hz; marked converged, it wins, because it ends with common power
+    # at a higher sum SE
     config, drop = symmetric_two_ue_drop()
     runs = []
 
@@ -453,10 +462,11 @@ def test_tie_rule_takes_the_joint_run_only_if_it_converged(joint_converges, monk
         return alloc
 
     monkeypatch.setattr(runner, "ila_wf", recording)
-    report, alloc, _ = runner.allocate_drop(config, ("rs",), drop)["rs"]
+    capped = IlaWfOptions(max_iterations=10)
+    report, alloc, _ = runner.allocate_drop(config, ("rs",), drop, capped)["rs"]
     joint, fallback = runs
-    assert joint.common_opened and joint.iterations == 200
-    assert joint.powers.rho_c == pytest.approx(98.6, abs=0.05)
+    assert joint.common_opened and joint.iterations == 10
+    assert joint.powers.rho_c == pytest.approx(100.0, abs=0.05)
     assert fallback.converged and fallback.powers.rho_c == 0.0
     assert alloc is (joint if joint_converges else fallback)
     assert report.sum_se == pytest.approx(2.597 if joint_converges else 1.516, abs=5e-4)

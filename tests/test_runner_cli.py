@@ -317,7 +317,7 @@ def test_cli_sweep_reports_unconverged_rows(tmp_path, capsys):
         f"output_path = {tmp_path / 'out.csv'}\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().err == "sweep: 4 rows written, 4 allocator runs not converged\n"
+    assert capsys.readouterr().err == "sweep: 4 rows written, 4 rows not converged\n"
     # the summary leaves the CSV as the sweep without it writes
     config, spec, solver = load_config(cfg)
     rows = run_sweep(spec, config, solver)
