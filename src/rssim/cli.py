@@ -8,7 +8,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import MODES, load_config
+from .config import MODES, SECTIONS, load_config
 from .errors import ConfigError, RssimError
 from .power import IlaWfOptions
 from .runner import check_output_path, evaluate_drop, render_csv, result_row, run_sweep, write_rows
@@ -20,10 +20,17 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
+# the config sections each command reads; a key from any other is refused
+READS = {
+    "run": (ScenarioConfig, IlaWfOptions),
+    "sweep": SECTIONS,
+    "validate": (ScenarioConfig,),
+}
+
 
 def _load(args):
     if args.config:
-        return load_config(args.config)
+        return load_config(args.config, READS[args.command])
     return ScenarioConfig(), None, IlaWfOptions()
 
 

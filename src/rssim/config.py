@@ -2,8 +2,9 @@
 
 The format is one ``key = value`` assignment per line, ``#`` comments, and
 blank lines.  Keys are exactly the scenario, sweep, and solver field names
-below; anything else is rejected by name.  All powers are entered in dBm
-and converted once, at this boundary.
+below; anything else is rejected by name, and so is a key of a section the
+reader will not use.  All powers are entered in dBm and converted once, at
+this boundary.
 """
 
 from dataclasses import dataclass, fields
@@ -52,10 +53,11 @@ class SweepSpec:
             raise ConfigError(f"modes must not repeat, got {self.modes}")
 
 
+# the dataclasses a config document sets, one section of keys each
+SECTIONS = (ScenarioConfig, SweepSpec, IlaWfOptions)
+
 # every config key: the dataclass it belongs to and the type it parses to
-_KEYS = {
-    f.name: (cls, f.type) for cls in (ScenarioConfig, SweepSpec, IlaWfOptions) for f in fields(cls)
-}
+_KEYS = {f.name: (cls, f.type) for cls in SECTIONS for f in fields(cls)}
 
 
 def _parse_scalar(key: str, kind: type, raw: str):
@@ -74,13 +76,14 @@ def _parse_scalar(key: str, kind: type, raw: str):
         raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from exc
 
 
-def parse_config(text: str):
+def parse_config(text: str, reads=SECTIONS):
     """Parse a config document into (ScenarioConfig, SweepSpec | None,
     IlaWfOptions).
 
     Unspecified scenario and solver fields take the standard defaults; both
     validate on construction.  A SweepSpec is returned only when the
-    document sets at least one sweep key.
+    document sets at least one sweep key.  A key whose section is not in
+    ``reads`` would be ignored, so it is a ConfigError that names it.
     """
     kwargs = {cls: {} for cls, _ in _KEYS.values()}
     seen = set()
@@ -100,6 +103,10 @@ def parse_config(text: str):
         cls, kind = _KEYS[key]
         kwargs[cls][key] = _parse_scalar(key, kind, raw)
 
+    unread = [key for cls, keys in kwargs.items() if cls not in reads for key in keys]
+    if unread:
+        raise ConfigError(f"keys this command does not read: {', '.join(unread)}")
+
     config = ScenarioConfig(**kwargs[ScenarioConfig])  # validates in __post_init__
     sweep = None
     if kwargs[SweepSpec]:
@@ -109,12 +116,12 @@ def parse_config(text: str):
     return config, sweep, solver
 
 
-def load_config(path) -> tuple:
-    """Read and parse a config file; a path that is not a readable UTF-8
-    file is a ConfigError."""
+def load_config(path, reads=SECTIONS) -> tuple:
+    """Read and parse a config file, refusing keys of a section not in
+    ``reads``; a path that is not a readable UTF-8 file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, reads)

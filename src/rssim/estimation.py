@@ -6,11 +6,11 @@ of it.  That makes the estimates mutually correlated: the cross-covariance
 of estimates i and k is R_i Q^{-1} R_k, with Q the covariance of the
 observation.  The model object keeps Q, its Cholesky factor, X_k = Q^{-1} R_k,
 the estimate covariances Phi_k = R_k X_k and the trace tables that the
-closed-form moment engine consumes, all in O(K M^2) memory; the pairwise
-cross-covariances R_i X_k are built only on demand.
+closed-form moment engine consumes, all in O(K M^2) memory and all built
+at once; a pairwise cross-covariance is the product R_i X_k.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,8 +37,6 @@ class EstimationModel:
     cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(R_i X_k)
     phi_trace: np.ndarray          # (K,) real, tr(Phi_i)
     r_phi_trace: np.ndarray        # (K, K) real, [k, i] = tr(R_k Phi_i)
-    _cross: np.ndarray | None = field(default=None, repr=False)
-    _triple_trace: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def K(self) -> int:
@@ -52,27 +50,6 @@ class EstimationModel:
         """Q^{-1} b via triangular solves against the cached factor."""
         return scipy.linalg.cho_solve(self.Q_factor, b)
 
-    @property
-    def cross(self) -> np.ndarray:
-        """(K, K, M, M) tensor [i, k] = R_i Q^{-1} R_k, built lazily for the oracles."""
-        if self._cross is None:
-            self._cross = self.cov.R[:, None] @ self.X[None, :]
-        return self._cross
-
-    @property
-    def triple_trace(self) -> np.ndarray:
-        """(K, K, K) table [i, j, k] = tr(R_i Q^{-1} R_j R_k).
-
-        Needed only by the per-pair moments; built lazily and cached, one j
-        at a time as tr(R_i X_j R_k) = <(R_i X_j)^T, R_k>, in O(K M^2) memory.
-        """
-        if self._triple_trace is None:
-            R = self.cov.R
-            self._triple_trace = np.stack(
-                [_pair_traces(R @ self.X[j], R) for j in range(self.K)], axis=1
-            )
-        return self._triple_trace
-
 
 def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[i, k] = tr(A_i B_k) for stacks of square matrices, as one
@@ -82,19 +59,17 @@ def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ChannelBatch:
-    """A batch of channel realizations and (optionally) their estimates.
+    """A batch of channel realizations and their shared-pilot estimates.
 
-    h = h_hat + h_tilde holds exactly per realization once estimates are
-    filled in.  With a shared pilot there is a single observation per
-    realization, so one pilot-noise vector of shape (n, M) is shared by all
-    K estimates.
+    h = h_hat + h_tilde holds exactly per realization.  With a shared pilot
+    there is a single observation per realization, so one pilot-noise
+    vector of shape (n, M) is shared by all K estimates.
     """
 
-    n_samples: int
-    h: np.ndarray                     # (n, K, M)
-    h_hat: np.ndarray | None = None   # (n, K, M)
-    h_tilde: np.ndarray | None = None
-    pilot_noise: np.ndarray | None = None  # (n, M)
+    h: np.ndarray            # (n, K, M)
+    h_hat: np.ndarray        # (n, K, M)
+    h_tilde: np.ndarray      # (n, K, M)
+    pilot_noise: np.ndarray  # (n, M)
 
 
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
@@ -123,19 +98,16 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
     )
 
 
-def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> ChannelBatch:
-    """Draw n correlated Rayleigh realizations h_i ~ CN(0, R_i) per UE."""
+def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n correlated Rayleigh realizations h_i ~ CN(0, R_i) per UE, as
+    an (n, K, M) array."""
     if n < 1:
         raise ValueError("need at least one realization")
     K, M = cov.K, cov.M
     h = np.empty((n, K, M), dtype=complex)
     for k in range(K):
-        factor = cov._factors.get(k)
-        if factor is None:
-            factor = sampling_factor(cov.R[k])
-            cov._factors[k] = factor
-        h[:, k, :] = standard_complex_gaussian(rng, (n, M)) @ factor.T
-    return ChannelBatch(n_samples=n, h=h)
+        h[:, k, :] = standard_complex_gaussian(rng, (n, M)) @ sampling_factor(cov.R[k]).T
+    return h
 
 
 def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> ChannelBatch:
@@ -146,14 +118,11 @@ def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> 
     noise vector shared by all UEs, and forms h_hat_i = R_i Q^{-1} y for
     every UE.  The truth channels are drawn first, then the noise.
     """
-    batch = sample_channels(model.cov, n, rng)
+    h = sample_channels(model.cov, n, rng)
     noise = standard_complex_gaussian(rng, (n, model.M))
     scale = 1.0 / np.sqrt(model.rho_tr)
-    z = model.apply_q_inverse((batch.h.sum(axis=1) + scale * noise).T)  # (M, n)
-    h_hat = np.empty_like(batch.h)
+    z = model.apply_q_inverse((h.sum(axis=1) + scale * noise).T)  # (M, n)
+    h_hat = np.empty_like(h)
     for i in range(model.K):
         h_hat[:, i, :] = (model.cov.R[i] @ z).T
-    batch.h_hat = h_hat
-    batch.h_tilde = batch.h - h_hat
-    batch.pilot_noise = noise
-    return batch
+    return ChannelBatch(h=h, h_hat=h_hat, h_tilde=h - h_hat, pilot_noise=noise)

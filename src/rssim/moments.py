@@ -90,21 +90,6 @@ def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     raise ValueError(f"unknown quartic variant {variant!r}")
 
 
-def estimate_pair_moments(model: EstimationModel) -> np.ndarray:
-    """The (K, K, K) table [k, i, j] = E{h_k^H hhat_i hhat_j^H h_k}, valid
-    for i != j, assembled from the estimate-colinearity substitution, the
-    error-covariance split, and the circular quartic moment.
-
-    The substitution hhat_j = R_j R_i^{-1} hhat_i carries a trailing
-    R_k^{-1} R_i factor into the quartic term; the inverses cancel
-    algebraically, leaving
-        tr(C_ik) tr(C_kj) + tr(C_ij R_k),
-    which is the form evaluated here (exact for any covariances, no ridge).
-    """
-    ct = model.cross_trace
-    return ct.T[:, :, None] * ct[:, None, :] + np.moveaxis(model.triple_trace, 2, 0)
-
-
 def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
     total = complex(weights @ model.cross_trace @ weights)
     norm2 = _real_trace(total, "common precoder normalization")
@@ -120,10 +105,10 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     Both tables are array expressions over the trace tables; with
     C_ik = R_i Q^{-1} R_k, G_private[k, i] = (tr(R_k Phi_i) + |tr(C_ik)|^2) / tr(Phi_i).
     For the common beam, sum_i w_i hhat_i = R_w Q^{-1} y is the MMSE estimate
-    of a virtual UE with covariance R_w = sum_i w_i R_i (w real).  Since
-    tr(C_ki) = conj(tr(C_ik)) and tr(R_i Q^{-1} R_i R_k) = tr(R_k Phi_i), the
-    diagonal (same-estimate) terms and the ``estimate_pair_moments`` pair terms
-    sum to
+    of a virtual UE with covariance R_w = sum_i w_i R_i (w real).  The
+    circular quartic moment gives E{h_k^H hhat_i hhat_j^H h_k} =
+    tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k) for every pair i, j, and since
+    tr(C_ki) = conj(tr(C_ik)) the weighted pair sum is
         sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power

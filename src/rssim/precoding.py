@@ -133,8 +133,6 @@ def solve_common_weights(problem: CommonWeightProblem):
 
 def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.ndarray:
     """Per-realization common beams with the deterministic normalizer."""
-    if batch.h_hat is None:
-        raise ValueError("batch has no estimates; draw it with simulate_batch")
     weights = np.asarray(weights, dtype=float)
     norm2 = complex(weights @ model.cross_trace @ weights).real
     if norm2 <= 0:

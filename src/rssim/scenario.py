@@ -8,7 +8,7 @@ scattering clusters around the line-of-sight angle, for a uniform linear
 array with half-wavelength spacing.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -22,7 +22,8 @@ PATHLOSS_EXPONENT_DB_PER_DECADE = 38.0
 # Rejection sampling gives up after this many draws for a single UE.
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
-# Largest estimation model (R, X and Phi: three (K, M, M) complex128 arrays).
+# Largest total of the large arrays one point allocates, counted from the
+# sizes alone by ScenarioConfig.validate.
 MAX_MODEL_BYTES = 2 * 1024**3
 
 
@@ -80,11 +81,18 @@ class ScenarioConfig:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
-        model_bytes = 3 * self.K * self.M**2 * 16
+        if self.num_clusters < 1:
+            raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
+        K, M, S = self.K, self.M, self.num_clusters
+        # R, X and Phi; cross_trace, r_phi_trace and G_private; the weight
+        # LP's constraint matrix; the cluster angles of place_ues and the
+        # complex phase and real damping of local_scattering_covariance
+        model_bytes = 16 * 3 * K * M**2 + (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
+        model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:
             raise ConfigError(
-                f"M={self.M}, K={self.K} needs {model_bytes / 2**30:.3g} GiB of estimation "
-                f"arrays, above the {MAX_MODEL_BYTES / 2**30:g} GiB limit"
+                f"M={M}, K={K} with num_clusters={S} needs {model_bytes / 2**30:.3g} GiB "
+                f"of arrays, above the {MAX_MODEL_BYTES / 2**30:g} GiB limit"
             )
         if not (1 <= self.tau_p < self.tau):
             raise ConfigError(
@@ -96,8 +104,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"min_distance_m must lie in [0, cell_side_m/2), got {self.min_distance_m}"
             )
-        if self.num_clusters < 1:
-            raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         if self.angular_spread_deg < 0:
             raise ConfigError(f"angular_spread_deg must be >= 0, got {self.angular_spread_deg}")
         if self.nominal_angle_halfwidth_deg < 0:
@@ -159,7 +165,6 @@ class CovarianceSet:
 
     R: np.ndarray     # (K, M, M) complex Hermitian
     beta: np.ndarray  # (K,) linear average gains, tr(R_i)/M
-    _factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def K(self) -> int:

@@ -102,7 +102,7 @@ def test_criterion_2_estimate_correlation_identities():
     model = build_estimation_model(cov, config.rho_tr_effective)
     stats = mc_estimation_stats(model, 100_000, np.random.default_rng(20))
     worst_cross = max(
-        relative_frobenius(stats["cross"][i, k], model.cross[i, k])
+        relative_frobenius(stats["cross"][i, k], cov.R[i] @ model.X[k])
         for i in range(2) for k in range(2)
     )
     worst_err = max(

@@ -140,6 +140,31 @@ def test_memory_guard_rejects_huge_model_before_allocating():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("M, K", [(100, 10), (64, 8), (16, 12), (200, 20), (256, 32)])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # the (K, K) cross_trace alone needs 149 GiB
+        (dict(M=1, K=100_000), r"M=1, K=100000 with num_clusters=6 needs 373 GiB"),
+        # the (K, S) cluster angles alone need 75 GiB
+        (dict(num_clusters=10**9), r"M=100, K=10 with num_clusters=1000000000 needs .* GiB"),
+    ],
+)
+def test_memory_guard_counts_the_k_by_k_tables_and_the_cluster_arrays(kwargs, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# the defaults, the benchmark and CI sizes, and every acceptance-criterion size
+@pytest.mark.parametrize(
+    "M, K",
+    [(100, 10), (64, 8), (16, 12), (200, 20), (256, 32), (64, 5), (64, 2), (64, 15)]
+    + [(M, K) for M in (8, 16, 32) for K in (2, 3, 4)],
+)
 def test_memory_guard_accepts_working_sizes(M, K):
     ScenarioConfig(M=M, K=K)

@@ -11,13 +11,12 @@ from rssim.moments import (
     _real_trace,
     closed_form_moments,
     default_quartic_variant,
-    estimate_pair_moments,
     mc_c_quartic,
     quartic_identity,
     select_quartic_variant,
 )
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
-from rssim.validation import mc_moment_table, tolerance_excess, worst_moment_excess
+from rssim.validation import mc_moment_table, worst_moment_excess
 
 from conftest import diagonal_covariances, make_scenario
 
@@ -54,20 +53,24 @@ def common_gain(k: int, weights, model) -> complex:
 def common_second_moment(k: int, weights, model) -> float:
     """Mean squared response of UE k to the common precoder.
 
-    The diagonal (same-estimate) terms use the MR-style identity; the
-    off-diagonal pairs use ``estimate_pair_moments``.  The pair sum is real
-    because swapping the pair conjugates the term.
+    The diagonal (same-estimate) terms use the MR-style identity; each
+    off-diagonal pair i != j contributes
+    E{h_k^H hhat_i hhat_j^H h_k} = tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k),
+    with the triple trace formed from explicit products.  The pair sum is
+    real because swapping the pair conjugates the term.
     """
     weights = np.asarray(weights, dtype=float)
     norm2 = _common_norm_squared(weights, model)
     ct = model.cross_trace
-    t3 = model.triple_trace
+    R = model.cov.R
+    t3 = np.array([[np.trace(R[i] @ model.X[j] @ R[k]) for j in range(model.K)]
+                   for i in range(model.K)])
     diag = float(
         np.sum(weights**2 * (model.r_phi_trace[k, :] + np.abs(ct[:, k]) ** 2))
     )
     outer = np.outer(weights, weights)
     np.fill_diagonal(outer, 0.0)
-    pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3[:, :, k])))
+    pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3)))
     total = _real_trace(pair_sum, "common second moment pair sum") + diag
     return total / norm2
 
@@ -175,15 +178,6 @@ def test_closed_form_vs_monte_carlo_table(small_setup):
     assert worst_moment_excess(closed, mc, info["se"]) <= 1.0
 
 
-def test_pair_moments_vs_monte_carlo(small_setup):
-    """The assembled off-diagonal chain equals the direct sample mean of
-    the mixed estimate quadratic forms."""
-    _, _, model, weights = small_setup
-    _, info = mc_moment_table(model, MC_SAMPLES, np.random.default_rng(31), weights)
-    excess = tolerance_excess(estimate_pair_moments(model), info["pair_mean"], info["pair_se"])
-    assert excess[:, ~np.eye(model.K, dtype=bool)].max() <= 1.0
-
-
 def test_moment_table_variance_invariant_enforced():
     table = MomentTable(
         g_private=np.array([2.0 + 0j]),
@@ -232,8 +226,7 @@ def test_array_table_rejects_degenerate_ue():
 
 def test_closed_form_memory_scales_with_k_m_squared():
     """Model plus common table stay O(K M^2): below 8 K M^2 complex128
-    (about 28 MiB at 96x24, against 85 MiB for one (K, K, M, M) tensor),
-    and the lazy cross tensor is never built."""
+    (about 28 MiB at 96x24, against 85 MiB for one (K, K, M, M) tensor)."""
     M, K = 96, 24
     config = ScenarioConfig(M=M, K=K, seed=5)
     _, cov = generate_scenario(config, np.random.default_rng(5))
@@ -246,4 +239,3 @@ def test_closed_form_memory_scales_with_k_m_squared():
     finally:
         tracemalloc.stop()
     assert peak < 8 * K * M**2 * 16
-    assert model._cross is None

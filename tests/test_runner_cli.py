@@ -9,6 +9,7 @@ import rssim.cli
 import rssim.moments
 import rssim.power
 import rssim.runner
+import rssim.validation
 from rssim.cli import main
 from rssim.config import MODES, SweepSpec, load_config
 from rssim.errors import ConfigError
@@ -32,6 +33,12 @@ def small_config(**kwargs):
     params = dict(SMALL)
     params.update(kwargs)
     return ScenarioConfig(**params)
+
+
+def sweep_lines(command, values="20"):
+    """The sweep keys of a config file shared by the commands; only the
+    sweep command reads them, and the others refuse them."""
+    return f"axis = power_dbm\nvalues = {values}\n" if command == "sweep" else ""
 
 
 def test_run_point_no_rs_has_no_common_stream():
@@ -379,7 +386,7 @@ def test_cli_non_finite_scenario_float_is_a_config_error(tmp_path, capsys, line)
 @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
 def test_cli_out_of_range_scenario_value_is_a_config_error(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"M = 8\nK = 2\naxis = power_dbm\nvalues = 20\n{line}\n")
+    cfg.write_text(f"M = 8\nK = 2\n{sweep_lines(command)}{line}\n")
     args = [command, "--config", str(cfg)]
     if command != "validate":
         args += ["--output", str(tmp_path / "x.csv")]
@@ -395,7 +402,7 @@ def test_cli_out_of_range_scenario_value_is_a_config_error(tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
 def test_cli_infinite_snr_is_a_config_error(tmp_path, capsys, command, lines, name):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"M = 16\nK = 3\naxis = power_dbm\nvalues = 20\n{lines}\n")
+    cfg.write_text(f"M = 16\nK = 3\n{sweep_lines(command)}{lines}\n")
     args = [command, "--config", str(cfg)]
     if command != "validate":
         args += ["--output", str(tmp_path / "x.csv")]
@@ -410,7 +417,7 @@ def test_cli_underflowing_weight_couplings_are_a_numerical_error(tmp_path, capsy
     # positive (about 5e-317) but underflow to 0 once weighted by sqrt(pi),
     # which is not a UE that cannot be served
     cfg = tmp_path / "noisy.cfg"
-    cfg.write_text("M = 16\nK = 3\naxis = power_dbm\nvalues = 20\nnoise_dbm = 3000\n")
+    cfg.write_text(f"M = 16\nK = 3\n{sweep_lines(command)}noise_dbm = 3000\n")
     args = [command, "--config", str(cfg)]
     if command != "validate":
         args += ["--output", str(tmp_path / "x.csv")]
@@ -433,7 +440,7 @@ def test_cli_budget_that_rounds_every_level_away_is_a_numerical_error(
     # zero, so the run would spend none of it and write all-zero rows; 5 dB
     # more still gives the streams power (the sweep's drop is another one)
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(f"M = 8\nK = 3\nrho_total_dbm = {dbm}\naxis = power_dbm\nvalues = {dbm}\n")
+    cfg.write_text(f"M = 8\nK = 3\nrho_total_dbm = {dbm}\n{sweep_lines(command, dbm)}")
     out = tmp_path / "x.csv"
     assert main([command, "--config", str(cfg), "--output", str(out)]) == code
     err = capsys.readouterr().err
@@ -466,7 +473,7 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, command, case
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_output_that_is_a_directory_is_a_config_error(tmp_path, capsys, command):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 20\n")
+    cfg.write_text(f"M = 8\nK = 2\n{sweep_lines(command)}")
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
@@ -486,7 +493,7 @@ def test_cli_output_path_is_checked_before_any_point(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(rssim.runner, "generate_scenario", refuse)
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 20, 30\n")
+    cfg.write_text(f"M = 8\nK = 2\n{sweep_lines(command, '20, 30')}")
     if case == "directory":
         out = tmp_path / "out"
         out.mkdir()
@@ -496,6 +503,48 @@ def test_cli_output_path_is_checked_before_any_point(tmp_path, capsys, monkeypat
         expected = f"output directory does not exist: {out.parent}"
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+def refuse_points(monkeypatch):
+    """Make every point evaluation and the validation suite raise: both start
+    with the scenario."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario was generated")
+
+    monkeypatch.setattr(rssim.runner, "generate_scenario", refuse)
+    monkeypatch.setattr(rssim.validation, "generate_scenario", refuse)
+
+
+@pytest.mark.parametrize(
+    "command, lines, named",
+    [
+        ("run", "axis = power_dbm\nvalues = 20\ndrops = 3\n", "axis, values, drops"),
+        ("validate", "drops = 3\nmax_iterations = 50\n", "drops, max_iterations"),
+    ],
+)
+def test_cli_refuses_config_keys_the_command_does_not_read(
+    tmp_path, capsys, monkeypatch, command, lines, named
+):
+    # run reads no sweep key, and validate neither a sweep nor a solver key;
+    # both used to run one point or the suite and ignore them
+    refuse_points(monkeypatch)
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(f"M = 8\nK = 2\n{lines}")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: keys this command does not read: {named}\n"
+
+
+def test_cli_users_sweep_past_the_memory_guard_fails_before_any_point(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_points(monkeypatch)
+    cfg = tmp_path / "users.cfg"
+    cfg.write_text("M = 1\naxis = users\nvalues = 2, 100000\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: M=1, K=100000 with num_clusters=6")
+    assert not out.exists()
 
 
 def test_cli_validate_refuses_small_trials():

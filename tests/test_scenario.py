@@ -194,8 +194,8 @@ def test_generate_scenario_deterministic(small_setup=None):
 def test_sample_mean_covariance_consistency():
     config = ScenarioConfig(M=8, K=2, seed=4)
     _, cov = generate_scenario(config, np.random.default_rng(4))
-    batch = sample_channels(cov, 100_000, np.random.default_rng(5))
+    h = sample_channels(cov, 100_000, np.random.default_rng(5))
     for k in range(config.K):
-        emp = np.einsum("nm,nl->ml", batch.h[:, k, :], batch.h[:, k, :].conj()) / batch.n_samples
+        emp = np.einsum("nm,nl->ml", h[:, k, :], h[:, k, :].conj()) / len(h)
         rel = np.linalg.norm(emp - cov.R[k]) / np.linalg.norm(cov.R[k])
         assert rel < 0.02

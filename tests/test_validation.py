@@ -64,7 +64,7 @@ def test_validation_suite_passes_on_default_scenario():
     # other's deviation
     quartic = report.checks[0]
     assert "rejected variant" in quartic.detail
-    assert len(report.checks) == 10
+    assert len(report.checks) == 9
     assert [c.name for c in report.checks[-2:]] == [
         "sum-SE gradient vs finite differences",
         "sum-SE Hessian vs finite differences",
