@@ -33,7 +33,6 @@ from .moments import (
     select_quartic_variant,
 )
 from .power import (
-    IlaWfOptions,
     LinearizationTerms,
     PowerAllocation,
     ila_wf,
@@ -45,7 +44,7 @@ from .precoding import (
     common_precoder,
     solve_common_weights,
 )
-from .runner import ResultRow, evaluate_drop, run_point, run_sweep
+from .runner import ResultRow, run_point, run_sweep
 from .scenario import (
     CovarianceSet,
     ScenarioConfig,

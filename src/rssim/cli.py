@@ -8,10 +8,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import MODES, SECTIONS, load_config
+from .config import SECTIONS, load_config
 from .errors import ConfigError, RssimError
-from .power import IlaWfOptions
-from .runner import check_output_path, evaluate_drop, render_csv, result_row, run_sweep, write_rows
+from .runner import (
+    MODES, allocate_drop, build_drop, check_modes, check_output_path, render_csv, result_row,
+    run_sweep, write_rows,
+)
 from .scenario import ScenarioConfig
 from .validation import run_validation
 
@@ -22,7 +24,7 @@ EXIT_VALIDATION = 3
 
 # the config sections each command reads; a key from any other is refused
 READS = {
-    "run": (ScenarioConfig, IlaWfOptions),
+    "run": (ScenarioConfig,),
     "sweep": SECTIONS,
     "validate": (ScenarioConfig,),
 }
@@ -31,7 +33,7 @@ READS = {
 def _load(args):
     if args.config:
         return load_config(args.config, READS[args.command])
-    return ScenarioConfig(), None, IlaWfOptions()
+    return ScenarioConfig(), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,24 +70,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, sweep, solver = _load(args)
+        config, sweep = _load(args)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         if args.command == "run":
             modes = _modes(args.mode)
+            check_modes(modes)
             if args.output:
                 check_output_path(args.output)
-            results = evaluate_drop(config, modes, config.seed, solver)
+            results = allocate_drop(config, modes, build_drop(config, config.seed))
             rows = [result_row(config, mode, config.seed, results[mode]) for mode in modes]
             sys.stdout.write(write_rows(rows, args.output) if args.output else render_csv(rows))
             return EXIT_OK
         if args.command == "sweep":
             if sweep is None:
                 raise ConfigError("sweep command needs a config file with sweep keys")
-            if args.mode != "both":
-                sweep = replace(sweep, modes=(args.mode,))
             output = args.output or sweep.output_path
-            rows = run_sweep(sweep, config, solver, output_path=output)
+            rows = run_sweep(sweep, config, _modes(args.mode), output_path=output)
             sys.stdout.write(f"wrote {len(rows)} rows to {output}\n")
             unconverged = sum(not row.converged for row in rows)
             sys.stderr.write(

@@ -1,9 +1,9 @@
 """Flat key-value configuration documents with a strict schema.
 
 The format is one ``key = value`` assignment per line, ``#`` comments, and
-blank lines.  Keys are exactly the scenario, sweep, and solver field names
-below; anything else is rejected by name, and so is a key of a section the
-reader will not use.  All powers are entered in dBm and converted once, at
+blank lines.  Keys are exactly the scenario and sweep field names below;
+anything else is rejected by name, and so is a key of a section the reader
+will not use.  All powers are entered in dBm and converted once, at
 this boundary.
 """
 
@@ -12,12 +12,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .power import IlaWfOptions
 from .scenario import ScenarioConfig
 
 # sweep axis -> the ScenarioConfig field it sets and that field's type
 SWEEP_AXES = {"power_dbm": ("rho_total_dbm", float), "antennas": ("M", int), "users": ("K", int)}
-MODES = ("rs", "no_rs")
 
 
 @dataclass
@@ -27,7 +25,6 @@ class SweepSpec:
     axis: str = "power_dbm"
     values: tuple = ()
     drops: int = 1
-    modes: tuple = MODES
     output_path: str = "sweep.csv"
 
     def validate(self):
@@ -44,17 +41,10 @@ class SweepSpec:
             raise ConfigError("sweep values must be strictly increasing")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
-        for m in self.modes:
-            if m not in MODES:
-                raise ConfigError(f"mode must be one of {MODES}, got {m!r}")
-        if len(self.modes) == 0:
-            raise ConfigError("need at least one mode")
-        if len(set(self.modes)) != len(self.modes):
-            raise ConfigError(f"modes must not repeat, got {self.modes}")
 
 
 # the dataclasses a config document sets, one section of keys each
-SECTIONS = (ScenarioConfig, SweepSpec, IlaWfOptions)
+SECTIONS = (ScenarioConfig, SweepSpec)
 
 # every config key: the dataclass it belongs to and the type it parses to
 _KEYS = {f.name: (cls, f.type) for cls in SECTIONS for f in fields(cls)}
@@ -67,8 +57,6 @@ def _parse_scalar(key: str, kind: type, raw: str):
             return tuple(float(v) for v in raw.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"key 'values': expected comma-separated numbers, got {raw!r}") from exc
-    if key == "modes":
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
     try:
         return kind(raw)
     except ValueError as exc:
@@ -77,12 +65,11 @@ def _parse_scalar(key: str, kind: type, raw: str):
 
 
 def parse_config(text: str, reads=SECTIONS):
-    """Parse a config document into (ScenarioConfig, SweepSpec | None,
-    IlaWfOptions).
+    """Parse a config document into (ScenarioConfig, SweepSpec | None).
 
-    Unspecified scenario and solver fields take the standard defaults; both
-    validate on construction.  A SweepSpec is returned only when the
-    document sets at least one sweep key.  A key whose section is not in
+    Unspecified scenario fields take the standard defaults, and the
+    scenario validates on construction.  A SweepSpec is returned only when
+    the document sets at least one sweep key.  A key whose section is not in
     ``reads`` would be ignored, so it is a ConfigError that names it.
     """
     kwargs = {cls: {} for cls, _ in _KEYS.values()}
@@ -112,13 +99,13 @@ def parse_config(text: str, reads=SECTIONS):
     if kwargs[SweepSpec]:
         sweep = SweepSpec(**kwargs[SweepSpec])
         sweep.validate()
-    solver = IlaWfOptions(**kwargs[IlaWfOptions])  # validates in __post_init__
-    return config, sweep, solver
+    return config, sweep
 
 
 def load_config(path, reads=SECTIONS) -> tuple:
-    """Read and parse a config file, refusing keys of a section not in
-    ``reads``; a path that is not a readable UTF-8 file is a ConfigError."""
+    """Read and parse a config file into (ScenarioConfig, SweepSpec | None),
+    refusing keys of a section not in ``reads``; a path that is not a
+    readable UTF-8 file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -23,21 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .link import PowerVector, stream_denominators
 from .moments import MomentTable
 from .scenario import ScenarioConfig
-
-
-@dataclass
-class IlaWfOptions:
-    """Solver knobs; defaults follow the standard run configuration."""
-
-    max_iterations: int = 200     # water-filling and Newton steps together
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -141,6 +130,8 @@ def sum_se_hessian(rho_hat: PowerVector, moments: MomentTable, sigma2: float, l_
     return H
 
 
+# water-filling and Newton steps of one run together
+MAX_ITERATIONS = 200
 # the stationarity residuals of a converged run, relative to the largest
 # own-signal gain of its active streams
 KKT_TOL = 1e-9
@@ -150,11 +141,7 @@ NEWTON_AFTER = 3
 NEWTON_HALVINGS = 3
 
 
-def ila_wf(
-    moments: MomentTable,
-    config: ScenarioConfig,
-    options: IlaWfOptions | None = None,
-) -> PowerAllocation:
+def ila_wf(moments: MomentTable, config: ScenarioConfig) -> PowerAllocation:
     """One allocation run: budget-exact water-filling, finished by active-set Newton steps.
 
     The budget and the noise power come from ``config``.  The run starts
@@ -171,15 +158,14 @@ def ila_wf(
     keep the budget as an equality, so every iterate spends it; within a
     water-filling step the multiplier is negative where the linearized
     demand at zero price falls short of the budget.  It stops as
-    converged when ``_kkt_test`` passes; at the iteration cap it returns its
-    last iterate with ``converged=False``.
+    converged when ``_kkt_test`` passes; after ``MAX_ITERATIONS`` steps it
+    returns its last iterate with ``converged=False``.
 
     On a table without common weights the common stream never joins a
     step.  While it has no power a run reads no common-stream entry of its
     table, so a run that never opens it is, bit for bit, the run on the
     table without common weights.
     """
-    opts = options or IlaWfOptions()
     rho_total, sigma2 = config.rho_total_mw, config.noise_mw
 
     def linearize(rc, r):
@@ -191,7 +177,7 @@ def ila_wf(
     terms, water = linearize(rho_c, rho)
     held = 1
     opened = False
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         new_c, new_rho, _ = water
         if held >= NEWTON_AFTER and rho_c == new_c == 0 and np.array_equal(new_rho > 0, rho > 0):
             step = _newton_step(terms, rho, moments, sigma2, rho_total)

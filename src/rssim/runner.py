@@ -16,14 +16,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import MODES, SWEEP_AXES, SweepSpec
+from .config import SWEEP_AXES, SweepSpec
 from .errors import ConfigError
 from .estimation import build_estimation_model
 from .link import se_report
 from .moments import closed_form_moments
-from .power import IlaWfOptions, ila_wf
+from .power import ila_wf
 from .precoding import build_common_weight_problem, solve_common_weights
 from .scenario import ScenarioConfig, generate_scenario
+
+MODES = ("rs", "no_rs")
 
 
 @dataclass
@@ -83,32 +85,24 @@ def build_drop(config: ScenarioConfig, seed: int):
     return model, closed_form_moments(model)
 
 
-def evaluate_drop(
-    config: ScenarioConfig,
-    modes,
-    seed: int,
-    solver: IlaWfOptions | None = None,
-) -> dict:
-    """Run the full pipeline for one drop in each of the given modes.
-
-    Returns {mode: (SEReport, PowerAllocation, weights)}; see
-    ``allocate_drop``.
-    """
+def check_modes(modes):
+    """Raise ConfigError unless the modes are known, at least one, and not
+    repeated; callers check before they build a drop."""
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return allocate_drop(config, modes, build_drop(config, seed), solver)
+    if len(modes) == 0:
+        raise ConfigError("need at least one mode")
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"modes must not repeat, got {tuple(modes)}")
 
 
-def allocate_drop(
-    config: ScenarioConfig,
-    modes,
-    drop,
-    solver: IlaWfOptions | None = None,
-) -> dict:
-    """Solve the given modes on a drop built by ``build_drop``.
+def allocate_drop(config: ScenarioConfig, modes, drop) -> dict:
+    """Solve the given modes, already passed by ``check_modes``, on a drop
+    built by ``build_drop``.
 
-    Returns {mode: (SEReport, PowerAllocation, weights)}.  The modes share
+    Returns {mode: (SEReport, PowerAllocation, weights)}.  Every allocator
+    run stops after at most ``power.MAX_ITERATIONS`` steps.  The modes share
     the drop: the scenario, the estimation model and the table without the
     common stream.  In "no_rs" mode the common stream is absent: no
     weights are solved and the allocation runs on that table.
@@ -123,7 +117,7 @@ def allocate_drop(
     model, mr_table = drop
 
     def scored(table):
-        alloc = ila_wf(table, config, solver)
+        alloc = ila_wf(table, config)
         return se_report(alloc.powers, table, config), alloc
 
     results = {}
@@ -158,7 +152,7 @@ def result_row(
     axis_value: float | None = None,
     drop: int = 0,
 ) -> ResultRow:
-    """Flatten one mode's ``evaluate_drop`` result into a result row."""
+    """Flatten one mode's ``allocate_drop`` result into a result row."""
     report, alloc, _ = result
     if axis_value is None:
         axis_value = getattr(config, SWEEP_AXES[axis][0])
@@ -182,13 +176,13 @@ def run_point(
     config: ScenarioConfig,
     mode: str,
     seed: int,
-    solver: IlaWfOptions | None = None,
     axis: str = "power_dbm",
     axis_value: float | None = None,
     drop: int = 0,
 ) -> ResultRow:
     """Evaluate one point and flatten it into a result row."""
-    result = evaluate_drop(config, (mode,), seed, solver)[mode]
+    check_modes((mode,))
+    result = allocate_drop(config, (mode,), build_drop(config, seed))[mode]
     return result_row(config, mode, seed, result, axis, axis_value, drop)
 
 
@@ -202,19 +196,22 @@ def apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfi
 def run_sweep(
     spec: SweepSpec,
     config: ScenarioConfig,
-    solver: IlaWfOptions | None = None,
+    modes=MODES,
     output_path: str | None = None,
 ) -> list:
     """Evaluate every (value, drop, mode) combination of a sweep.
 
-    Each (value, drop) is solved once for all modes.  On a power sweep each
-    drop is also built once, by ``build_drop``, and shared by every power
-    value; on the antenna and user axes M or K changes the drop, so every
-    point builds its own.  Rows come in the order values outer, then drops,
-    then modes.  The output path is checked before any point is evaluated;
-    the CSV is written atomically, so a partial file is never left behind.
+    ``modes`` (both by default) is checked by ``check_modes``, and it and
+    the output path are checked before any point is evaluated.  Each
+    (value, drop) is solved once for all modes.  On a power sweep each drop
+    is also built once, by ``build_drop``, and shared by every power value;
+    on the antenna and user axes M or K changes the drop, so every point
+    builds its own.  Rows come in the order values outer, then drops, then
+    modes.  The CSV is written atomically, so a partial file is never left
+    behind.
     """
     spec.validate()
+    check_modes(modes)
     if output_path is not None:
         check_output_path(output_path)
     configs = [apply_axis(config, spec.axis, value) for value in spec.values]
@@ -223,12 +220,10 @@ def run_sweep(
         seed = derive_point_seed(config.seed, drop)
         shared = build_drop(config, seed) if spec.axis == "power_dbm" else None
         for value, point_config in zip(spec.values, configs):
-            results = allocate_drop(
-                point_config, spec.modes, shared or build_drop(point_config, seed), solver
-            )
+            results = allocate_drop(point_config, modes, shared or build_drop(point_config, seed))
             rows.extend(
                 result_row(point_config, mode, seed, results[mode], spec.axis, value, drop)
-                for mode in spec.modes
+                for mode in modes
             )
     # the values strictly increase and the sort is stable: values outer,
     # then drops, then modes

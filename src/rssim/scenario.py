@@ -84,10 +84,12 @@ class ScenarioConfig:
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         K, M, S = self.K, self.M, self.num_clusters
-        # R, X and Phi; cross_trace, r_phi_trace and G_private; the weight
-        # LP's constraint matrix; the cluster angles of place_ues and the
-        # complex phase and real damping of local_scattering_covariance
-        model_bytes = 16 * 3 * K * M**2 + (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
+        # R, X, Phi and the transposed copy of Phi that r_phi_trace takes;
+        # Q, its Cholesky factor, R_w and Phi_w of the common table;
+        # cross_trace, r_phi_trace and G_private; the weight LP's constraint
+        # matrix; the cluster angles of place_ues and the complex phase and
+        # real damping of local_scattering_covariance
+        model_bytes = 16 * 4 * (K + 1) * M**2 + (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
         model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:
             raise ConfigError(

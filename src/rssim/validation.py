@@ -168,13 +168,15 @@ def well_conditioned_covariances(K: int, M: int, rng: np.random.Generator) -> Co
 
 def colinearity_identity_error(model: EstimationModel, n: int, rng: np.random.Generator) -> float:
     """Worst per-realization relative error of hhat_i = R_i R_k^{-1} hhat_k
-    over all ordered UE pairs (requires invertible R_k)."""
+    over all ordered UE pairs.  Every R_k must be invertible: a covariance
+    with condition number above 1e8 raises ValueError naming its UE."""
     batch = simulate_batch(model, n, rng)
     worst = 0.0
     for k in range(model.K):
         r_k = model.cov.R[k]
-        if np.linalg.cond(r_k) > 1e8:
-            continue
+        cond = np.linalg.cond(r_k)
+        if cond > 1e8:
+            raise ValueError(f"UE {k}: cond(R_k) = {cond:.3g} is above 1e8; R_k must be invertible")
         transfer = np.linalg.solve(r_k.T, model.cov.R.transpose(0, 2, 1)).transpose(0, 2, 1)
         # transfer[i] = R_i R_k^{-1}
         for i in range(model.K):
@@ -192,7 +194,7 @@ def simplex_grid_max_min(v: np.ndarray, step: float = 0.01) -> float:
 
     Enumerates all compositions of 1/step into K nonnegative parts (stars
     and bars: K-1 bar positions among 1/step + K-1 slots) as one integer
-    array; independent of the LP solver by construction.
+    array; it shares no code with the weight LP.
     """
     K = v.shape[0]
     units = int(round(1.0 / step))
@@ -390,7 +392,7 @@ def run_validation(
         a_star, t_lp = solve_common_weights(prob)
         t_grid = simplex_grid_max_min(prob.constraint_matrix(), step=0.01)
         if t_lp < t_grid - 1e-6 * max(1.0, abs(t_grid)):
-            worst_lp = np.inf  # grid beat the LP beyond solver tolerance
+            worst_lp = np.inf  # grid beat the LP beyond its tolerance
         worst_lp = max(worst_lp, abs(t_lp - t_grid) / max(abs(t_lp), 1e-300))
     report.checks.append(
         ValidationCheck(

@@ -25,7 +25,7 @@ from rssim.precoding import (
     build_common_weight_problem,
     solve_common_weights,
 )
-from rssim.runner import derive_point_seed, evaluate_drop, render_csv, run_sweep
+from rssim.runner import allocate_drop, build_drop, derive_point_seed, render_csv, run_sweep
 from rssim.scenario import ScenarioConfig, generate_scenario
 from rssim.validation import (
     colinearity_identity_error,
@@ -280,12 +280,12 @@ def test_post_sic_leakage_keeps_the_common_stream_off():
     ratios = []
     for drop in range(10):
         seed = derive_point_seed(config.seed, drop)
-        results = evaluate_drop(config, ("rs", "no_rs"), seed)
+        model, mr_table = build_drop(config, seed)
+        results = allocate_drop(config, ("rs", "no_rs"), (model, mr_table))
         _, alloc, weights = results["rs"]
         optimum = results["no_rs"][1]
         assert alloc.powers.rho_c == 0.0 and optimum.converged and optimum.mu > 0
-        _, cov = generate_scenario(config, np.random.default_rng(seed))
-        table = closed_form_moments(build_estimation_model(cov, config.rho_tr_effective), weights)
+        table = closed_form_moments(model, weights)
         terms = linearization_terms(optimum.powers, table, sigma2, None)
         c = terms.gain_common - terms.sigma2_common - optimum.mu
         rho = optimum.powers.rho

@@ -1,16 +1,21 @@
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import rssim.scenario
 from rssim.config import SweepSpec, parse_config
 from rssim.errors import ConfigError
-from rssim.power import IlaWfOptions
-from rssim.scenario import ScenarioConfig
+from rssim.estimation import build_estimation_model
+from rssim.moments import closed_form_moments
+from rssim.precoding import build_common_weight_problem, solve_common_weights
+from rssim.runner import check_modes
+from rssim.scenario import ScenarioConfig, generate_scenario
 
 
 def test_empty_document_gives_standard_defaults():
-    config, sweep, solver = parse_config("")
+    config, sweep = parse_config("")
     assert config.M == 100
     assert config.K == 10
     assert config.tau == 200
@@ -23,7 +28,6 @@ def test_empty_document_gives_standard_defaults():
     assert config.angular_spread_deg == 10.0
     assert config.nominal_angle_halfwidth_deg == 40.0
     assert sweep is None
-    assert solver.max_iterations == 200
 
 
 def test_tau_p_violation_names_field():
@@ -39,7 +43,8 @@ def test_unknown_key_named():
 @pytest.mark.parametrize(
     "key",
     ["mu_rel_tol", "mu_abs_floor", "nested_bisection", "mu_upper", "independent_pilot_noise",
-     "quartic_variant", "budget_tol", "include_pi", "se_tol", "power_tol"],
+     "quartic_variant", "budget_tol", "include_pi", "se_tol", "power_tol", "max_iterations",
+     "modes"],
 )
 def test_removed_solver_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -60,7 +65,7 @@ def test_malformed_line_rejected():
 
 
 def test_comments_and_blank_lines_ignored():
-    config, _, _ = parse_config("# comment\n\nM = 32  # antennas\n")
+    config, _ = parse_config("# comment\n\nM = 32  # antennas\n")
     assert config.M == 32
 
 
@@ -69,14 +74,13 @@ def test_sweep_parsing():
 axis = power_dbm
 values = 0, 10, 20
 drops = 3
-modes = rs, no_rs
 output_path = out.csv
 """
-    _, sweep, _ = parse_config(text)
+    _, sweep = parse_config(text)
     assert sweep.axis == "power_dbm"
     assert sweep.values == (0.0, 10.0, 20.0)
     assert sweep.drops == 3
-    assert sweep.modes == ("rs", "no_rs")
+    assert sweep.output_path == "out.csv"
 
 
 def test_sweep_values_must_increase():
@@ -85,15 +89,15 @@ def test_sweep_values_must_increase():
 
 
 def test_sweep_mode_validated():
-    with pytest.raises(ConfigError, match="mode"):
-        parse_config("axis = users\nvalues = 2, 5\nmodes = hybrid\n")
+    # the modes come from --mode or the caller, not from a config key; one
+    # check refuses an unknown, repeated or missing mode
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        check_modes(("hybrid",))
     with pytest.raises(ConfigError, match="modes must not repeat"):
-        parse_config("axis = users\nvalues = 2, 5\nmodes = rs, no_rs, rs\n")
-
-
-def test_solver_and_settings_keys():
-    _, _, solver = parse_config("max_iterations = 50\n")
-    assert solver.max_iterations == 50
+        check_modes(("rs", "no_rs", "rs"))
+    with pytest.raises(ConfigError, match="need at least one mode"):
+        check_modes(())
+    check_modes(("no_rs", "rs"))
 
 
 @pytest.mark.parametrize(
@@ -103,10 +107,10 @@ def test_solver_and_settings_keys():
 )
 def test_bad_solver_values_rejected(line):
     # se_tol and power_tol were removed with the allocator's settled-powers
-    # and sum-SE stopping rules: any value of them is now an unknown key
+    # and sum-SE stopping rules, and max_iterations with the solver section:
+    # any value of them is now an unknown key
     key = line.split(" = ")[0]
-    message = f"^{key} must be" if key == "max_iterations" else f"unknown key '{key}'"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(line + "\n")
 
 
@@ -117,7 +121,7 @@ def test_bad_number_rejected():
 
 @pytest.mark.parametrize(
     "key",
-    [f.name for cls in (ScenarioConfig, SweepSpec, IlaWfOptions) for f in fields(cls) if f.type is int],
+    [f.name for cls in (ScenarioConfig, SweepSpec) for f in fields(cls) if f.type is int],
 )
 def test_int_key_rejects_a_fraction(key):
     with pytest.raises(ConfigError, match=f"key '{key}': expected an integer"):
@@ -168,3 +172,33 @@ def test_memory_guard_counts_the_k_by_k_tables_and_the_cluster_arrays(kwargs, me
 )
 def test_memory_guard_accepts_working_sizes(M, K):
     ScenarioConfig(M=M, K=K)
+
+
+def traced_point_peak(M, K):
+    """Bytes of R plus the tracemalloc peak of the estimation model, both
+    moment tables and the weight LP of one default-config drop."""
+    config = ScenarioConfig(M=M, K=K)
+    _, cov = generate_scenario(config, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        model = build_estimation_model(cov, config.rho_tr_effective)
+        mr_table = closed_form_moments(model)
+        problem = build_common_weight_problem(
+            model, mr_table, np.full(K, config.rho_total_mw / K), config.noise_mw
+        )
+        weights, _ = solve_common_weights(problem)
+        closed_form_moments(model, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return cov.R.nbytes + peak
+
+
+@pytest.mark.parametrize("M, K", [(200, 20), (256, 32)])
+def test_memory_guard_counts_the_traced_peak(M, K, monkeypatch):
+    # the r_phi_trace table takes a transposed copy of Phi, a fourth
+    # (K, M, M) array, and Q, its factor, R_w and Phi_w add (M, M) arrays:
+    # a budget one byte below the traced peak must refuse the size
+    monkeypatch.setattr(rssim.scenario, "MAX_MODEL_BYTES", traced_point_peak(M, K) - 1)
+    with pytest.raises(ConfigError, match=f"M={M}, K={K} "):
+        ScenarioConfig(M=M, K=K)

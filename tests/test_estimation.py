@@ -94,6 +94,16 @@ def test_colinearity_identity_per_realization():
     assert worst < 1e-10
 
 
+def test_colinearity_identity_refuses_singular_covariances():
+    # every R_k is rank one, so no UE's transfer R_i R_k^{-1} exists; the
+    # check used to skip them all and return 0.0, which read as a pass
+    a = np.random.default_rng(4).standard_normal((3, 10)) + 0j
+    cov = CovarianceSet(R=np.einsum("km,kn->kmn", a, a), beta=(a**2).sum(axis=1).real / 10)
+    model = build_estimation_model(cov, 40.0)
+    with pytest.raises(ValueError, match="^UE 0: cond"):
+        colinearity_identity_error(model, 50, np.random.default_rng(9))
+
+
 def test_near_noiseless_estimation_recovers_truth():
     cov = well_conditioned_covariances(1, 10, np.random.default_rng(12))
     model = build_estimation_model(cov, 1e12)

@@ -12,14 +12,13 @@ from rssim.moments import MomentTable, closed_form_moments
 import rssim.power as power
 import rssim.runner as runner
 from rssim.power import (
-    IlaWfOptions,
     LinearizationTerms,
     _budget_exact_sweep,
     ila_wf,
     linearization_terms,
     sum_se_hessian,
 )
-from rssim.runner import derive_point_seed, evaluate_drop, run_sweep
+from rssim.runner import derive_point_seed, run_sweep
 from rssim.scenario import (
     CovarianceSet,
     ScenarioConfig,
@@ -369,10 +368,10 @@ def linearized_points(monkeypatch):
     return points
 
 
-def traced_run(monkeypatch, moments, config, options=None):
+def traced_run(monkeypatch, moments, config):
     """An allocator run and its iterates, the first one included."""
     points = linearized_points(monkeypatch)
-    return ila_wf(moments, config, options), points
+    return ila_wf(moments, config), points
 
 
 def test_ila_wf_initialization_state(small_setup, monkeypatch):
@@ -462,8 +461,8 @@ def test_tie_rule_takes_the_joint_run_only_if_it_converged(joint_converges, monk
         return alloc
 
     monkeypatch.setattr(runner, "ila_wf", recording)
-    capped = IlaWfOptions(max_iterations=10)
-    report, alloc, _ = runner.allocate_drop(config, ("rs",), drop, capped)["rs"]
+    monkeypatch.setattr(power, "MAX_ITERATIONS", 10)
+    report, alloc, _ = runner.allocate_drop(config, ("rs",), drop)["rs"]
     joint, fallback = runs
     assert joint.common_opened and joint.iterations == 10
     assert joint.powers.rho_c == pytest.approx(100.0, abs=0.05)
@@ -612,7 +611,8 @@ def test_joint_run_converges_wherever_the_pinned_run_does(drop, monkeypatch):
     for dbm in (0.0, 20.0, 40.0):
         point_config = replace(config, rho_total_dbm=dbm)
         runs.clear()
-        evaluate_drop(point_config, ("rs",), derive_point_seed(0, drop))
+        seed = derive_point_seed(0, drop)
+        runner.allocate_drop(point_config, ("rs",), runner.build_drop(point_config, seed))
         assert len(runs) == 1
         table, joint = runs[0]
         assert not joint.common_opened
@@ -632,7 +632,8 @@ def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(monkeypatch):
     config, _, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     table = closed_form_moments(model)
     assert ila_wf(table, config).iterations > 6
-    alloc, points = traced_run(monkeypatch, table, config, IlaWfOptions(max_iterations=6))
+    monkeypatch.setattr(power, "MAX_ITERATIONS", 6)
+    alloc, points = traced_run(monkeypatch, table, config)
     assert not alloc.converged
     assert alloc.iterations == 6
     assert_returns_last_iterate(alloc, points)
@@ -653,10 +654,11 @@ def test_capped_run_returns_its_last_and_best_iterate(dbm, monkeypatch):
     config = ScenarioConfig(M=16, K=12, rho_tr_dbm=-10, rho_total_dbm=dbm, seed=0)
     seed = derive_point_seed(0, 0)
     points = linearized_points(monkeypatch)
-    report, alloc, _ = evaluate_drop(config, ("no_rs",), seed)["no_rs"]
+    drop = runner.build_drop(config, seed)
+    report, alloc, _ = runner.allocate_drop(config, ("no_rs",), drop)["no_rs"]
     assert alloc.converged
     assert_returns_last_iterate(alloc, points)
-    _, table = runner.build_drop(config, seed)
+    _, table = drop
     sum_se = [se_report(point, table, config).sum_se for point in points]
     assert sum_se[-1] == report.sum_se == max(sum_se)
     assert report.sum_se >= LOW_PILOT_SUM_SE[dbm]
@@ -717,7 +719,8 @@ def test_ila_wf_converges_far_from_uniform_split(mode):
     # optimum: stopping on a small sweep-to-sweep SE change before the
     # budget-exact step has settled ends near 4.27 bit/s/Hz here
     config = ScenarioConfig(M=32, K=4, rho_total_dbm=20, pathloss_ref_m=1000, seed=0)
-    report, alloc, _ = evaluate_drop(config, (mode,), derive_point_seed(0, 0))[mode]
+    drop = runner.build_drop(config, derive_point_seed(0, 0))
+    report, alloc, _ = runner.allocate_drop(config, (mode,), drop)[mode]
     assert alloc.converged
     assert report.sum_se >= 5.03
 
@@ -733,7 +736,8 @@ def test_ila_wf_never_linearizes_the_same_point_twice(monkeypatch):
         return linearization_terms(rho_hat, moments, sigma2, l_min)
 
     monkeypatch.setattr(power, "linearization_terms", recording)
-    _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
+    drop = runner.build_drop(config, derive_point_seed(0, 0))
+    _, alloc, _ = runner.allocate_drop(config, ("rs",), drop)["rs"]
     assert alloc.converged
     assert len(calls) == alloc.iterations + 1
     assert all(before != after for before, after in zip(calls, calls[1:]))
@@ -763,7 +767,8 @@ def test_ila_wf_evaluates_each_iterate_once(monkeypatch):
     monkeypatch.setattr(power, "stream_denominators", counting_denominators)
     monkeypatch.setattr(power, "linearization_terms", counting_linearization)
     monkeypatch.setattr(power, "_newton_step", counting_newton_step)
-    _, alloc, _ = evaluate_drop(config, ("rs",), derive_point_seed(0, 0))["rs"]
+    drop = runner.build_drop(config, derive_point_seed(0, 0))
+    _, alloc, _ = runner.allocate_drop(config, ("rs",), drop)["rs"]
     assert alloc.converged
     assert newton_steps
     assert len(denominator_calls) == len(linearizations) + 2 * len(newton_steps) + 1

@@ -1,6 +1,6 @@
+import csv
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +11,15 @@ import rssim.power
 import rssim.runner
 import rssim.validation
 from rssim.cli import main
-from rssim.config import MODES, SweepSpec, load_config
+from rssim.config import SweepSpec, load_config
 from rssim.errors import ConfigError
 from rssim.runner import (
     CSV_COLUMNS,
+    MODES,
+    allocate_drop,
     apply_axis,
+    build_drop,
     derive_point_seed,
-    evaluate_drop,
     render_csv,
     run_point,
     run_sweep,
@@ -54,8 +56,9 @@ def test_run_point_deterministic():
     assert a == b
 
 
-def test_run_point_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
+def test_run_point_rejects_unknown_mode(monkeypatch):
+    refuse_points(monkeypatch)  # the mode is checked before the scenario
+    with pytest.raises(ConfigError, match="mode must be one of"):
         run_point(small_config(), "half_rs", seed=1)
 
 
@@ -97,22 +100,22 @@ def test_rs_point_never_runs_the_quartic_vote(monkeypatch):
         for name in ("select_quartic_variant", "mc_c_quartic", "default_quartic_variant"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    report, alloc, weights = evaluate_drop(small_config(), ("rs",), seed=5)["rs"]
+    config = small_config()
+    report, alloc, weights = allocate_drop(config, ("rs",), build_drop(config, 5))["rs"]
     assert weights is not None
     assert np.isfinite(report.sum_se)
 
 
 def test_run_sweep_row_count_and_order(tmp_path):
-    spec = SweepSpec(axis="power_dbm", values=(0.0, 10.0, 20.0, 30.0, 40.0),
-                     drops=3, modes=("rs", "no_rs"))
+    spec = SweepSpec(axis="power_dbm", values=(0.0, 10.0, 20.0, 30.0, 40.0), drops=3)
     rows = run_sweep(spec, small_config(), output_path=str(tmp_path / "s.csv"))
     assert len(rows) == 5 * 3 * 2
     # deterministic ordering: values outer, then drops, then modes
-    expected = [(v, d, m) for v in spec.values for d in range(3) for m in spec.modes]
+    expected = [(v, d, m) for v in spec.values for d in range(3) for m in MODES]
     assert [(r.axis_value, r.drop, r.mode) for r in rows] == expected
 
 
-def isolated_point_rows(spec, config):
+def isolated_point_rows(spec, config, modes=MODES):
     """The rows of a sweep, each point evaluated on its own by run_point."""
     return [
         run_point(
@@ -121,7 +124,7 @@ def isolated_point_rows(spec, config):
         )
         for value in spec.values
         for drop in range(spec.drops)
-        for mode in spec.modes
+        for mode in modes
     ]
 
 
@@ -130,8 +133,8 @@ def test_sweep_rows_equal_point_rows(modes):
     """A sweep evaluates each drop once for all its modes; every row equals
     the row of that point evaluated on its own, field for field."""
     config = small_config(seed=11)
-    spec = SweepSpec(axis="power_dbm", values=(0.0, 30.0), drops=2, modes=modes)
-    assert run_sweep(spec, config) == isolated_point_rows(spec, config)
+    spec = SweepSpec(axis="power_dbm", values=(0.0, 30.0), drops=2)
+    assert run_sweep(spec, config, modes) == isolated_point_rows(spec, config, modes)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +193,7 @@ def recording_allocations(monkeypatch):
 
 def test_sweep_runs_one_allocation_per_drop(monkeypatch):
     runs = recording_allocations(monkeypatch)
-    spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2, modes=("rs", "no_rs"))
+    spec = SweepSpec(axis="power_dbm", values=(10.0, 30.0), drops=2)
     rows = run_sweep(spec, small_config())
     assert len(rows) == 8
     # the rs run never opens the common stream here, so it serves both
@@ -217,7 +220,7 @@ TWO_UE_SPEC = SweepSpec(axis="power_dbm", values=(20.0,), drops=10)
 def two_ue_sweeps():
     config = ScenarioConfig(**TWO_UE)
     return {
-        modes: run_sweep(replace(TWO_UE_SPEC, modes=modes), config)
+        modes: run_sweep(TWO_UE_SPEC, config, modes)
         for modes in (("rs",), ("no_rs",), MODES)
     }
 
@@ -234,7 +237,8 @@ def test_both_mode_sweep_interleaves_where_the_common_stream_opens(two_ue_sweeps
 @pytest.mark.parametrize("drop", [0, 6, 7, 8])
 def test_rs_falls_back_to_the_no_rs_run(drop, two_ue_sweeps, monkeypatch):
     runs = recording_allocations(monkeypatch)
-    evaluate_drop(ScenarioConfig(**TWO_UE), ("rs",), derive_point_seed(0, drop))
+    config = ScenarioConfig(**TWO_UE)
+    allocate_drop(config, ("rs",), build_drop(config, derive_point_seed(0, drop)))
     # the joint run opens the common stream, so the no_rs run is solved too
     assert [with_common for with_common, _ in runs] == [True, False]
     joint, fallback = (alloc for _, alloc in runs)
@@ -317,17 +321,18 @@ def test_cli_sweep_with_config_file(tmp_path):
     assert len(content.strip().split("\n")) == 1 + 2 * 1 * 2
 
 
-def test_cli_sweep_reports_unconverged_rows(tmp_path, capsys):
+def test_cli_sweep_reports_unconverged_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rssim.power, "MAX_ITERATIONS", 1)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "M = 12\nK = 3\naxis = power_dbm\nvalues = 10, 20\ndrops = 1\nmax_iterations = 1\n"
+        "M = 12\nK = 3\naxis = power_dbm\nvalues = 10, 20\ndrops = 1\n"
         f"output_path = {tmp_path / 'out.csv'}\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == "sweep: 4 rows written, 4 rows not converged\n"
     # the summary leaves the CSV as the sweep without it writes
-    config, spec, solver = load_config(cfg)
-    rows = run_sweep(spec, config, solver)
+    config, spec = load_config(cfg)
+    rows = run_sweep(spec, config)
     assert not any(row.converged for row in rows)
     assert (tmp_path / "out.csv").read_bytes() == render_csv(rows).encode()
 
@@ -520,19 +525,55 @@ def refuse_points(monkeypatch):
     "command, lines, named",
     [
         ("run", "axis = power_dbm\nvalues = 20\ndrops = 3\n", "axis, values, drops"),
-        ("validate", "drops = 3\nmax_iterations = 50\n", "drops, max_iterations"),
+        ("validate", "drops = 3\naxis = users\n", "drops, axis"),
     ],
 )
 def test_cli_refuses_config_keys_the_command_does_not_read(
     tmp_path, capsys, monkeypatch, command, lines, named
 ):
-    # run reads no sweep key, and validate neither a sweep nor a solver key;
-    # both used to run one point or the suite and ignore them
+    # neither run nor validate reads a sweep key; both used to run one point
+    # or the suite and ignore them
     refuse_points(monkeypatch)
     cfg = tmp_path / "point.cfg"
     cfg.write_text(f"M = 8\nK = 2\n{lines}")
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: keys this command does not read: {named}\n"
+
+
+def test_cli_refuses_the_removed_modes_key(tmp_path, capsys, monkeypatch):
+    # --mode alone chooses the modes; the former sweep key made --mode both
+    # write only the modes it listed
+    refuse_points(monkeypatch)
+    cfg = tmp_path / "modes.cfg"
+    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 20\nmodes = rs\n")
+    assert main(["sweep", "--config", str(cfg), "--mode", "both"]) == 1
+    assert capsys.readouterr().err == "config error: line 5: unknown key 'modes'\n"
+
+
+@pytest.mark.parametrize("mode", ["rs", "no_rs", "both"])
+def test_cli_sweep_writes_the_rows_of_the_chosen_modes(tmp_path, mode):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("M = 8\nK = 2\naxis = power_dbm\nvalues = 10, 20\ndrops = 2\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--mode", mode, "--output", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        written = [row["mode"] for row in csv.DictReader(fh)]
+    # two values and two drops, then the chosen modes in order
+    assert written == 2 * 2 * list(MODES if mode == "both" else (mode,))
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [(("hybrid",), "mode must be one of"), (("rs", "rs"), "modes must not repeat"),
+     ((), "need at least one mode")],
+    ids=["unknown", "repeated", "none"],
+)
+def test_run_sweep_checks_the_modes_before_any_scenario(modes, message, monkeypatch):
+    refuse_points(monkeypatch)
+    spec = SweepSpec(axis="power_dbm", values=(20.0,))
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(spec, small_config(), modes)
+
 
 
 def test_cli_users_sweep_past_the_memory_guard_fails_before_any_point(
