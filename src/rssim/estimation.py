@@ -3,21 +3,22 @@
 Every UE transmits the same pilot, so the BS sees one contaminated
 observation per coherence block and all K estimates are linear functions
 of it.  That makes the estimates mutually correlated: the cross-covariance
-of estimates i and k is R_i Q^{-1} R_k, with Q the covariance of the
-observation.  The model object keeps Q, its Cholesky factor, X_k = Q^{-1} R_k,
-the estimate covariances Phi_k = R_k X_k and the trace tables that the
+of estimates i and k is R_i Q^{-1} R_k, with Q = L L^H the covariance of
+the observation.  The model object keeps Q, its Cholesky factor, the
+whitened covariances W_k = L^{-1} R_k and the trace tables that the
 closed-form moment engine consumes, all in O(K M^2) memory and all built
-at once; a pairwise cross-covariance is the product R_i X_k.
+from one triangular solve; a pairwise cross-covariance is W_i^H W_k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemm
 
 from .errors import NumericalError
 from .linalg import sampling_factor, standard_complex_gaussian
-from .scenario import CovarianceSet
+from .scenario import PHI_BLOCK_BYTES, CovarianceSet
 
 
 @dataclass
@@ -26,16 +27,19 @@ class EstimationModel:
 
     ``rho_tr`` is the pilot power in units of the (unit-variance) pilot
     noise, so the observation covariance is Q = sum_k R_k + (1/rho_tr) I.
+    With Q = L L^H, the cross-covariance of estimates i and k is
+    R_i Q^{-1} R_k = W_i^H W_k, and Phi_i = W_i^H W_i is the covariance of
+    estimate i.  The model holds Q, its factor, W and the trace tables;
+    no Phi_i or cross-covariance is kept.
     """
 
     cov: CovarianceSet
     rho_tr: float
     Q: np.ndarray                  # (M, M)
-    Q_factor: tuple                # scipy cho_factor of Q
-    X: np.ndarray                  # (K, M, M), X_k = Q^{-1} R_k
-    Phi: np.ndarray                # (K, M, M), Phi_k = R_k X_k
-    cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(R_i X_k)
-    phi_trace: np.ndarray          # (K,) real, tr(Phi_i)
+    Q_factor: tuple                # scipy cho_factor of Q: U with Q = U^H U, so L = U^H
+    W: np.ndarray                  # (K, M, M), W_k = L^{-1} R_k, each stored column-major
+    cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(W_i^H W_k) = tr(R_i Q^{-1} R_k)
+    phi_trace: np.ndarray          # (K,) real, tr(Phi_i) = ||W_i||_F^2
     r_phi_trace: np.ndarray        # (K, K) real, [k, i] = tr(R_k Phi_i)
 
     @property
@@ -50,11 +54,9 @@ class EstimationModel:
         """Q^{-1} b via triangular solves against the cached factor."""
         return scipy.linalg.cho_solve(self.Q_factor, b)
 
-
-def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[i, k] = tr(A_i B_k) for stacks of square matrices, as one
-    (K, M^2) x (M^2, K) product of the flattened A_i and B_k^T."""
-    return A.reshape(A.shape[0], -1) @ B.transpose(0, 2, 1).reshape(B.shape[0], -1).T
+    def cross_covariance(self, i: int, k: int) -> np.ndarray:
+        """R_i Q^{-1} R_k, the cross-covariance of estimates i and k, as W_i^H W_k."""
+        return self.W[i].conj().T @ self.W[k]
 
 
 @dataclass
@@ -73,7 +75,7 @@ class ChannelBatch:
 
 
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
-    """Assemble Q, its factorization, X_k = Q^{-1} R_k, Phi_k and the trace tables."""
+    """Assemble Q, its factorization, W_k = L^{-1} R_k and the trace tables."""
     if rho_tr <= 0:
         raise ValueError("rho_tr must be positive")
     K, M = cov.K, cov.M
@@ -82,19 +84,35 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
         q_factor = scipy.linalg.cho_factor(Q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps Q PD
         raise NumericalError(f"observation covariance is not positive definite: {exc}") from exc
-    X = scipy.linalg.cho_solve(q_factor, cov.R.transpose(1, 0, 2).reshape(M, K * M))
-    X = X.reshape(M, K, M).transpose(1, 0, 2)
-    Phi = cov.R @ X
+    # LAPACK solves the columns of a column-major right-hand side in place.
+    # The row-major stack of the R_k^T lays out the columns of every R_k that
+    # way, so U^H W_k = R_k is solved for all k in one call, in that one copy
+    # of R, and W_t[k] = W_k^T is left row-major.
+    W_t = np.ascontiguousarray(cov.R.transpose(0, 2, 1))
+    W_t = scipy.linalg.solve_triangular(
+        q_factor[0], W_t.reshape(K * M, M).T, trans="C", lower=q_factor[1], overwrite_b=True
+    ).T.reshape(K, M, M)
+    flat = W_t.reshape(K, M * M)
+    # one (K, M^2) Gram product; zgemm conjugates in place of a conj() copy
+    cross_trace = zgemm(1.0, flat.T, flat.T, trans_a=2)
+    # [k, i] = sum_{m, n} R_k[m, n] Phi_i[n, m], with Phi_i^T = W_i^T conj(W_i)
+    # formed for a block of UEs at a time and dropped
+    R_flat = cov.R.reshape(K, M * M)
+    r_phi_trace = np.empty((K, K))
+    step = max(1, PHI_BLOCK_BYTES // (16 * M * M))
+    for start in range(0, K, step):
+        block = W_t[start:start + step]
+        phi_t = block @ block.conj().transpose(0, 2, 1)
+        r_phi_trace[:, start:start + step] = np.real(R_flat @ phi_t.reshape(len(block), -1).T)
     return EstimationModel(
         cov=cov,
         rho_tr=rho_tr,
         Q=Q,
         Q_factor=q_factor,
-        X=X,
-        Phi=Phi,
-        cross_trace=_pair_traces(cov.R, X),
-        phi_trace=np.real(np.einsum("imm->i", Phi)),
-        r_phi_trace=np.real(_pair_traces(cov.R, Phi)),
+        W=W_t.transpose(0, 2, 1),
+        cross_trace=cross_trace,
+        phi_trace=np.real(np.diagonal(cross_trace)).copy(),
+        r_phi_trace=r_phi_trace,
     )
 
 

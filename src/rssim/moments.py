@@ -112,7 +112,10 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
         sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power
-    formula for the virtual UE, at one Q^{-1} solve and one M x M product.
+    formula for the virtual UE.  With Q = L L^H, L^{-1} R_w = sum_i w_i W_i
+    is a weighted sum of the model's whitened covariances and
+    Phi_w = (L^{-1} R_w)^H (L^{-1} R_w), so the table takes no Q^{-1} solve,
+    only one M x M product.
     No sample is drawn here; ``validation.mc_moment_table`` is the oracle.
     """
     degenerate = np.flatnonzero(model.phi_trace <= 0)
@@ -127,11 +130,10 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         norm2 = _common_norm_squared(weights, model)
-        R = model.cov.R
-        R_w = np.tensordot(weights, R, axes=1)
-        Phi_w = R_w @ model.apply_q_inverse(R_w)
+        whitened_w = np.einsum("i,imn->mn", weights, model.W)  # L^{-1} R_w
+        Phi_w = whitened_w.conj().T @ whitened_w
         gain = weights @ ct
-        pair_sum = np.einsum("kmn,nm->k", R, Phi_w) + np.abs(gain) ** 2
+        pair_sum = np.einsum("kmn,nm->k", model.cov.R, Phi_w) + np.abs(gain) ** 2
         g_common = gain / np.sqrt(norm2)
         G_common = _real_trace(pair_sum, "common second moment") / norm2
     table = MomentTable(

@@ -283,7 +283,11 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
             np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
         )
         rho_c, levels = float(levels[-1]), levels[:-1]
-    if rho_c == 0 and not levels.any():
+    # a level is the water level less 1/sigma1_k, so a budget below the unit
+    # roundoff of every floor 1/sigma1_k leaves only rounding in the levels,
+    # whether or not they come out exactly zero
+    rounded_away = rho_total * max(s1.max(), terms.sigma1_common) < np.finfo(float).eps / 2
+    if rounded_away or (rho_c == 0 and not levels.any()):
         raise NumericalError(f"a budget of {rho_total:.3e} mW rounds every stream's power to zero")
     return rho_c, levels, mu
 

@@ -26,6 +26,12 @@ MAX_PLACEMENT_ATTEMPTS = 10_000
 # sizes alone by ScenarioConfig.validate.
 MAX_MODEL_BYTES = 2 * 1024**3
 
+# build_estimation_model forms the Phi_i^T of this many bytes of UEs at
+# once, and of at least one UE: small arrays batch, so that the per-call
+# overhead of a UE-by-UE loop does not dominate, and large ones go one at a
+# time, so that no Phi stack is held.
+PHI_BLOCK_BYTES = 2**16
+
 
 @dataclass
 class ScenarioConfig:
@@ -84,12 +90,16 @@ class ScenarioConfig:
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         K, M, S = self.K, self.M, self.num_clusters
-        # R, X, Phi and the transposed copy of Phi that r_phi_trace takes;
-        # Q, its Cholesky factor, R_w and Phi_w of the common table;
+        # R and the whitened stack W, plus the one-byte-per-entry finiteness
+        # mask that the triangular solve takes of W; Q, its Cholesky factor
+        # and the three (M, M) arrays of the common table (L^{-1} R_w, its
+        # conjugate and Phi_w); a block of Phi_i^T and of the conjugated W_i
+        # it is formed from, up to PHI_BLOCK_BYTES or one UE each;
         # cross_trace, r_phi_trace and G_private; the weight LP's constraint
         # matrix; the cluster angles of place_ues and the complex phase and
         # real damping of local_scattering_covariance
-        model_bytes = 16 * 4 * (K + 1) * M**2 + (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
+        model_bytes = 16 * (2 * K + 5) * M**2 + K * M**2 + 2 * PHI_BLOCK_BYTES
+        model_bytes += (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
         model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:
             raise ConfigError(

@@ -358,7 +358,7 @@ def run_validation(
     # fixed 2% Frobenius tolerances are calibrated to 1e5 realizations
     stats = mc_estimation_stats(model, max(mc_samples, 100_000), np.random.default_rng(seeds[4]))
     worst_cross = max(
-        relative_frobenius(stats["cross"][i, k], cov.R[i] @ model.X[k])
+        relative_frobenius(stats["cross"][i, k], model.cross_covariance(i, k))
         for i in range(small.K)
         for k in range(small.K)
     )
@@ -371,7 +371,8 @@ def run_validation(
         )
     )
     worst_err = max(
-        relative_frobenius(stats["err"][i], cov.R[i] - model.Phi[i]) for i in range(small.K)
+        relative_frobenius(stats["err"][i], cov.R[i] - model.cross_covariance(i, i))
+        for i in range(small.K)
     )
     report.checks.append(
         ValidationCheck(

@@ -102,11 +102,12 @@ def test_criterion_2_estimate_correlation_identities():
     model = build_estimation_model(cov, config.rho_tr_effective)
     stats = mc_estimation_stats(model, 100_000, np.random.default_rng(20))
     worst_cross = max(
-        relative_frobenius(stats["cross"][i, k], cov.R[i] @ model.X[k])
+        relative_frobenius(stats["cross"][i, k], model.cross_covariance(i, k))
         for i in range(2) for k in range(2)
     )
     worst_err = max(
-        relative_frobenius(stats["err"][i], cov.R[i] - model.Phi[i]) for i in range(2)
+        relative_frobenius(stats["err"][i], cov.R[i] - model.cross_covariance(i, i))
+        for i in range(2)
     )
     ok = worst_ident <= 1e-10 and worst_cross <= 0.02 and worst_err <= 0.02
     assert announce(

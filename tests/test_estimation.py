@@ -8,7 +8,7 @@ from rssim.estimation import (
     sample_channels,
     simulate_batch,
 )
-from rssim.scenario import CovarianceSet
+from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import (
     colinearity_identity_error,
     mc_estimation_stats,
@@ -24,7 +24,7 @@ def test_single_ue_diagonal_phi():
     cov = diagonal_covariances([beta], 6)
     model = build_estimation_model(cov, rho)
     expected = beta**2 / (beta + 1.0 / rho)
-    assert np.allclose(model.Phi[0], expected * np.eye(6))
+    assert np.allclose(model.cross_covariance(0, 0), expected * np.eye(6))
 
 
 def test_two_symmetric_ues_share_cross_covariance():
@@ -32,14 +32,14 @@ def test_two_symmetric_ues_share_cross_covariance():
     cov = diagonal_covariances([beta, beta], 5)
     model = build_estimation_model(cov, rho)
     expected = beta**2 / (2 * beta + 1.0 / rho)
-    assert np.allclose(model.Phi[0], expected * np.eye(5))
-    assert np.allclose(cov.R[0] @ model.X[1], model.Phi[0])
+    assert np.allclose(model.cross_covariance(0, 0), expected * np.eye(5))
+    assert np.allclose(model.cross_covariance(0, 1), model.cross_covariance(0, 0))
 
 
 def test_infinite_pilot_power_recovers_r():
     cov = well_conditioned_covariances(1, 12, np.random.default_rng(6))
     model = build_estimation_model(cov, 1e12)
-    rel = relative_frobenius(model.Phi[0], cov.R[0])
+    rel = relative_frobenius(model.cross_covariance(0, 0), cov.R[0])
     assert rel < 1e-6
 
 
@@ -51,9 +51,11 @@ def test_model_invariants(small_setup):
     for i in range(K):
         # estimation never adds energy
         assert model.phi_trace[i] <= np.trace(cov.R[i]).real * (1 + 1e-12)
-        assert np.allclose(cov.R[i] @ model.X[i], model.Phi[i])
+        assert np.allclose(
+            model.cross_covariance(i, i), cov.R[i] @ np.linalg.solve(model.Q, cov.R[i])
+        )
         for k in range(K):
-            assert np.allclose(cov.R[i] @ model.X[k], (cov.R[k] @ model.X[i]).conj().T)
+            assert np.allclose(model.cross_covariance(i, k), model.cross_covariance(k, i).conj().T)
 
 
 def test_zero_covariance_gives_zero_channels():
@@ -124,9 +126,9 @@ def test_empirical_estimate_statistics():
     stats = mc_estimation_stats(model, 100_000, np.random.default_rng(20))
     for i in range(cov.K):
         for k in range(cov.K):
-            assert relative_frobenius(stats["cross"][i, k], cov.R[i] @ model.X[k]) < 0.02
+            assert relative_frobenius(stats["cross"][i, k], model.cross_covariance(i, k)) < 0.02
     for i in range(cov.K):
-        assert relative_frobenius(stats["err"][i], cov.R[i] - model.Phi[i]) < 0.02
+        assert relative_frobenius(stats["err"][i], cov.R[i] - model.cross_covariance(i, i)) < 0.02
     # estimate/error orthogonality, entrywise in Monte Carlo standard errors
     assert stats["orth_z_max"] < 3.0
 
@@ -142,6 +144,24 @@ def test_estimation_stats_memory_bounded_per_draw():
     finally:
         tracemalloc.stop()
     assert peak < 160 * 2**20
+
+
+def test_model_holds_one_whitened_stack_beyond_r():
+    # the model keeps W next to R, with no X, Phi or transposed copy: at
+    # 200x20 it holds W, Q and its factor (1.1 K M^2 complex entries), and
+    # the build peaks near 1.2 of them
+    config = ScenarioConfig(M=200, K=20)
+    _, cov = generate_scenario(config, np.random.default_rng(0))
+    stack_bytes = cov.R.nbytes
+    tracemalloc.start()
+    try:
+        model = build_estimation_model(cov, config.rho_tr_effective)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.W.shape == cov.R.shape
+    assert held <= 1.2 * stack_bytes
+    assert peak <= 1.5 * stack_bytes
 
 
 def test_rho_tr_must_be_positive(small_setup):
@@ -162,7 +182,7 @@ def test_cross_covariance_and_trace_tables_match_explicit_products():
     for i in range(3):
         for k in range(3):
             explicit = R[i] @ q_inv @ R[k]
-            assert relative_frobenius(R[i] @ model.X[k], explicit) < 1e-10
+            assert relative_frobenius(model.cross_covariance(i, k), explicit) < 1e-10
             assert model.cross_trace[i, k] == pytest.approx(np.trace(explicit), rel=1e-10)
             assert model.r_phi_trace[k, i] == pytest.approx(
                 np.trace(R[k] @ R[i] @ q_inv @ R[i]).real, rel=1e-10

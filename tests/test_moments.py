@@ -63,7 +63,7 @@ def common_second_moment(k: int, weights, model) -> float:
     norm2 = _common_norm_squared(weights, model)
     ct = model.cross_trace
     R = model.cov.R
-    t3 = np.array([[np.trace(R[i] @ model.X[j] @ R[k]) for j in range(model.K)]
+    t3 = np.array([[np.trace(model.cross_covariance(i, j) @ R[k]) for j in range(model.K)]
                    for i in range(model.K)])
     diag = float(
         np.sum(weights**2 * (model.r_phi_trace[k, :] + np.abs(ct[:, k]) ** 2))

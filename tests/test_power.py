@@ -345,6 +345,21 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
     assert rho[0] == pytest.approx(5.0, rel=1e-12)
 
 
+def test_budget_step_below_the_unit_roundoff_of_every_floor_is_rounded_away():
+    # with 1/sigma1 = 0.3 mW, a 3e-17 mW budget lies below the unit roundoff
+    # of the floor; its level came out as one ulp of 0.3 (5.6e-17 mW, above
+    # the budget) rather than zero, which is rounding all the same
+    table = MomentTable(
+        g_private=np.array([1.0 + 0j]), G_private=np.array([[1.0]]),
+        g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1),
+    )
+    terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 0.3, 0)
+    with pytest.raises(NumericalError, match="rounds every stream's power to zero"):
+        _budget_exact_sweep(terms, 3e-17)
+    rho_c, rho, _ = _budget_exact_sweep(terms, 4e-17)
+    assert rho_c == 0.0 and rho[0] > 0
+
+
 def test_budget_step_rejects_nonpositive_sigma1():
     table = MomentTable(
         g_private=np.zeros(1, dtype=complex), G_private=np.zeros((1, 1)),
