@@ -4,10 +4,11 @@ Every UE transmits the same pilot, so the BS sees one contaminated
 observation per coherence block and all K estimates are linear functions
 of it.  That makes the estimates mutually correlated: the cross-covariance
 of estimates i and k is R_i Q^{-1} R_k, with Q = L L^H the covariance of
-the observation.  The model object keeps Q, its Cholesky factor, the
+the observation.  The model object keeps the Cholesky factor of Q, the
 whitened covariances W_k = L^{-1} R_k and the trace tables that the
 closed-form moment engine consumes, all in O(K M^2) memory and all built
-from one triangular solve; a pairwise cross-covariance is W_i^H W_k.
+from one triangular solve; a pairwise cross-covariance is W_i^H W_k, and
+a Monte Carlo estimate is W_i^H L^{-1} y.
 """
 
 from dataclasses import dataclass
@@ -29,13 +30,12 @@ class EstimationModel:
     noise, so the observation covariance is Q = sum_k R_k + (1/rho_tr) I.
     With Q = L L^H, the cross-covariance of estimates i and k is
     R_i Q^{-1} R_k = W_i^H W_k, and Phi_i = W_i^H W_i is the covariance of
-    estimate i.  The model holds Q, its factor, W and the trace tables;
-    no Phi_i or cross-covariance is kept.
+    estimate i.  The model holds the factor of Q, W and the trace tables;
+    no Q, Phi_i or cross-covariance is kept.
     """
 
     cov: CovarianceSet
     rho_tr: float
-    Q: np.ndarray                  # (M, M)
     Q_factor: tuple                # scipy cho_factor of Q: U with Q = U^H U, so L = U^H
     W: np.ndarray                  # (K, M, M), W_k = L^{-1} R_k, each stored column-major
     cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(W_i^H W_k) = tr(R_i Q^{-1} R_k)
@@ -50,10 +50,6 @@ class EstimationModel:
     def M(self) -> int:
         return self.cov.M
 
-    def apply_q_inverse(self, b: np.ndarray) -> np.ndarray:
-        """Q^{-1} b via triangular solves against the cached factor."""
-        return scipy.linalg.cho_solve(self.Q_factor, b)
-
     def cross_covariance(self, i: int, k: int) -> np.ndarray:
         """R_i Q^{-1} R_k, the cross-covariance of estimates i and k, as W_i^H W_k."""
         return self.W[i].conj().T @ self.W[k]
@@ -63,19 +59,16 @@ class EstimationModel:
 class ChannelBatch:
     """A batch of channel realizations and their shared-pilot estimates.
 
-    h = h_hat + h_tilde holds exactly per realization.  With a shared pilot
-    there is a single observation per realization, so one pilot-noise
-    vector of shape (n, M) is shared by all K estimates.
+    With a shared pilot, all K estimates of a realization are linear
+    functions of its one observation; the estimation error is h - h_hat.
     """
 
-    h: np.ndarray            # (n, K, M)
-    h_hat: np.ndarray        # (n, K, M)
-    h_tilde: np.ndarray      # (n, K, M)
-    pilot_noise: np.ndarray  # (n, M)
+    h: np.ndarray      # (n, K, M)
+    h_hat: np.ndarray  # (n, K, M)
 
 
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
-    """Assemble Q, its factorization, W_k = L^{-1} R_k and the trace tables."""
+    """Factor Q and assemble W_k = L^{-1} R_k and the trace tables."""
     if rho_tr <= 0:
         raise ValueError("rho_tr must be positive")
     K, M = cov.K, cov.M
@@ -107,7 +100,6 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
     return EstimationModel(
         cov=cov,
         rho_tr=rho_tr,
-        Q=Q,
         Q_factor=q_factor,
         W=W_t.transpose(0, 2, 1),
         cross_trace=cross_trace,
@@ -134,13 +126,20 @@ def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> 
 
     Per realization the BS observes y = sum_k h_k + n / sqrt(rho_tr), one
     noise vector shared by all UEs, and forms h_hat_i = R_i Q^{-1} y for
-    every UE.  The truth channels are drawn first, then the noise.
+    every UE as W_i^H L^{-1} y: one triangular solve for the draw, then one
+    product with the conjugated W stack.  The truth channels are drawn
+    first, then the noise.
     """
+    K, M = model.K, model.M
+    U, lower = model.Q_factor
     h = sample_channels(model.cov, n, rng)
-    noise = standard_complex_gaussian(rng, (n, model.M))
-    scale = 1.0 / np.sqrt(model.rho_tr)
-    z = model.apply_q_inverse((h.sum(axis=1) + scale * noise).T)  # (M, n)
-    h_hat = np.empty_like(h)
-    for i in range(model.K):
-        h_hat[:, i, :] = (model.cov.R[i] @ z).T
-    return ChannelBatch(h=h, h_hat=h_hat, h_tilde=h - h_hat, pilot_noise=noise)
+    noise = standard_complex_gaussian(rng, (n, M))
+    y = h.sum(axis=1) + noise / np.sqrt(model.rho_tr)
+    # L^{-1} y for every realization, with L = U^H
+    white = scipy.linalg.solve_triangular(U, y.T, trans="C", lower=lower, overwrite_b=True)
+    # the (M, K M) block row [W_0 ... W_{K-1}] is a view of W's row-major
+    # storage, and zgemm conjugates it in place of a conj() copy; the
+    # (K M, n) column-major product is h_hat laid out row-major as (n, K, M)
+    stack = model.W.transpose(0, 2, 1).reshape(K * M, M).T
+    h_hat = zgemm(1.0, stack, white, trans_a=2).T.reshape(n, K, M)
+    return ChannelBatch(h=h, h_hat=h_hat)

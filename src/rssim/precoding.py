@@ -104,8 +104,6 @@ def solve_common_weights(problem: CommonWeightProblem):
         raise InvalidWeightsError(
             f"UE {bad} cannot be served with positive common gain (all couplings <= 0)"
         )
-    if K == 1:
-        return np.array([1.0]), float(v[0, 0])
 
     # variables [a_0 .. a_{K-1}, t]; maximize t subject to
     # t - v[:, k] @ a <= 0 for every k and sum a = 1

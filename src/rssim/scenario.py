@@ -91,14 +91,15 @@ class ScenarioConfig:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
         K, M, S = self.K, self.M, self.num_clusters
         # R and the whitened stack W, plus the one-byte-per-entry finiteness
-        # mask that the triangular solve takes of W; Q, its Cholesky factor
+        # mask that the triangular solve takes of W; the Cholesky factor of Q
         # and the three (M, M) arrays of the common table (L^{-1} R_w, its
-        # conjugate and Phi_w); a block of Phi_i^T and of the conjugated W_i
-        # it is formed from, up to PHI_BLOCK_BYTES or one UE each;
-        # cross_trace, r_phi_trace and G_private; the weight LP's constraint
-        # matrix; the cluster angles of place_ues and the complex phase and
-        # real damping of local_scattering_covariance
-        model_bytes = 16 * (2 * K + 5) * M**2 + K * M**2 + 2 * PHI_BLOCK_BYTES
+        # conjugate and Phi_w), as Q itself is dropped once it is factored;
+        # a block of Phi_i^T and of the conjugated W_i it is formed from, up
+        # to PHI_BLOCK_BYTES or one UE each; cross_trace, r_phi_trace and
+        # G_private; the weight LP's constraint matrix; the cluster angles of
+        # place_ues and the complex phase and real damping of
+        # local_scattering_covariance
+        model_bytes = 16 * (2 * K + 4) * M**2 + K * M**2 + 2 * PHI_BLOCK_BYTES
         model_bytes += (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
         model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:

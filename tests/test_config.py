@@ -196,10 +196,10 @@ def traced_point_peak(M, K):
 
 @pytest.mark.parametrize("M, K", [(200, 20), (256, 32)])
 def test_memory_guard_counts_the_traced_peak(M, K, monkeypatch):
-    # R and W are the two (K, M, M) arrays, and Q, its factor and the common
-    # table add (M, M) arrays: a budget one byte below the traced peak must
-    # refuse the size, and one a quarter above it must not, so that the
-    # count cannot drift conservative
+    # R and W are the two (K, M, M) arrays, and the factor of Q and the
+    # common table add (M, M) arrays: a budget one byte below the traced
+    # peak must refuse the size, and one a quarter above it must not, so
+    # that the count cannot drift conservative
     peak = traced_point_peak(M, K)
     monkeypatch.setattr(rssim.scenario, "MAX_MODEL_BYTES", peak - 1)
     with pytest.raises(ConfigError, match=f"M={M}, K={K} "):

@@ -8,8 +8,10 @@ from rssim.estimation import (
     sample_channels,
     simulate_batch,
 )
+from rssim.linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import (
+    MC_BATCH,
     colinearity_identity_error,
     mc_estimation_stats,
     relative_frobenius,
@@ -43,17 +45,31 @@ def test_infinite_pilot_power_recovers_r():
     assert rel < 1e-6
 
 
+def observation_covariance(R, rho_tr):
+    """Q = sum_k R_k + (1/rho_tr) I, formed explicitly."""
+    return R.sum(axis=0) + np.eye(R.shape[1]) / rho_tr
+
+
+def generic_covariances(K, M, rng):
+    """Generic Hermitian covariances: the scenario's Toeplitz ones are
+    centro-Hermitian, which hides transposition errors."""
+    A = rng.normal(size=(K, M, M)) + 1j * rng.normal(size=(K, M, M))
+    R = A @ A.conj().transpose(0, 2, 1) / M
+    return CovarianceSet(R=R, beta=np.trace(R, axis1=1, axis2=2).real / M)
+
+
 def test_model_invariants(small_setup):
     config, cov, model, _ = small_setup
     K, M = cov.K, cov.M
-    assert np.allclose(model.Q, cov.R.sum(axis=0) + np.eye(M) / model.rho_tr)
-    assert np.linalg.eigvalsh(model.Q)[0] >= 1.0 / model.rho_tr * (1 - 1e-12)
+    Q = observation_covariance(cov.R, model.rho_tr)
+    # the other triangle of a cho_factor factor holds arbitrary entries
+    U, lower = model.Q_factor
+    L = np.tril(U) if lower else np.triu(U).conj().T
+    assert np.allclose(L @ L.conj().T, Q)
     for i in range(K):
         # estimation never adds energy
         assert model.phi_trace[i] <= np.trace(cov.R[i]).real * (1 + 1e-12)
-        assert np.allclose(
-            model.cross_covariance(i, i), cov.R[i] @ np.linalg.solve(model.Q, cov.R[i])
-        )
+        assert np.allclose(model.cross_covariance(i, i), cov.R[i] @ np.linalg.solve(Q, cov.R[i]))
         for k in range(K):
             assert np.allclose(model.cross_covariance(i, k), model.cross_covariance(k, i).conj().T)
 
@@ -71,22 +87,22 @@ def test_sampling_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_estimates_decompose_exactly(small_setup):
-    _, _, model, _ = small_setup
-    batch = simulate_batch(model, 500, np.random.default_rng(3))
-    # h_tilde is defined as h - h_hat, so recomposition is exact up to one
-    # rounding of the final addition
-    assert np.allclose(batch.h, batch.h_hat + batch.h_tilde, rtol=1e-12, atol=0.0)
-
-
-def test_shared_pilot_noise_single_observation(small_setup):
-    """All K estimates must come from the same contaminated observation."""
-    _, cov, model, _ = small_setup
-    batch = simulate_batch(model, 64, np.random.default_rng(5))
-    y = batch.h.sum(axis=1) + batch.pilot_noise / np.sqrt(model.rho_tr)
-    z = model.apply_q_inverse(y.T)
+def test_shared_pilot_noise_single_observation():
+    """All K estimates must come from the same contaminated observation:
+    h_hat_i = R_i Q^{-1} y, with Q formed explicitly and the pilot noise
+    recovered by replaying the stream, which draws it after the channels."""
+    cov = generic_covariances(3, 12, np.random.default_rng(5))
+    model = build_estimation_model(cov, 5.0)
+    n = 64
+    batch = simulate_batch(model, n, np.random.default_rng(6))
+    replay = np.random.default_rng(6)
+    assert np.array_equal(sample_channels(cov, n, replay), batch.h)
+    noise = standard_complex_gaussian(replay, (n, cov.M))
+    y = batch.h.sum(axis=1) + noise / np.sqrt(model.rho_tr)
+    z = np.linalg.solve(observation_covariance(cov.R, model.rho_tr), y.T)
     for i in range(cov.K):
-        assert np.allclose(batch.h_hat[:, i, :], (cov.R[i] @ z).T, atol=1e-12)
+        expected = (cov.R[i] @ z).T
+        assert relative_frobenius(batch.h_hat[:, i, :], expected) < 1e-12
 
 
 def test_colinearity_identity_per_realization():
@@ -110,7 +126,7 @@ def test_near_noiseless_estimation_recovers_truth():
     cov = well_conditioned_covariances(1, 10, np.random.default_rng(12))
     model = build_estimation_model(cov, 1e12)
     batch = simulate_batch(model, 200, np.random.default_rng(13))
-    rel = np.linalg.norm(batch.h_tilde) / np.linalg.norm(batch.h)
+    rel = np.linalg.norm(batch.h - batch.h_hat) / np.linalg.norm(batch.h)
     assert rel < 1e-4
 
 
@@ -129,13 +145,20 @@ def test_empirical_estimate_statistics():
             assert relative_frobenius(stats["cross"][i, k], model.cross_covariance(i, k)) < 0.02
     for i in range(cov.K):
         assert relative_frobenius(stats["err"][i], cov.R[i] - model.cross_covariance(i, i)) < 0.02
-    # estimate/error orthogonality, entrywise in Monte Carlo standard errors
-    assert stats["orth_z_max"] < 3.0
+    # estimate/error orthogonality E[hhat_i htilde_i^H] = 0, entrywise in
+    # Monte Carlo standard errors, on the same draws replayed
+    rng = np.random.default_rng(20)
+    orth = SampleMean()
+    for m in batch_sizes(100_000, MC_BATCH):
+        batch = simulate_batch(model, m, rng)
+        orth.add_sums(*outer_sums(batch.h_hat, batch.h - batch.h_hat), m)
+    assert orth.z_scores().max() < 3.0
 
 
 def test_estimation_stats_memory_bounded_per_draw():
-    # one 20,000-sample draw at 16x3: the draw itself holds about 49 MiB;
-    # forming the per-sample (n, K, M, M) estimate/error products peaked near 530 MiB
+    # one 20,000-sample draw at 16x3: h and h_hat hold 15 MiB each, and the
+    # error is formed in place of h, for a traced peak near 44 MiB; per-sample
+    # (n, K, M, M) estimate/error products would need about 530 MiB
     _, _, _, model = make_scenario(M=16, K=3)
     tracemalloc.start()
     try:
@@ -143,13 +166,13 @@ def test_estimation_stats_memory_bounded_per_draw():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20
+    assert peak < 80 * 2**20
 
 
 def test_model_holds_one_whitened_stack_beyond_r():
-    # the model keeps W next to R, with no X, Phi or transposed copy: at
-    # 200x20 it holds W, Q and its factor (1.1 K M^2 complex entries), and
-    # the build peaks near 1.2 of them
+    # the model keeps W next to R, with no Q, X, Phi or transposed copy: at
+    # 200x20 it holds W and the factor of Q (1.05 K M^2 complex entries),
+    # and the build peaks near 1.2 of them
     config = ScenarioConfig(M=200, K=20)
     _, cov = generate_scenario(config, np.random.default_rng(0))
     stack_bytes = cov.R.nbytes
@@ -171,14 +194,10 @@ def test_rho_tr_must_be_positive(small_setup):
 
 
 def test_cross_covariance_and_trace_tables_match_explicit_products():
-    # generic Hermitian covariances: the scenario's Toeplitz ones are
-    # centro-Hermitian, which hides transposition errors in trace identities
-    rng = np.random.default_rng(8)
-    A = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
-    R = A @ A.conj().transpose(0, 2, 1) / 16
-    beta = np.trace(R, axis1=1, axis2=2).real / 16
-    model = build_estimation_model(CovarianceSet(R=R, beta=beta), 5.0)
-    q_inv = np.linalg.inv(model.Q)
+    cov = generic_covariances(3, 16, np.random.default_rng(8))
+    R = cov.R
+    model = build_estimation_model(cov, 5.0)
+    q_inv = np.linalg.inv(observation_covariance(R, 5.0))
     for i in range(3):
         for k in range(3):
             explicit = R[i] @ q_inv @ R[k]

@@ -47,7 +47,7 @@ def test_solve_weights_single_ue():
     problem = CommonWeightProblem(u=np.array([[2.5]]), pi=np.array([4.0]))
     weights, t_star = solve_common_weights(problem)
     assert np.array_equal(weights, [1.0])
-    assert t_star == pytest.approx(2.0 * 2.5)  # sqrt(pi) * tr(Phi)
+    assert t_star == 2.0 * 2.5  # sqrt(pi) * tr(Phi), exactly
 
 
 def test_solve_weights_symmetric_uniform():
