@@ -49,7 +49,6 @@ from .scenario import (
     CovarianceSet,
     ScenarioConfig,
     UEGeometry,
-    generate_covariances,
     generate_scenario,
     large_scale_gain_db,
     local_scattering_covariance,

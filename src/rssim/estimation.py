@@ -50,10 +50,6 @@ class EstimationModel:
     def M(self) -> int:
         return self.cov.M
 
-    def cross_covariance(self, i: int, k: int) -> np.ndarray:
-        """R_i Q^{-1} R_k, the cross-covariance of estimates i and k, as W_i^H W_k."""
-        return self.W[i].conj().T @ self.W[k]
-
 
 @dataclass
 class ChannelBatch:

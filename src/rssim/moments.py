@@ -2,14 +2,18 @@
 
 Closed forms are available for MR private precoding and for the common
 precoder built as a weighted sum of channel estimates; the Monte Carlo
-oracle that checks them is ``validation.mc_moment_table``.  The
-common-stream second moment needs one fourth-order moment of the
-estimates, which the closed forms take from a circularly-symmetric complex
-Gaussian (E{|c_m|^4} = 2).  The real-Gaussian alternative (E{|c_m|^4} = 3)
-survives only in the Monte Carlo vote ``select_quartic_variant``, an oracle
-that ``rssim validate`` runs to confirm that the circular value is the one
-the estimates follow.  The vote's sample means stream through
-``linalg.SampleMean``, which the closed forms never read.
+oracle that checks them is ``validation.mc_moment_table``.  The common
+beam's normalization comes from ``common_norm_squared`` alone, which
+``precoding.common_precoder`` reads too; it and the common second moment
+are real by construction (traces of Hermitian products, real weights), so
+their real parts are taken.  The common-stream second moment needs one
+fourth-order moment of the estimates, which the closed forms take from a
+circularly-symmetric complex Gaussian (E{|c_m|^4} = 2).  The real-Gaussian
+alternative (E{|c_m|^4} = 3) survives only in the Monte Carlo vote
+``select_quartic_variant``, an oracle that ``rssim validate`` runs to
+confirm that the circular value is the one the estimates follow.  The
+vote's sample means stream through ``linalg.SampleMean``, which the closed
+forms never read.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +29,6 @@ QUARTIC_VARIANTS = ("real", "circular")
 
 # samples per draw of the quartic vote; the draw size fixes the random stream
 QUARTIC_BATCH = 50_000
-
-# imaginary parts of nominally-real traces above this (relative) level
-# indicate a broken covariance set rather than rounding
-REAL_TRACE_TOL = 1e-8
 
 
 @dataclass
@@ -71,14 +71,6 @@ class MomentTable:
             raise NumericalError("second moment below squared mean for the common beam")
 
 
-def _real_trace(value, context: str):
-    value = np.asarray(value)
-    imag = np.abs(value.imag)
-    if np.any(imag > REAL_TRACE_TOL * np.maximum(1.0, np.abs(value.real))):
-        raise NumericalError(f"{context}: trace has unexpected imaginary part {imag.max():.3e}")
-    return value.real if value.ndim else float(value.real)
-
-
 def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     """Closed form of E{c c^H B c c^H} for c with i.i.d. unit-variance
     complex Gaussian entries, under the chosen fourth-moment convention."""
@@ -90,9 +82,11 @@ def quartic_identity(B: np.ndarray, variant: str) -> np.ndarray:
     raise ValueError(f"unknown quartic variant {variant!r}")
 
 
-def _common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
-    total = complex(weights @ model.cross_trace @ weights)
-    norm2 = _real_trace(total, "common precoder normalization")
+def common_norm_squared(weights: np.ndarray, model: EstimationModel) -> float:
+    """w^T tr(C) w = tr(Phi_w), the expected squared norm of the common beam
+    sum_i w_i hhat_i before normalization; real, as tr(C) is Hermitian and
+    w real.  Raises InvalidWeightsError unless it is positive."""
+    norm2 = complex(weights @ model.cross_trace @ weights).real
     if norm2 <= 0:
         raise InvalidWeightsError(f"non-positive common-precoder normalization {norm2:.3e}")
     return norm2
@@ -129,13 +123,13 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     G_common = np.zeros(K)
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        norm2 = _common_norm_squared(weights, model)
+        norm2 = common_norm_squared(weights, model)
         whitened_w = np.einsum("i,imn->mn", weights, model.W)  # L^{-1} R_w
         Phi_w = whitened_w.conj().T @ whitened_w
         gain = weights @ ct
         pair_sum = np.einsum("kmn,nm->k", model.cov.R, Phi_w) + np.abs(gain) ** 2
         g_common = gain / np.sqrt(norm2)
-        G_common = _real_trace(pair_sum, "common second moment") / norm2
+        G_common = pair_sum.real / norm2
     table = MomentTable(
         g_private=g_private,
         G_private=G_private,

@@ -95,7 +95,7 @@ def linearization_terms(
     sigma2_private = alpha_private - zeta_common - zeta.sum(axis=1)
 
     den_c_sig = sigma2 + rx[l_min]
-    sigma1_common = float(moments.G_common[l_min] / den_c_sig) if den_c_sig > 0 else 0.0
+    sigma1_common = float(moments.G_common[l_min] / den_c_sig)
     alpha_common = float(delta_c[l_min] / den_c[l_min])
     zeta_private_common = delta_c * inv_gap
     sigma2_common = alpha_common - float(zeta_private_common.sum())
@@ -139,6 +139,8 @@ KKT_TOL = 1e-9
 NEWTON_AFTER = 3
 # step halvings a Newton step may take before the run falls back to water-filling
 NEWTON_HALVINGS = 3
+# the largest miss of the budget, relative to it, that a water-filling step may leave
+BUDGET_RTOL = 1e-9
 
 
 def ila_wf(moments: MomentTable, config: ScenarioConfig) -> PowerAllocation:
@@ -270,8 +272,9 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
     breakpoint sigma1_c - slope_c lies above their multiplier; otherwise
     its level there is zero and the private solution is exact; a table
     without common weights has sigma1_c = 0, so its common stream never
-    joins.  Returns (rho_c, rho, mu); raises NumericalError when a budget
-    far below 1/sigma1 rounds every level to zero.
+    joins.  Returns (rho_c, rho, mu); raises NumericalError unless the
+    levels spend the budget to within BUDGET_RTOL of it, which fails a
+    budget so small against the floors 1/sigma1 that rounding dominates.
     """
     s1, s2 = terms.sigma1_private, terms.sigma2_private
     if np.any(s1 <= 0):
@@ -283,12 +286,14 @@ def _budget_exact_sweep(terms: LinearizationTerms, rho_total: float):
             np.append(s1, terms.sigma1_common), np.append(s2, terms.sigma2_common), rho_total
         )
         rho_c, levels = float(levels[-1]), levels[:-1]
-    # a level is the water level less 1/sigma1_k, so a budget below the unit
-    # roundoff of every floor 1/sigma1_k leaves only rounding in the levels,
-    # whether or not they come out exactly zero
-    rounded_away = rho_total * max(s1.max(), terms.sigma1_common) < np.finfo(float).eps / 2
-    if rounded_away or (rho_c == 0 and not levels.any()):
-        raise NumericalError(f"a budget of {rho_total:.3e} mW rounds every stream's power to zero")
+    # a level is the water level less 1/sigma1_k, so at a budget within a few
+    # ulps of the floors 1/sigma1_k the levels are mostly rounding
+    miss = abs(rho_c + levels.sum() - rho_total) / rho_total
+    if not miss <= BUDGET_RTOL:
+        raise NumericalError(
+            f"a water-filling step misses the budget of {rho_total:.3e} mW by {miss:.3e} "
+            "relative to it, as rounding dominates its levels"
+        )
     return rho_c, levels, mu
 
 

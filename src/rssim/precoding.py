@@ -21,7 +21,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import ChannelBatch, EstimationModel
-from .moments import MomentTable
+from .moments import MomentTable, common_norm_squared
+from .scenario import ScenarioConfig
 
 # imaginary leakage allowed in the nominally-real weight-problem entries
 U_REAL_TOL = 1e-10
@@ -61,18 +62,16 @@ class CommonWeightProblem:
 
 
 def build_common_weight_problem(
-    model: EstimationModel,
-    moments: MomentTable,
-    rho_private: np.ndarray,
-    sigma2: float,
+    model: EstimationModel, moments: MomentTable, config: ScenarioConfig
 ) -> CommonWeightProblem:
-    """Assemble the weight program at the given private power point.
+    """Assemble the weight program at the uniform private split.
 
     The interference weights are evaluated from the closed-form MR moment
-    table, before any power optimization.
+    table, before any power optimization, with the budget rho_total split
+    evenly over the K private streams and the noise power of ``config``.
     """
-    rho_private = np.asarray(rho_private, dtype=float)
-    interference = moments.G_private @ rho_private + sigma2
+    K, rho_total = config.K, config.rho_total_mw
+    interference = moments.G_private @ np.full(K, rho_total / K) + config.noise_mw
     if np.any(interference <= 0):
         raise NumericalError("non-positive interference-plus-noise in weight program")
     pi = 1.0 / interference
@@ -130,9 +129,8 @@ def solve_common_weights(problem: CommonWeightProblem):
 
 
 def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.ndarray:
-    """Per-realization common beams with the deterministic normalizer."""
+    """Per-realization common beams sum_i w_i hhat_i, divided by the square
+    root of their expected squared norm, ``moments.common_norm_squared``."""
     weights = np.asarray(weights, dtype=float)
-    norm2 = complex(weights @ model.cross_trace @ weights).real
-    if norm2 <= 0:
-        raise InvalidWeightsError(f"non-positive common normalization {norm2:.3e}")
+    norm2 = common_norm_squared(weights, model)
     return np.einsum("i,nim->nm", weights, batch.h_hat) / np.sqrt(norm2)

@@ -80,8 +80,7 @@ def build_drop(config: ScenarioConfig, seed: int):
     geometry, the pilot power and the seed, not on ``rho_total_dbm``.
     """
     rng = np.random.default_rng(seed)
-    _, cov = generate_scenario(config, rng)
-    model = build_estimation_model(cov, config.rho_tr_effective)
+    model = build_estimation_model(generate_scenario(config, rng), config.rho_tr_effective)
     return model, closed_form_moments(model)
 
 
@@ -123,10 +122,7 @@ def allocate_drop(config: ScenarioConfig, modes, drop) -> dict:
     results = {}
     no_rs = None
     if "rs" in modes:
-        problem = build_common_weight_problem(
-            model, mr_table, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
-        )
-        weights, _ = solve_common_weights(problem)
+        weights, _ = solve_common_weights(build_common_weight_problem(model, mr_table, config))
         rs = no_rs = scored(closed_form_moments(model, weights))
         report, joint = rs
         if joint.common_opened:

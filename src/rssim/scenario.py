@@ -5,7 +5,9 @@ at random, redrawing any position closer to the BS than the minimum
 distance.  Each UE gets a distance-based gain with log-normal shadowing and
 a spatially correlated covariance matrix built from a handful of Gaussian
 scattering clusters around the line-of-sight angle, for a uniform linear
-array with half-wavelength spacing.
+array with half-wavelength spacing.  A scenario is its covariance set
+alone: every later layer reads R, and each UE's average gain is tr(R_i)/M,
+so the placement stays inside ``generate_scenario``.
 """
 
 from dataclasses import dataclass, fields
@@ -162,22 +164,19 @@ class ScenarioConfig:
 
 @dataclass
 class UEGeometry:
-    """Per-UE placement and large-scale propagation state."""
+    """Per-UE placement and large-scale propagation state; a UE's distance
+    and nominal angle are the hypot and arctan2 of its position."""
 
     positions: np.ndarray       # (K, 2) meters, BS at origin
-    distances: np.ndarray       # (K,) meters
-    nominal_angles: np.ndarray  # (K,) radians from array broadside
-    shadow_fading_db: np.ndarray  # (K,)
-    beta_db: np.ndarray         # (K,)
+    beta_db: np.ndarray         # (K,) large-scale gain, shadowing included
     cluster_angles: np.ndarray  # (K, S) radians
 
 
 @dataclass
 class CovarianceSet:
-    """Spatial covariance matrices R_i and their average gains beta_i."""
+    """Spatial covariance matrices R_i; the average gain of UE i is tr(R_i)/M."""
 
-    R: np.ndarray     # (K, M, M) complex Hermitian
-    beta: np.ndarray  # (K,) linear average gains, tr(R_i)/M
+    R: np.ndarray  # (K, M, M) complex Hermitian
 
     @property
     def K(self) -> int:
@@ -203,7 +202,9 @@ def large_scale_gain_db(distance_km: float, shadow_db: float = 0.0) -> float:
 
 def place_ues(config: ScenarioConfig, rng: np.random.Generator) -> UEGeometry:
     """Drop K UEs uniformly over the square cell, rejecting positions
-    inside the minimum-distance disk around the BS.
+    inside the minimum-distance disk around the BS, then draw their
+    shadowing and the cluster angles around each UE's line-of-sight angle,
+    in that order.
 
     Deterministic given (config, rng state).  Raises
     InfeasibleGeometryError if a single UE needs more than
@@ -231,13 +232,9 @@ def place_ues(config: ScenarioConfig, rng: np.random.Generator) -> UEGeometry:
         nominal_angles[:, None] + halfwidth,
         size=(config.K, config.num_clusters),
     )
-    beta_db = large_scale_gain_db(distances / config.pathloss_ref_m, shadow)
     return UEGeometry(
         positions=positions,
-        distances=distances,
-        nominal_angles=nominal_angles,
-        shadow_fading_db=shadow,
-        beta_db=np.asarray(beta_db, dtype=float),
+        beta_db=large_scale_gain_db(distances / config.pathloss_ref_m, shadow),
         cluster_angles=cluster_angles,
     )
 
@@ -265,8 +262,10 @@ def local_scattering_covariance(beta: float, cluster_angles, sigma_phi: float, M
     return toeplitz(col, col.conj())
 
 
-def generate_covariances(geometry: UEGeometry, config: ScenarioConfig) -> CovarianceSet:
-    """Build the covariance set for a placed scenario."""
+def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> CovarianceSet:
+    """Place the UEs with ``place_ues`` and return their local-scattering
+    covariances; the placement is not kept, as no later layer reads it."""
+    geometry = place_ues(config, rng)
     sigma_phi = np.radians(config.angular_spread_deg)
     beta = db_to_linear(geometry.beta_db)
     R = np.empty((config.K, config.M, config.M), dtype=complex)
@@ -274,10 +273,4 @@ def generate_covariances(geometry: UEGeometry, config: ScenarioConfig) -> Covari
         R[k] = local_scattering_covariance(
             beta[k], geometry.cluster_angles[k], sigma_phi, config.M
         )
-    return CovarianceSet(R=R, beta=np.asarray(beta, dtype=float))
-
-
-def generate_scenario(config: ScenarioConfig, rng: np.random.Generator):
-    """Convenience wrapper: placement plus covariances."""
-    geometry = place_ues(config, rng)
-    return geometry, generate_covariances(geometry, config)
+    return CovarianceSet(R=R)

@@ -9,20 +9,20 @@ from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 
 
 def make_scenario(M=16, K=3, seed=3, rho_total_dbm=20.0, **kwargs):
-    """Scenario + estimation model + closed-form tables for one seed."""
+    """Config, covariance set and estimation model for one seed."""
     config = ScenarioConfig(M=M, K=K, seed=seed, rho_total_dbm=rho_total_dbm, **kwargs)
-    rng = np.random.default_rng(seed)
-    geometry, cov = generate_scenario(config, rng)
-    model = build_estimation_model(cov, config.rho_tr_effective)
-    return config, geometry, cov, model
+    cov = generate_scenario(config, np.random.default_rng(seed))
+    return config, cov, build_estimation_model(cov, config.rho_tr_effective)
 
 
 def solve_weights_for(config, model):
-    mr = closed_form_moments(model)
-    problem = build_common_weight_problem(
-        model, mr, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
-    )
+    problem = build_common_weight_problem(model, closed_form_moments(model), config)
     return solve_common_weights(problem)[0]
+
+
+def cross_covariance(model, i, k):
+    """R_i Q^{-1} R_k, the cross-covariance of estimates i and k, as W_i^H W_k."""
+    return model.W[i].conj().T @ model.W[k]
 
 
 def stationarity_residuals(powers, mu, moments, sigma2):
@@ -41,12 +41,12 @@ def diagonal_covariances(betas, M):
     """Covariance set of scaled identities (closed forms become scalar)."""
     betas = np.asarray(betas, dtype=float)
     R = np.stack([b * np.eye(M, dtype=complex) for b in betas])
-    return CovarianceSet(R=R, beta=betas.copy())
+    return CovarianceSet(R=R)
 
 
 @pytest.fixture(scope="session")
 def small_setup():
     """One shared medium-size scenario for the cross-module checks."""
-    config, geometry, cov, model = make_scenario()
+    config, cov, model = make_scenario()
     weights = solve_weights_for(config, model)
     return config, cov, model, weights

@@ -29,6 +29,7 @@ from rssim.runner import allocate_drop, build_drop, derive_point_seed, render_cs
 from rssim.scenario import ScenarioConfig, generate_scenario
 from rssim.validation import (
     colinearity_identity_error,
+    explicit_cross_covariances,
     mc_estimation_stats,
     mc_moment_table,
     relative_frobenius,
@@ -49,14 +50,11 @@ def announce(number, name, passed, detail):
 
 def build_tables(config, seed, with_weights=True):
     rng = np.random.default_rng(seed)
-    _, cov = generate_scenario(config, rng)
+    cov = generate_scenario(config, rng)
     model = build_estimation_model(cov, config.rho_tr_effective)
     weights = None
     if with_weights:
-        mr = closed_form_moments(model)
-        problem = build_common_weight_problem(
-            model, mr, np.full(config.K, config.rho_total_mw / config.K), config.noise_mw
-        )
+        problem = build_common_weight_problem(model, closed_form_moments(model), config)
         weights, _ = solve_common_weights(problem)
     table = closed_form_moments(model, weights)
     return cov, model, weights, table
@@ -98,15 +96,16 @@ def test_criterion_2_estimate_correlation_identities():
             colinearity_identity_error(model, 2000, np.random.default_rng(seed + 50)),
         )
     config = ScenarioConfig(M=8, K=2, seed=6)
-    _, cov = generate_scenario(config, np.random.default_rng(6))
+    cov = generate_scenario(config, np.random.default_rng(6))
     model = build_estimation_model(cov, config.rho_tr_effective)
     stats = mc_estimation_stats(model, 100_000, np.random.default_rng(20))
+    reference = explicit_cross_covariances(cov, config.rho_tr_effective)
     worst_cross = max(
-        relative_frobenius(stats["cross"][i, k], model.cross_covariance(i, k))
+        relative_frobenius(stats["cross"][i, k], reference[i, k])
         for i in range(2) for k in range(2)
     )
     worst_err = max(
-        relative_frobenius(stats["err"][i], cov.R[i] - model.cross_covariance(i, i))
+        relative_frobenius(stats["err"][i], cov.R[i] - reference[i, i])
         for i in range(2)
     )
     ok = worst_ident <= 1e-10 and worst_cross <= 0.02 and worst_err <= 0.02

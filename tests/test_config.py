@@ -178,14 +178,11 @@ def traced_point_peak(M, K):
     """Bytes of R plus the tracemalloc peak of the estimation model, both
     moment tables and the weight LP of one default-config drop."""
     config = ScenarioConfig(M=M, K=K)
-    _, cov = generate_scenario(config, np.random.default_rng(0))
+    cov = generate_scenario(config, np.random.default_rng(0))
     tracemalloc.start()
     try:
         model = build_estimation_model(cov, config.rho_tr_effective)
-        mr_table = closed_form_moments(model)
-        problem = build_common_weight_problem(
-            model, mr_table, np.full(K, config.rho_total_mw / K), config.noise_mw
-        )
+        problem = build_common_weight_problem(model, closed_form_moments(model), config)
         weights, _ = solve_common_weights(problem)
         closed_form_moments(model, weights)
         peak = tracemalloc.get_traced_memory()[1]

@@ -128,7 +128,7 @@ def test_denominator_guard_raises_on_bad_table():
 
 
 def test_se_report_vectors_match_per_ue_sinrs():
-    config, _, _, model = make_scenario(M=16, K=10, seed=5)
+    config, _, model = make_scenario(M=16, K=10, seed=5)
     table = closed_form_moments(model, solve_weights_for(config, model))
     rng = np.random.default_rng(4)
     rho_total = config.rho_total_mw
@@ -157,7 +157,7 @@ def test_budget_validation():
 
 
 def test_report_agrees_between_closed_form_and_monte_carlo_tables():
-    config, _, cov, model = make_scenario(M=8, K=2, seed=6)
+    config, cov, model = make_scenario(M=8, K=2, seed=6)
     weights = solve_weights_for(config, model)
     closed = closed_form_moments(model, weights)
     mc, _ = mc_moment_table(model, 60_000, np.random.default_rng(3), weights)

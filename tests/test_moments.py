@@ -7,9 +7,8 @@ from rssim.errors import InvalidWeightsError, NumericalError
 from rssim.estimation import build_estimation_model
 from rssim.moments import (
     MomentTable,
-    _common_norm_squared,
-    _real_trace,
     closed_form_moments,
+    common_norm_squared,
     default_quartic_variant,
     mc_c_quartic,
     quartic_identity,
@@ -18,7 +17,7 @@ from rssim.moments import (
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import mc_moment_table, worst_moment_excess
 
-from conftest import diagonal_covariances, make_scenario
+from conftest import cross_covariance, diagonal_covariances, make_scenario
 
 MC_SAMPLES = 60_000
 
@@ -46,7 +45,7 @@ def common_gain(k: int, weights, model) -> complex:
     precoder.  Real for the array covariances produced by the scenario
     generator; complex in general."""
     weights = np.asarray(weights, dtype=float)
-    norm2 = _common_norm_squared(weights, model)
+    norm2 = common_norm_squared(weights, model)
     return complex(weights @ model.cross_trace[:, k]) / np.sqrt(norm2)
 
 
@@ -60,10 +59,10 @@ def common_second_moment(k: int, weights, model) -> float:
     real because swapping the pair conjugates the term.
     """
     weights = np.asarray(weights, dtype=float)
-    norm2 = _common_norm_squared(weights, model)
+    norm2 = common_norm_squared(weights, model)
     ct = model.cross_trace
     R = model.cov.R
-    t3 = np.array([[np.trace(model.cross_covariance(i, j) @ R[k]) for j in range(model.K)]
+    t3 = np.array([[np.trace(cross_covariance(model, i, j) @ R[k]) for j in range(model.K)]
                    for i in range(model.K)])
     diag = float(
         np.sum(weights**2 * (model.r_phi_trace[k, :] + np.abs(ct[:, k]) ** 2))
@@ -71,7 +70,7 @@ def common_second_moment(k: int, weights, model) -> float:
     outer = np.outer(weights, weights)
     np.fill_diagonal(outer, 0.0)
     pair_sum = complex(np.sum(outer * (np.outer(ct[:, k], ct[k, :]) + t3)))
-    total = _real_trace(pair_sum, "common second moment pair sum") + diag
+    total = pair_sum.real + diag
     return total / norm2
 
 
@@ -99,14 +98,14 @@ def test_mr_cross_power_identity_example():
 
 def test_mr_cross_power_zero_channel():
     R = np.stack([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
-    cov = CovarianceSet(R=R, beta=np.array([0.0, 1.0]))
+    cov = CovarianceSet(R=R)
     model = build_estimation_model(cov, 2.0)
     assert mr_cross_power(0, 1, model) == pytest.approx(0.0)
 
 
 def test_mr_cross_power_degenerate_ue_rejected():
     R = np.stack([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
-    cov = CovarianceSet(R=R, beta=np.array([0.0, 1.0]))
+    cov = CovarianceSet(R=R)
     model = build_estimation_model(cov, 2.0)
     with pytest.raises(InvalidWeightsError):
         mr_cross_power(1, 0, model)
@@ -205,7 +204,7 @@ def _random_weights(K, seed):
 def test_array_table_matches_per_ue_functions(K):
     """The array expressions of closed_form_moments agree with the per-UE
     reference functions for every k (and every k, i for the MR table)."""
-    _, _, _, model = make_scenario(M=12, K=K, seed=20 + K, rho_tr_dbm=-5.0)
+    _, _, model = make_scenario(M=12, K=K, seed=20 + K, rho_tr_dbm=-5.0)
     weights = _random_weights(K, K)
     table = closed_form_moments(model, weights)
     for k in range(K):
@@ -219,7 +218,7 @@ def test_array_table_matches_per_ue_functions(K):
 
 def test_array_table_rejects_degenerate_ue():
     R = np.stack([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
-    model = build_estimation_model(CovarianceSet(R=R, beta=np.array([0.0, 1.0])), 2.0)
+    model = build_estimation_model(CovarianceSet(R=R), 2.0)
     with pytest.raises(InvalidWeightsError, match="UE 0"):
         closed_form_moments(model)
 
@@ -229,7 +228,7 @@ def test_closed_form_memory_scales_with_k_m_squared():
     (about 28 MiB at 96x24, against 85 MiB for one (K, K, M, M) tensor)."""
     M, K = 96, 24
     config = ScenarioConfig(M=M, K=K, seed=5)
-    _, cov = generate_scenario(config, np.random.default_rng(5))
+    cov = generate_scenario(config, np.random.default_rng(5))
     weights = _random_weights(K, 5)
     tracemalloc.start()
     try:

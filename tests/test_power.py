@@ -130,7 +130,7 @@ def test_sum_se_gradient_and_hessian_match_central_differences(K, common):
     # the sum of log-rates, are the sum SE's derivatives over prelog / ln 2;
     # with the common stream open the bottleneck stays the same UE over
     # every difference step
-    config, _, _, model = make_scenario(M=16, K=K, seed=3)
+    config, _, model = make_scenario(M=16, K=K, seed=3)
     table = rs_table(config, model)
     rho_total = config.rho_total_mw
     rho_c = 0.2 * rho_total if common == "open" else 0.0
@@ -161,7 +161,7 @@ def random_points(K, rho_total, seed):
 def coefficient_cases(small_setup):
     """(table, sigma2, rho_total) at K=3 and at K=10."""
     config, _, model, weights = small_setup
-    config10, _, _, model10 = make_scenario(M=16, K=10, seed=5)
+    config10, _, model10 = make_scenario(M=16, K=10, seed=5)
     return [
         (closed_form_moments(model, weights), config.noise_mw, config.rho_total_mw),
         (rs_table(config10, model10), config10.noise_mw, config10.rho_total_mw),
@@ -347,17 +347,21 @@ def test_budget_step_zero_slope_at_zero_price_is_unbounded():
 
 def test_budget_step_below_the_unit_roundoff_of_every_floor_is_rounded_away():
     # with 1/sigma1 = 0.3 mW, a 3e-17 mW budget lies below the unit roundoff
-    # of the floor; its level came out as one ulp of 0.3 (5.6e-17 mW, above
-    # the budget) rather than zero, which is rounding all the same
+    # of the floor, and the level of a 4e-17 mW budget is still one ulp of
+    # 0.3 (5.6e-17 mW): each misses its budget, by 85 % and 39 %, so each is
+    # an error; the level of a 1e-6 mW budget spends it to within 1e-9
     table = MomentTable(
         g_private=np.array([1.0 + 0j]), G_private=np.array([[1.0]]),
         g_common=np.zeros(1, dtype=complex), G_common=np.zeros(1),
     )
     terms = linearization_terms(PowerVector(0.0, np.array([2.0])), table, 0.3, 0)
-    with pytest.raises(NumericalError, match="rounds every stream's power to zero"):
-        _budget_exact_sweep(terms, 3e-17)
-    rho_c, rho, _ = _budget_exact_sweep(terms, 4e-17)
-    assert rho_c == 0.0 and rho[0] > 0
+    for budget, miss in ((3e-17, "8.504e-01"), (4e-17, "3.878e-01")):
+        with pytest.raises(
+            NumericalError, match=f"^a water-filling step misses the budget of {budget:.3e} mW by {miss} "
+        ):
+            _budget_exact_sweep(terms, budget)
+    rho_c, rho, _ = _budget_exact_sweep(terms, 1e-6)
+    assert rho_c == 0.0 and rho[0] == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_budget_step_rejects_nonpositive_sigma1():
@@ -402,7 +406,7 @@ def criterion_7_two_ue_joint_run():
     """The joint run of criterion 7, K = 2, drop 0, which opens the common
     stream, with its scenario config."""
     config = ScenarioConfig(M=64, K=2, rho_total_dbm=20, seed=0)
-    _, cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
+    cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
     table = rs_table(config, build_estimation_model(cov, config.rho_tr_effective))
     return config, ila_wf(table, config)
 
@@ -439,7 +443,7 @@ def test_ila_wf_budget_feasible(small_setup, monkeypatch):
 def symmetric_two_ue_drop():
     """Two UEs with the same covariance: the config and the drop."""
     R = local_scattering_covariance(1.5, [0.3, -0.2, 0.8], np.radians(10), 16)
-    cov = CovarianceSet(R=np.stack([R, R]), beta=np.array([1.5, 1.5]))
+    cov = CovarianceSet(R=np.stack([R, R]))
     model = build_estimation_model(cov, 50.0)
     config = ScenarioConfig(M=16, K=2, noise_dbm=-30.0)  # 100 mW budget, 1e-3 mW noise
     return config, (model, closed_form_moments(model))
@@ -540,7 +544,7 @@ def test_pinned_run_does_not_read_the_common_stream_entries(small_setup, monkeyp
     # (the common rate does not respond to the private powers) and, with its
     # breakpoint at or below the private multiplier, the same budget step
     config, _, model, weights = small_setup
-    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    far_config, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     for cfg, mdl, w in [
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
@@ -573,7 +577,7 @@ def test_joint_run_that_keeps_the_common_stream_off_is_the_pinned_run(small_setu
     # the one on the table without common weights; a drop shares it between
     # its two modes
     config, _, model, weights = small_setup
-    far_config, _, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    far_config, _, far_model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     for cfg, mdl, w in [
         (config, model, weights), (far_config, far_model, solve_weights_for(far_config, far_model)),
     ]:
@@ -644,7 +648,7 @@ def assert_returns_last_iterate(alloc, points):
 
 def test_ila_wf_unreachable_tolerance_returns_the_last_iterate(monkeypatch):
     # the iteration cap alone stops a run that would converge later
-    config, _, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
+    config, _, model = make_scenario(M=32, K=4, seed=0, pathloss_ref_m=1000)
     table = closed_form_moments(model)
     assert ila_wf(table, config).iterations > 6
     monkeypatch.setattr(power, "MAX_ITERATIONS", 6)

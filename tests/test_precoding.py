@@ -164,10 +164,11 @@ def test_solve_weights_deterministic():
 def test_weight_problem_from_model(small_setup):
     config, _, model, _ = small_setup
     mr = closed_form_moments(model)
-    rho = np.full(config.K, config.rho_total_mw / config.K)
-    problem = build_common_weight_problem(model, mr, rho, config.noise_mw)
+    problem = build_common_weight_problem(model, mr, config)
     assert problem.u.shape == (config.K, config.K)
-    assert np.all(problem.pi > 0)
+    # the interference weights are taken at the uniform private split
+    uniform = config.rho_total_mw / config.K * mr.G_private.sum(axis=1)
+    assert np.allclose(problem.pi, 1.0 / (uniform + config.noise_mw), rtol=1e-12, atol=0)
     # u entries are the real parts of the estimate coupling traces
     assert np.allclose(problem.u, model.cross_trace.real)
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 
@@ -292,11 +293,11 @@ def test_rows_respect_sanity_ceiling():
     rows = run_sweep(spec, config)
     for row in rows:
         point_config = ScenarioConfig(**{**SMALL, "rho_total_dbm": row.axis_value})
-        _, cov = generate_scenario(point_config, np.random.default_rng(row.seed))
+        cov = generate_scenario(point_config, np.random.default_rng(row.seed))
         ceiling = (
             point_config.prelog
             * (point_config.K + 1)
-            * np.log2(1 + dbm_to_mw(row.axis_value) * point_config.M * cov.beta.max()
+            * np.log2(1 + dbm_to_mw(row.axis_value) * np.trace(cov.R, axis1=1, axis2=2).real.max()
                       / point_config.noise_mw)
         )
         assert row.sum_se <= ceiling
@@ -435,15 +436,18 @@ def test_cli_underflowing_weight_couplings_are_a_numerical_error(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "command, dbm, code",
-    [("run", -200, 2), ("run", -165, 2), ("run", -160, 0),
-     ("sweep", -200, 2), ("sweep", -170, 2), ("sweep", -165, 0)],
+    [("run", -200, 2), ("run", -165, 2), ("run", -160, 2), ("run", -90, 2), ("run", -70, 0),
+     ("sweep", -200, 2), ("sweep", -170, 2), ("sweep", -165, 2), ("sweep", -90, 2),
+     ("sweep", -70, 0)],
 )
 def test_cli_budget_that_rounds_every_level_away_is_a_numerical_error(
     tmp_path, capsys, command, dbm, code
 ):
-    # at M = 8, K = 3 a budget this small rounds every water-filling level to
-    # zero, so the run would spend none of it and write all-zero rows; 5 dB
-    # more still gives the streams power (the sweep's drop is another one)
+    # at M = 8, K = 3 the floors 1/sigma1 of the water-filling levels are
+    # 0.4 to 89 mW on the run's drop, so the levels of a budget this small
+    # are mostly rounding and a step misses it by more than 1e-9 of it; the
+    # run would otherwise write rows for a budget it did not spend.  At
+    # -70 dBm every step spends it (the sweep's drop is another one)
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(f"M = 8\nK = 3\nrho_total_dbm = {dbm}\n{sweep_lines(command, dbm)}")
     out = tmp_path / "x.csv"
@@ -451,7 +455,12 @@ def test_cli_budget_that_rounds_every_level_away_is_a_numerical_error(
     err = capsys.readouterr().err
     if code:
         budget = f"{dbm_to_mw(dbm):.3e}"
-        assert err == f"error: a budget of {budget} mW rounds every stream's power to zero\n"
+        match = re.fullmatch(
+            rf"error: a water-filling step misses the budget of {re.escape(budget)} mW by "
+            r"(\S+) relative to it, as rounding dominates its levels\n",
+            err,
+        )
+        assert match and float(match.group(1)) > 1e-9
         assert not out.exists()
     else:
         assert out.exists()

@@ -146,3 +146,27 @@ def test_real_vote_winner_fails_validation(monkeypatch, capsys):
     failed = [c.name for c in reports[0].checks if not c.passed]
     assert failed == ["quartic variant adjudication"]
     assert "[FAIL] quartic variant adjudication" in capsys.readouterr().out
+
+
+def test_cross_covariance_check_fails_a_scaled_whitened_stack(monkeypatch):
+    """The Monte Carlo estimates are W_i^H L^{-1} y, so the reference must not
+    come from W: with every W_k scaled by 1.2, the check against
+    R_i Q^{-1} R_k from a solve on the explicit Q fails."""
+    build = rssim.validation.build_estimation_model
+
+    def scaled(*args):
+        model = build(*args)
+        model.W *= 1.2
+        return model
+
+    vote = QuarticAdjudication(
+        winner="circular",
+        unique=True,
+        max_z={"real": 400.0, "circular": 1.0},
+        max_abs_dev={"real": 2.0, "circular": 1e-3},
+    )
+    monkeypatch.setattr(rssim.validation, "build_estimation_model", scaled)
+    monkeypatch.setattr(rssim.validation, "select_quartic_variant", lambda **kwargs: vote)
+    checks = {c.name: c for c in run_validation(ScenarioConfig(), 10_000).checks}
+    cross = checks["estimate cross-covariance vs closed form"]
+    assert not cross.passed and cross.measured > 0.4
