@@ -4,11 +4,11 @@ Every UE transmits the same pilot, so the BS sees one contaminated
 observation per coherence block and all K estimates are linear functions
 of it.  That makes the estimates mutually correlated: the cross-covariance
 of estimates i and k is R_i Q^{-1} R_k, with Q = L L^H the covariance of
-the observation.  The model object keeps the Cholesky factor of Q, the
-whitened covariances W_k = L^{-1} R_k and the trace tables that the
-closed-form moment engine consumes, all in O(K M^2) memory and all built
-from one triangular solve; a pairwise cross-covariance is W_i^H W_k, and
-a Monte Carlo estimate is W_i^H L^{-1} y.
+the observation.  The model object keeps the upper Cholesky factor U = L^H
+of Q, the whitened covariances W_k = L^{-1} R_k and the trace tables that
+the closed-form moment engine consumes, all in O(K M^2) memory and built
+from one triangular solve; W_i^H W_k is a cross-covariance, W_i^H L^{-1} y
+a Monte Carlo estimate, and ``r_phi_traces`` every tr(R_k Phi_j) table.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from scipy.linalg.blas import zgemm
 
 from .errors import NumericalError
 from .linalg import sampling_factor, standard_complex_gaussian
-from .scenario import PHI_BLOCK_BYTES, CovarianceSet
+from .scenario import CovarianceSet
 
 
 @dataclass
@@ -30,13 +30,13 @@ class EstimationModel:
     noise, so the observation covariance is Q = sum_k R_k + (1/rho_tr) I.
     With Q = L L^H, the cross-covariance of estimates i and k is
     R_i Q^{-1} R_k = W_i^H W_k, and Phi_i = W_i^H W_i is the covariance of
-    estimate i.  The model holds the factor of Q, W and the trace tables;
-    no Q, Phi_i or cross-covariance is kept.
+    estimate i.  The model holds the upper factor U = L^H of Q, W and the
+    trace tables; no Q, Phi_i or cross-covariance is kept.
     """
 
     cov: CovarianceSet
     rho_tr: float
-    Q_factor: tuple                # scipy cho_factor of Q: U with Q = U^H U, so L = U^H
+    Q_factor: np.ndarray           # (M, M) upper triangular U with Q = U^H U, so L = U^H
     W: np.ndarray                  # (K, M, M), W_k = L^{-1} R_k, each stored column-major
     cross_trace: np.ndarray        # (K, K) complex, [i, k] = tr(W_i^H W_k) = tr(R_i Q^{-1} R_k)
     phi_trace: np.ndarray          # (K,) real, tr(Phi_i) = ||W_i||_F^2
@@ -63,44 +63,49 @@ class ChannelBatch:
     h_hat: np.ndarray  # (n, K, M)
 
 
+def r_phi_traces(R: np.ndarray, W_t: np.ndarray) -> np.ndarray:
+    """[k, j] = tr(R_k Phi_j) = sum_{m, n} R_k[m, n] Phi_j^T[m, n], real, for
+    the stack W_t[j] = W_j^T; each Phi_j^T = W_j^T conj(W_j) is formed for
+    one beam and dropped, so no Phi stack is held."""
+    R_flat = R.reshape(len(R), -1)
+    traces = np.empty((len(R), len(W_t)))
+    for j, w_t in enumerate(W_t):
+        phi_t = w_t @ w_t.conj().T
+        traces[:, j] = np.real(R_flat @ phi_t.reshape(-1))
+    return traces
+
+
 def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel:
-    """Factor Q and assemble W_k = L^{-1} R_k and the trace tables."""
+    """Factor Q = U^H U and assemble W_k = L^{-1} R_k, with L = U^H, and the
+    trace tables; ``cov`` is left as it was."""
     if rho_tr <= 0:
         raise ValueError("rho_tr must be positive")
     K, M = cov.K, cov.M
     Q = cov.R.sum(axis=0) + np.eye(M) / rho_tr
     try:
-        q_factor = scipy.linalg.cho_factor(Q)
+        U = scipy.linalg.cholesky(Q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps Q PD
         raise NumericalError(f"observation covariance is not positive definite: {exc}") from exc
     # LAPACK solves the columns of a column-major right-hand side in place.
     # The row-major stack of the R_k^T lays out the columns of every R_k that
     # way, so U^H W_k = R_k is solved for all k in one call, in that one copy
-    # of R, and W_t[k] = W_k^T is left row-major.
-    W_t = np.ascontiguousarray(cov.R.transpose(0, 2, 1))
+    # of R, and W_t[k] = W_k^T is left row-major.  The copy is explicit: at
+    # M = 1 the transpose is already contiguous and would be R itself.
+    W_t = cov.R.transpose(0, 2, 1).copy()
     W_t = scipy.linalg.solve_triangular(
-        q_factor[0], W_t.reshape(K * M, M).T, trans="C", lower=q_factor[1], overwrite_b=True
+        U, W_t.reshape(K * M, M).T, trans="C", overwrite_b=True
     ).T.reshape(K, M, M)
     flat = W_t.reshape(K, M * M)
     # one (K, M^2) Gram product; zgemm conjugates in place of a conj() copy
     cross_trace = zgemm(1.0, flat.T, flat.T, trans_a=2)
-    # [k, i] = sum_{m, n} R_k[m, n] Phi_i[n, m], with Phi_i^T = W_i^T conj(W_i)
-    # formed for a block of UEs at a time and dropped
-    R_flat = cov.R.reshape(K, M * M)
-    r_phi_trace = np.empty((K, K))
-    step = max(1, PHI_BLOCK_BYTES // (16 * M * M))
-    for start in range(0, K, step):
-        block = W_t[start:start + step]
-        phi_t = block @ block.conj().transpose(0, 2, 1)
-        r_phi_trace[:, start:start + step] = np.real(R_flat @ phi_t.reshape(len(block), -1).T)
     return EstimationModel(
         cov=cov,
         rho_tr=rho_tr,
-        Q_factor=q_factor,
+        Q_factor=U,
         W=W_t.transpose(0, 2, 1),
         cross_trace=cross_trace,
         phi_trace=np.real(np.diagonal(cross_trace)).copy(),
-        r_phi_trace=r_phi_trace,
+        r_phi_trace=r_phi_traces(cov.R, W_t),
     )
 
 
@@ -127,12 +132,11 @@ def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> 
     first, then the noise.
     """
     K, M = model.K, model.M
-    U, lower = model.Q_factor
     h = sample_channels(model.cov, n, rng)
     noise = standard_complex_gaussian(rng, (n, M))
     y = h.sum(axis=1) + noise / np.sqrt(model.rho_tr)
     # L^{-1} y for every realization, with L = U^H
-    white = scipy.linalg.solve_triangular(U, y.T, trans="C", lower=lower, overwrite_b=True)
+    white = scipy.linalg.solve_triangular(model.Q_factor, y.T, trans="C", overwrite_b=True)
     # the (M, K M) block row [W_0 ... W_{K-1}] is a view of W's row-major
     # storage, and zgemm conjugates it in place of a conj() copy; the
     # (K M, n) column-major product is h_hat laid out row-major as (n, K, M)

@@ -2,7 +2,9 @@
 
 Local-scattering covariance matrices are often numerically rank deficient,
 so the sampling factor falls back to an eigendecomposition with clamped
-eigenvalues; clamping is logged because it changes the draw.
+eigenvalues; clamping is logged because it changes the draw.  Both
+factorizations read one triangle of R, and every covariance the package
+builds is exactly Hermitian, so R is not symmetrized first.
 """
 
 import logging
@@ -10,10 +12,6 @@ import logging
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-
-def hermitian_part(a):
-    return 0.5 * (a + a.conj().T)
 
 
 def sampling_factor(r):
@@ -25,7 +23,7 @@ def sampling_factor(r):
     try:
         return np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(hermitian_part(r))
+        w, v = np.linalg.eigh(r)
         clipped = np.clip(w, 0.0, None)
         if w[0] < 0:
             logger.debug(

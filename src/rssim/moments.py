@@ -6,14 +6,15 @@ oracle that checks them is ``validation.mc_moment_table``.  The common
 beam's normalization comes from ``common_norm_squared`` alone, which
 ``precoding.common_precoder`` reads too; it and the common second moment
 are real by construction (traces of Hermitian products, real weights), so
-their real parts are taken.  The common-stream second moment needs one
-fourth-order moment of the estimates, which the closed forms take from a
-circularly-symmetric complex Gaussian (E{|c_m|^4} = 2).  The real-Gaussian
-alternative (E{|c_m|^4} = 3) survives only in the Monte Carlo vote
-``select_quartic_variant``, an oracle that ``rssim validate`` runs to
-confirm that the circular value is the one the estimates follow.  The
-vote's sample means stream through ``linalg.SampleMean``, which the closed
-forms never read.
+their real parts are taken.  The common beam is the MR beam of a virtual
+UE with whitened covariance sum_i w_i W_i, so ``estimation.r_phi_traces``
+gives its traces as it does the private beams'.  Its second moment needs
+one fourth-order moment of the estimates, which the closed forms take from
+a circularly-symmetric complex Gaussian (E{|c_m|^4} = 2).  The
+real-Gaussian value (E{|c_m|^4} = 3) survives only in the Monte Carlo
+vote ``select_quartic_variant``, an oracle that ``rssim validate`` runs to
+confirm that the estimates follow the circular value; its sample means
+stream through ``linalg.SampleMean``, which the closed forms never read.
 """
 
 from dataclasses import dataclass, field
@@ -22,10 +23,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
-from .estimation import EstimationModel
+from .estimation import EstimationModel, r_phi_traces
 from .linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
 
 QUARTIC_VARIANTS = ("real", "circular")
+
+# standard errors within which a variant must match every component to pass
+QUARTIC_Z_LIMIT = 3.0
+
+# rounding slack of MomentTable.validate, relative to each second moment
+MOMENT_RTOL = 1e-9
 
 # samples per draw of the quartic vote; the draw size fixes the random stream
 QUARTIC_BATCH = 50_000
@@ -59,15 +66,14 @@ class MomentTable:
     def K(self) -> int:
         return self.g_private.shape[0]
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         if np.any(self.G_private < 0):
             raise NumericalError("G_private has negative entries")
         diag = np.diagonal(self.G_private)
-        scale = np.maximum(diag, 1e-300)
-        if np.any((self.own_private - diag) > tol * scale):
+        if np.any(self.own_private - diag > MOMENT_RTOL * np.maximum(diag, 1e-300)):
             raise NumericalError("second moment below squared mean for a private beam")
         common_var = self.G_common - self.own_common
-        if np.any(common_var < -tol * np.maximum(self.G_common, 1e-300)):
+        if np.any(common_var < -MOMENT_RTOL * np.maximum(self.G_common, 1e-300)):
             raise NumericalError("second moment below squared mean for the common beam")
 
 
@@ -106,10 +112,11 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
         sum_{i,j} w_i w_j (tr(C_ik) tr(C_kj) + tr(R_i Q^{-1} R_j R_k))
           = |sum_i w_i tr(C_ik)|^2 + tr(R_k Phi_w),   Phi_w = R_w Q^{-1} R_w,
     and the normalization is w^T tr(C) w = tr(Phi_w): the MR cross-power
-    formula for the virtual UE.  With Q = L L^H, L^{-1} R_w = sum_i w_i W_i
-    is a weighted sum of the model's whitened covariances and
-    Phi_w = (L^{-1} R_w)^H (L^{-1} R_w), so the table takes no Q^{-1} solve,
-    only one M x M product.
+    formula for the virtual UE.  With Q = L L^H, its whitened covariance
+    W_w = L^{-1} R_w = sum_i w_i W_i is a weighted sum of the model's, and
+    Phi_w = W_w^H W_w, so tr(R_k Phi_w) is ``r_phi_traces`` on the
+    one-beam stack [W_w^T], the kernel of the private table; the table
+    takes no Q^{-1} solve.
     No sample is drawn here; ``validation.mc_moment_table`` is the oracle.
     """
     degenerate = np.flatnonzero(model.phi_trace <= 0)
@@ -124,12 +131,12 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         norm2 = common_norm_squared(weights, model)
-        whitened_w = np.einsum("i,imn->mn", weights, model.W)  # L^{-1} R_w
-        Phi_w = whitened_w.conj().T @ whitened_w
+        # W_w^T = sum_i w_i W_i^T, from the row-major stack of the W_i^T
+        whitened_t = np.einsum("i,imn->mn", weights, model.W.transpose(0, 2, 1))
         gain = weights @ ct
-        pair_sum = np.einsum("kmn,nm->k", model.cov.R, Phi_w) + np.abs(gain) ** 2
+        pair_sum = r_phi_traces(model.cov.R, whitened_t[None])[:, 0] + np.abs(gain) ** 2
         g_common = gain / np.sqrt(norm2)
-        G_common = pair_sum.real / norm2
+        G_common = pair_sum / norm2
     table = MomentTable(
         g_private=g_private,
         G_private=G_private,
@@ -167,16 +174,15 @@ def select_quartic_variant(
     m_values=(2, 4, 8),
     n_samples: int = 1_000_000,
     seed: int = 0,
-    z_limit: float = 3.0,
 ) -> QuarticAdjudication:
     """Run the variant vote on ``n_pairs`` random complex matrices B.
 
     The vote happens in the coordinates of the unit Gaussian, where the two
     variants differ by diag(B).  A variant passes when every real and
     imaginary component of every B deviates from the Monte Carlo estimate
-    by at most ``z_limit`` standard errors.  The winner is the variant with
-    the smallest worst-case deviation; ``unique`` is True when exactly one
-    variant passes.
+    by at most ``QUARTIC_Z_LIMIT`` standard errors.  The winner is the
+    variant with the smallest worst-case deviation; ``unique`` is True when
+    exactly one variant passes.
     """
     rng = np.random.default_rng(seed)
     worst_z = {v: 0.0 for v in QUARTIC_VARIANTS}
@@ -192,7 +198,7 @@ def select_quartic_variant(
             closed = quartic_identity(B, v)
             worst_z[v] = max(worst_z[v], float(estimate.z_scores(closed).max()))
             worst_dev[v] = max(worst_dev[v], float(np.abs(estimate.mean - closed).max()))
-    passing = [v for v in QUARTIC_VARIANTS if worst_z[v] <= z_limit]
+    passing = [v for v in QUARTIC_VARIANTS if worst_z[v] <= QUARTIC_Z_LIMIT]
     winner = passing[0] if len(passing) == 1 else min(worst_z, key=worst_z.get)
     return QuarticAdjudication(
         winner=winner,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import ConfigError, InfeasibleGeometryError
-from .units import db_to_linear, dbm_to_mw
+from .units import db_to_linear
 
 PATHLOSS_INTERCEPT_DB = -34.53
 PATHLOSS_EXPONENT_DB_PER_DECADE = 38.0
@@ -27,12 +27,6 @@ MAX_PLACEMENT_ATTEMPTS = 10_000
 # Largest total of the large arrays one point allocates, counted from the
 # sizes alone by ScenarioConfig.validate.
 MAX_MODEL_BYTES = 2 * 1024**3
-
-# build_estimation_model forms the Phi_i^T of this many bytes of UEs at
-# once, and of at least one UE: small arrays batch, so that the per-call
-# overhead of a UE-by-UE loop does not dominate, and large ones go one at a
-# time, so that no Phi stack is held.
-PHI_BLOCK_BYTES = 2**16
 
 
 @dataclass
@@ -74,7 +68,7 @@ class ScenarioConfig:
         for name in ("rho_tr_dbm", "rho_total_dbm", "noise_dbm"):
             dbm = getattr(self, name)
             with np.errstate(over="ignore", under="ignore"):
-                mw = float(dbm_to_mw(dbm))
+                mw = float(db_to_linear(dbm))
             if not 0 < mw < np.inf:
                 raise ConfigError(f"{name} must be a positive, finite power in mW, got {dbm} dBm")
         for name, mw in (("rho_tr_dbm", self.rho_tr_mw), ("rho_total_dbm", self.rho_total_mw)):
@@ -94,14 +88,13 @@ class ScenarioConfig:
         K, M, S = self.K, self.M, self.num_clusters
         # R and the whitened stack W, plus the one-byte-per-entry finiteness
         # mask that the triangular solve takes of W; the Cholesky factor of Q
-        # and the three (M, M) arrays of the common table (L^{-1} R_w, its
-        # conjugate and Phi_w), as Q itself is dropped once it is factored;
-        # a block of Phi_i^T and of the conjugated W_i it is formed from, up
-        # to PHI_BLOCK_BYTES or one UE each; cross_trace, r_phi_trace and
-        # G_private; the weight LP's constraint matrix; the cluster angles of
-        # place_ues and the complex phase and real damping of
-        # local_scattering_covariance
-        model_bytes = 16 * (2 * K + 4) * M**2 + K * M**2 + 2 * PHI_BLOCK_BYTES
+        # and the three (M, M) arrays of the common table (W_w^T, its
+        # conjugate and Phi_w^T), as Q itself is dropped once it is factored;
+        # the one Phi_j^T and conjugated W_j that r_phi_traces holds for a
+        # private beam; cross_trace, r_phi_trace and G_private; the weight
+        # LP's constraint matrix; the cluster angles of place_ues and the
+        # complex phase and real damping of local_scattering_covariance
+        model_bytes = 16 * (2 * K + 6) * M**2 + K * M**2
         model_bytes += (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
         model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:
@@ -141,15 +134,15 @@ class ScenarioConfig:
 
     @property
     def rho_tr_mw(self) -> float:
-        return float(dbm_to_mw(self.rho_tr_dbm))
+        return float(db_to_linear(self.rho_tr_dbm))
 
     @property
     def rho_total_mw(self) -> float:
-        return float(dbm_to_mw(self.rho_total_dbm))
+        return float(db_to_linear(self.rho_total_dbm))
 
     @property
     def noise_mw(self) -> float:
-        return float(dbm_to_mw(self.noise_dbm))
+        return float(db_to_linear(self.noise_dbm))
 
     @property
     def rho_tr_effective(self) -> float:

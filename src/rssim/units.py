@@ -8,11 +8,7 @@ configuration boundary.
 import numpy as np
 
 
-def dbm_to_mw(x_dbm):
-    """Convert dBm to linear mW."""
-    return 10.0 ** (np.asarray(x_dbm, dtype=float) / 10.0)
-
-
 def db_to_linear(x_db):
-    """Convert a dB gain to a linear factor."""
+    """Convert dB to a linear factor; a power in dBm, which is dB relative
+    to 1 mW, converts to mW."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimation import EstimationModel, build_estimation_model, simulate_batch
 from .linalg import SampleMean, batch_sizes
-from .moments import MomentTable, closed_form_moments, select_quartic_variant
+from .moments import QUARTIC_Z_LIMIT, MomentTable, closed_form_moments, select_quartic_variant
 from .power import PowerVector, linearization_terms, sum_se_hessian
 from .precoding import (
     CommonWeightProblem,
@@ -67,15 +67,16 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def tolerance_excess(closed, mc, se, rel: float = REL_TOL, n_se: float = N_SE):
-    """|closed - mc| over the combined tolerance max(rel*|closed|, n_se*se).
+def tolerance_excess(closed, mc, se):
+    """|closed - mc| over the combined tolerance
+    max(REL_TOL*|closed|, N_SE*se).
 
     Values <= 1 pass.  Entries where both sides vanish contribute zero.
     """
     closed = np.asarray(closed)
     mc = np.asarray(mc)
     se = np.asarray(se)
-    tol = np.maximum(rel * np.abs(closed), n_se * se)
+    tol = np.maximum(REL_TOL * np.abs(closed), N_SE * se)
     return np.abs(closed - mc) / np.maximum(tol, 1e-300)
 
 
@@ -307,7 +308,7 @@ def run_validation(
             name="quartic variant adjudication",
             passed=adjudication.unique and adjudication.winner == "circular",
             measured=adjudication.max_z[adjudication.winner],
-            limit=3.0,
+            limit=QUARTIC_Z_LIMIT,
             detail=(
                 f"matched variant: {adjudication.winner} "
                 f"(max |dev|/SE {adjudication.max_z[adjudication.winner]:.2f}); "

@@ -63,10 +63,10 @@ def test_model_invariants(small_setup):
     config, cov, model, _ = small_setup
     K, M = cov.K, cov.M
     Q = observation_covariance(cov.R, model.rho_tr)
-    # the other triangle of a cho_factor factor holds arbitrary entries
-    U, lower = model.Q_factor
-    L = np.tril(U) if lower else np.triu(U).conj().T
-    assert np.allclose(L @ L.conj().T, Q)
+    # the factor is upper triangular, with its other triangle zeroed
+    U = model.Q_factor
+    assert np.array_equal(U, np.triu(U))
+    assert np.allclose(U.conj().T @ U, Q)
     for i in range(K):
         # estimation never adds energy
         assert model.phi_trace[i] <= np.trace(cov.R[i]).real * (1 + 1e-12)
@@ -196,15 +196,19 @@ def test_rho_tr_must_be_positive(small_setup):
 
 
 def test_cross_covariance_and_trace_tables_match_explicit_products():
-    cov = generic_covariances(3, 16, np.random.default_rng(8))
-    R = cov.R
-    model = build_estimation_model(cov, 5.0)
-    q_inv = np.linalg.inv(observation_covariance(R, 5.0))
-    for i in range(3):
-        for k in range(3):
-            explicit = R[i] @ q_inv @ R[k]
-            assert relative_frobenius(cross_covariance(model, i, k), explicit) < 1e-10
-            assert model.cross_trace[i, k] == pytest.approx(np.trace(explicit), rel=1e-10)
-            assert model.r_phi_trace[k, i] == pytest.approx(
-                np.trace(R[k] @ R[i] @ q_inv @ R[i]).real, rel=1e-10
-            )
+    # M = 1 too: there the transposed R is already contiguous, and the build
+    # once solved for W in place of the caller's covariances
+    for K, M in ((3, 16), (3, 1)):
+        cov = generic_covariances(K, M, np.random.default_rng(8))
+        R = cov.R.copy()
+        model = build_estimation_model(cov, 5.0)
+        assert np.array_equal(cov.R, R)
+        q_inv = np.linalg.inv(observation_covariance(R, 5.0))
+        for i in range(K):
+            for k in range(K):
+                explicit = R[i] @ q_inv @ R[k]
+                assert relative_frobenius(cross_covariance(model, i, k), explicit) < 1e-10
+                assert model.cross_trace[i, k] == pytest.approx(np.trace(explicit), rel=1e-10)
+                assert model.r_phi_trace[k, i] == pytest.approx(
+                    np.trace(R[k] @ R[i] @ q_inv @ R[i]).real, rel=1e-10
+                )

@@ -27,7 +27,7 @@ from rssim.runner import (
     write_rows,
 )
 from rssim.scenario import ScenarioConfig, generate_scenario
-from rssim.units import dbm_to_mw
+from rssim.units import db_to_linear
 
 SMALL = dict(M=12, K=3)
 
@@ -297,10 +297,21 @@ def test_rows_respect_sanity_ceiling():
         ceiling = (
             point_config.prelog
             * (point_config.K + 1)
-            * np.log2(1 + dbm_to_mw(row.axis_value) * np.trace(cov.R, axis1=1, axis2=2).real.max()
-                      / point_config.noise_mw)
+            * np.log2(1 + db_to_linear(row.axis_value)
+                      * np.trace(cov.R, axis1=1, axis2=2).real.max() / point_config.noise_mw)
         )
         assert row.sum_se <= ceiling
+
+
+def test_single_antenna_run_converges():
+    # at M = 1 the estimation build once wrote W over the drop's covariances,
+    # and the allocator ran on them to its iteration cap at sum SE 4.7e-06
+    config = small_config(M=1)
+    for mode in MODES:
+        row = run_point(config, mode, seed=0)
+        assert row.converged
+        assert row.iterations == 1
+        assert row.sum_se == pytest.approx(0.873421698006, rel=1e-9)
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -454,7 +465,7 @@ def test_cli_budget_that_rounds_every_level_away_is_a_numerical_error(
     assert main([command, "--config", str(cfg), "--output", str(out)]) == code
     err = capsys.readouterr().err
     if code:
-        budget = f"{dbm_to_mw(dbm):.3e}"
+        budget = f"{db_to_linear(dbm):.3e}"
         match = re.fullmatch(
             rf"error: a water-filling step misses the budget of {re.escape(budget)} mW by "
             r"(\S+) relative to it, as rounding dominates its levels\n",
