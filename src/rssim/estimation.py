@@ -8,14 +8,16 @@ the observation.  The model object keeps the upper Cholesky factor U = L^H
 of Q, the whitened covariances W_k = L^{-1} R_k and the trace tables that
 the closed-form moment engine consumes, all in O(K M^2) memory and built
 from one triangular solve; W_i^H W_k is a cross-covariance, W_i^H L^{-1} y
-a Monte Carlo estimate, and ``r_phi_traces`` every tr(R_k Phi_j) table.
+a Monte Carlo estimate, and ``r_phi_traces`` every tr(R_k Phi_j) table,
+from the upper triangle of each Phi_j = W_j^H W_j, a Hermitian rank-k
+update of the column-major W_j.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zgemm, zherk
 
 from .errors import NumericalError
 from .linalg import sampling_factor, standard_complex_gaussian
@@ -63,15 +65,22 @@ class ChannelBatch:
     h_hat: np.ndarray  # (n, K, M)
 
 
-def r_phi_traces(R: np.ndarray, W_t: np.ndarray) -> np.ndarray:
-    """[k, j] = tr(R_k Phi_j) = sum_{m, n} R_k[m, n] Phi_j^T[m, n], real, for
-    the stack W_t[j] = W_j^T; each Phi_j^T = W_j^T conj(W_j) is formed for
-    one beam and dropped, so no Phi stack is held."""
+def r_phi_traces(R: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """[k, j] = tr(R_k Phi_j), real, for the stack W[j] = W_j of column-major
+    whitened covariances, with Phi_j = W_j^H W_j.  zherk forms the upper
+    triangle U_j of Phi_j, one beam at a time, and as R_k is Hermitian,
+    tr(R_k Phi_j) = 2 Re sum_{m, n} R_k[m, n] U_j^T[m, n] - sum_m R_k[m, m] U_j[m, m].
+    No Phi stack and no conjugated copy of W_j is held."""
     R_flat = R.reshape(len(R), -1)
-    traces = np.empty((len(R), len(W_t)))
-    for j, w_t in enumerate(W_t):
-        phi_t = w_t @ w_t.conj().T
-        traces[:, j] = np.real(R_flat @ phi_t.reshape(-1))
+    R_diag = np.real(np.diagonal(R, axis1=1, axis2=2))
+    traces = np.empty((len(R), len(W)))
+    # one buffer for every U_j; zherk writes only its upper triangle, so the
+    # strictly lower one stays zero, and u_t is U_j^T, flat, a view of it
+    u = np.zeros(R.shape[1:], dtype=complex, order="F")
+    u_t = u.T.reshape(-1)
+    for j, w in enumerate(W):
+        zherk(1.0, w, trans=2, c=u, overwrite_c=1)
+        traces[:, j] = 2.0 * np.real(R_flat @ u_t) - R_diag @ np.real(np.diagonal(u))
     return traces
 
 
@@ -98,14 +107,15 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
     flat = W_t.reshape(K, M * M)
     # one (K, M^2) Gram product; zgemm conjugates in place of a conj() copy
     cross_trace = zgemm(1.0, flat.T, flat.T, trans_a=2)
+    W = W_t.transpose(0, 2, 1)
     return EstimationModel(
         cov=cov,
         rho_tr=rho_tr,
         Q_factor=U,
-        W=W_t.transpose(0, 2, 1),
+        W=W,
         cross_trace=cross_trace,
         phi_trace=np.real(np.diagonal(cross_trace)).copy(),
-        r_phi_trace=r_phi_traces(cov.R, W_t),
+        r_phi_trace=r_phi_traces(cov.R, W),
     )
 
 

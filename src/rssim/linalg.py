@@ -132,5 +132,10 @@ class SampleMean:
 
 
 def standard_complex_gaussian(rng, shape):
-    """Draw i.i.d. CN(0, 1) entries (unit variance per complex entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Draw i.i.d. CN(0, 1) entries (unit variance per complex entry), real
+    parts first.  Each part is scaled into place by 1/sqrt(2), which rounds
+    as dividing the complex array by sqrt(2) does, with no complex temporaries."""
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=part)
+    return out

@@ -115,8 +115,8 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     formula for the virtual UE.  With Q = L L^H, its whitened covariance
     W_w = L^{-1} R_w = sum_i w_i W_i is a weighted sum of the model's, and
     Phi_w = W_w^H W_w, so tr(R_k Phi_w) is ``r_phi_traces`` on the
-    one-beam stack [W_w^T], the kernel of the private table; the table
-    takes no Q^{-1} solve.
+    one-beam stack [W_w], formed column-major, the kernel of the private
+    table; the table takes no Q^{-1} solve.
     No sample is drawn here; ``validation.mc_moment_table`` is the oracle.
     """
     degenerate = np.flatnonzero(model.phi_trace <= 0)
@@ -131,10 +131,11 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         norm2 = common_norm_squared(weights, model)
-        # W_w^T = sum_i w_i W_i^T, from the row-major stack of the W_i^T
-        whitened_t = np.einsum("i,imn->mn", weights, model.W.transpose(0, 2, 1))
+        # W_w = sum_i w_i W_i, summed over the row-major stack of the W_i^T
+        # so that it comes out column-major, as zherk reads it
+        whitened = np.einsum("i,imn->mn", weights, model.W.transpose(0, 2, 1)).T
         gain = weights @ ct
-        pair_sum = r_phi_traces(model.cov.R, whitened_t[None])[:, 0] + np.abs(gain) ** 2
+        pair_sum = r_phi_traces(model.cov.R, whitened[None])[:, 0] + np.abs(gain) ** 2
         g_common = gain / np.sqrt(norm2)
         G_common = pair_sum / norm2
     table = MomentTable(

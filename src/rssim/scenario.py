@@ -88,13 +88,13 @@ class ScenarioConfig:
         K, M, S = self.K, self.M, self.num_clusters
         # R and the whitened stack W, plus the one-byte-per-entry finiteness
         # mask that the triangular solve takes of W; the Cholesky factor of Q
-        # and the three (M, M) arrays of the common table (W_w^T, its
-        # conjugate and Phi_w^T), as Q itself is dropped once it is factored;
-        # the one Phi_j^T and conjugated W_j that r_phi_traces holds for a
-        # private beam; cross_trace, r_phi_trace and G_private; the weight
+        # and the two (M, M) arrays of the common table (W_w and the upper
+        # triangle of Phi_w), as Q itself is dropped once it is factored;
+        # the one upper triangle of Phi_j that r_phi_traces holds for the
+        # private beams; cross_trace, r_phi_trace and G_private; the weight
         # LP's constraint matrix; the cluster angles of place_ues and the
         # complex phase and real damping of local_scattering_covariance
-        model_bytes = 16 * (2 * K + 6) * M**2 + K * M**2
+        model_bytes = 16 * (2 * K + 4) * M**2 + K * M**2
         model_bytes += (16 + 8 + 8) * K**2 + 8 * (K + 1) ** 2
         model_bytes += 8 * K * S + (16 + 8) * M * S
         if model_bytes > MAX_MODEL_BYTES:

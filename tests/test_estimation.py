@@ -5,6 +5,7 @@ import pytest
 
 from rssim.estimation import (
     build_estimation_model,
+    r_phi_traces,
     sample_channels,
     simulate_batch,
 )
@@ -53,10 +54,12 @@ def observation_covariance(R, rho_tr):
 
 def generic_covariances(K, M, rng):
     """Generic Hermitian covariances: the scenario's Toeplitz ones are
-    centro-Hermitian, which hides transposition errors."""
+    centro-Hermitian, which hides transposition errors.  A A^H rounds to a
+    matrix that is not always exactly Hermitian, so it is averaged with its
+    conjugate transpose, which is, like every covariance the package builds."""
     A = rng.normal(size=(K, M, M)) + 1j * rng.normal(size=(K, M, M))
     R = A @ A.conj().transpose(0, 2, 1) / M
-    return CovarianceSet(R=R)
+    return CovarianceSet(R=(R + R.conj().transpose(0, 2, 1)) / 2)
 
 
 def test_model_invariants(small_setup):
@@ -212,3 +215,39 @@ def test_cross_covariance_and_trace_tables_match_explicit_products():
                 assert model.r_phi_trace[k, i] == pytest.approx(
                     np.trace(R[k] @ R[i] @ q_inv @ R[i]).real, rel=1e-10
                 )
+
+
+@pytest.mark.parametrize("M", [1, 2, 16])
+def test_r_phi_traces_match_explicit_traces(M):
+    # the kernel forms only the upper triangle of each Phi_j = W_j^H W_j and
+    # relies on every R_k being Hermitian; checked on the private stack and
+    # on a one-beam common stack W_w = sum_i w_i W_i, as the moments form it
+    rng = np.random.default_rng(M)
+    cov = generic_covariances(4, M, rng)
+    model = build_estimation_model(cov, 5.0)
+    weights = rng.uniform(0.0, 1.0, cov.K)
+    common = np.einsum("i,imn->mn", weights, model.W.transpose(0, 2, 1)).T
+    for W in (model.W, common[None]):
+        traces = r_phi_traces(cov.R, W)
+        assert traces.shape == (cov.K, len(W))
+        for k in range(cov.K):
+            for j in range(len(W)):
+                explicit = np.trace(cov.R[k] @ W[j].conj().T @ W[j]).real
+                assert traces[k, j] == pytest.approx(explicit, rel=1e-10)
+
+
+def test_r_phi_traces_hold_one_m_by_m_array():
+    # at 200x20 a conjugated copy of W_j or a second Phi_j would add 625 KiB
+    # to the output table and the one upper triangle the kernel works in
+    config = ScenarioConfig(M=200, K=20)
+    cov = generate_scenario(config, np.random.default_rng(0))
+    model = build_estimation_model(cov, config.rho_tr_effective)
+    common = np.einsum("i,imn->mn", np.ones(cov.K), model.W.transpose(0, 2, 1)).T
+    for W in (model.W, common[None]):
+        tracemalloc.start()
+        try:
+            traces = r_phi_traces(cov.R, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= traces.nbytes + 16 * cov.M**2 + 16 * 2**10

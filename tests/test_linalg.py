@@ -25,6 +25,18 @@ def test_outer_sums_match_explicit_products(shape_a, shape_b, same):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("shape", [(20000, 16), (50000, 2), (2000, 12), (7, 7), (5,)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_standard_complex_gaussian_keeps_the_bits_of_the_complex_expression(shape, seed):
+    # every Monte Carlo stream depends on these bits: the real parts come
+    # first, and scaling by 1/sqrt(2) rounds as the complex division does
+    got = standard_complex_gaussian(np.random.default_rng(seed), shape)
+    rng = np.random.default_rng(seed)
+    want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_batch_sizes_cover_n_in_order():
     assert batch_sizes(45_000, 20_000) == [20_000, 20_000, 5_000]
     assert batch_sizes(40_000, 20_000) == [20_000, 20_000]
