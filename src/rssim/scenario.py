@@ -28,6 +28,10 @@ MAX_PLACEMENT_ATTEMPTS = 10_000
 # sizes alone by ScenarioConfig.validate.
 MAX_MODEL_BYTES = 2 * 1024**3
 
+# sqrt of the smallest normal float: the product of two magnitudes at or
+# above it is never subnormal (see local_scattering_covariance)
+LAG_FLUSH_MAGNITUDE = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass
 class ScenarioConfig:
@@ -239,7 +243,12 @@ def local_scattering_covariance(beta: float, cluster_angles, sigma_phi: float, M
     Entry (m1, m2) sums, over the clusters, a phase term at the cluster
     angle and a Gaussian damping term from the per-cluster angular spread
     ``sigma_phi`` (radians).  Entries depend only on m1 - m2, so the matrix
-    is Hermitian Toeplitz with every diagonal entry exactly beta.
+    is Hermitian Toeplitz, and each diagonal entry is beta to within one
+    rounding.  At large M the Gaussian damping drives the far lags below
+    the smallest normal float, and products of such entries are subnormal,
+    which the triangular solve and the trace products of the estimation
+    layer compute on a slow path; so every off-diagonal lag whose magnitude
+    is below ``LAG_FLUSH_MAGNITUDE``, about 1.49e-154, is set to exactly 0.
     """
     cluster_angles = np.atleast_1d(np.asarray(cluster_angles, dtype=float))
     if cluster_angles.size < 1:
@@ -252,6 +261,7 @@ def local_scattering_covariance(beta: float, cluster_angles, sigma_phi: float, M
     phase = np.exp(1j * lags * np.sin(cluster_angles)[None, :])
     damping = np.exp(-0.5 * sigma_phi**2 * (lags * np.cos(cluster_angles)[None, :]) ** 2)
     col = (beta / cluster_angles.size) * (phase * damping).sum(axis=1)
+    col[1:][np.abs(col[1:]) < LAG_FLUSH_MAGNITUDE] = 0.0
     return toeplitz(col, col.conj())
 
 

@@ -217,6 +217,24 @@ def simplex_grid_max_min(v: np.ndarray, step: float = 0.01) -> float:
     return float(np.min(grid @ v, axis=1).max())
 
 
+def common_rate_cap(table: MomentTable, prelog: float) -> float:
+    """C = prelog log2(1 + min_k |g_c,k|^2 / delta_c,k), the most the common
+    stream can add to the sum SE under the hardening bound, from a table
+    with the common stream.
+
+    delta_c,k = G_common,k - |g_c,k|^2 is recomputed from the entries.  At
+    every power SINR_c,k = rho_c |g_c,k|^2 / (rho_c delta_c,k + I_k + sigma^2)
+    stays below |g_c,k|^2 / delta_c,k, and opening the stream takes budget
+    from the private streams and adds rho_c delta_c to their denominators,
+    so the rs optimum is at most the no_rs optimum plus C.  No power enters:
+    the common normalization cancels in the ratio.
+    """
+    own = np.abs(table.g_common) ** 2
+    with np.errstate(divide="ignore"):
+        ratio = own / np.maximum(table.G_common - own, 0.0)
+    return float(prelog * np.log2(1.0 + ratio.min()))
+
+
 def _log_ratio(rho_c, rho, moments: MomentTable, sigma2: float, l_min: int):
     """ln(num) - ln(den) of every private stream and of the common stream at
     UE ``l_min``, recomputed from the moment table directly (independent of

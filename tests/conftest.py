@@ -44,6 +44,30 @@ def diagonal_covariances(betas, M):
     return CovarianceSet(R=R)
 
 
+def unflushed_covariance(beta, cluster_angles, sigma_phi, M):
+    """The local-scattering covariance with every lag kept, restated from the
+    model rather than taken from ``scenario``: the column at lag l sums, over
+    S equal-power clusters at angles theta, the phase exp(j pi l sin theta)
+    times the damping exp(-(sigma_phi pi l cos theta)^2 / 2), scaled by
+    beta / S, with the arithmetic in the order that gives the same bits;
+    entry (m1, m2) is the column at m1 - m2, conjugated above the diagonal."""
+    theta = np.atleast_1d(np.asarray(cluster_angles, dtype=float))
+    pi_lag = np.arange(M)[:, None] * np.pi
+    terms = np.exp(1j * pi_lag * np.sin(theta)[None, :]) * np.exp(
+        -0.5 * sigma_phi**2 * (pi_lag * np.cos(theta)[None, :]) ** 2
+    )
+    column = (beta / theta.size) * terms.sum(axis=1)
+    offset = np.arange(M)[:, None] - np.arange(M)[None, :]
+    return np.where(offset >= 0, column[np.abs(offset)], column[np.abs(offset)].conj())
+
+
+def subnormal_parts(a):
+    """How many real or imaginary parts of ``a`` are nonzero and below the
+    smallest normal float."""
+    parts = np.stack([np.real(a), np.imag(a)])
+    return int(np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+
 @pytest.fixture(scope="session")
 def small_setup():
     """One shared medium-size scenario for the cross-module checks."""

@@ -29,6 +29,7 @@ from rssim.runner import allocate_drop, build_drop, derive_point_seed, render_cs
 from rssim.scenario import ScenarioConfig, generate_scenario
 from rssim.validation import (
     colinearity_identity_error,
+    common_rate_cap,
     explicit_cross_covariances,
     mc_estimation_stats,
     mc_moment_table,
@@ -298,6 +299,32 @@ def test_post_sic_leakage_keeps_the_common_stream_off():
     announce(
         6, "post-SIC leakage keeps the common stream off at 40 dBm", True,
         f"c < 0 < c + L on 10/10 drops, median L/mu {np.median(ratios):.0f}",
+    )
+
+
+def test_common_rate_cap_bounds_the_rs_gain():
+    """Under the hardening bound the common stream adds at most
+    C = prelog log2(1 + min_k |g_c,k|^2 / delta_c,k) at the LP's weights, at
+    any power: on every drop of the power-sweep fixture at 10, 20 and 40 dBm
+    the rs row is at most its no_rs row plus C.  The no_rs row stands in for
+    the no_rs optimum, so a no_rs run stuck at a local optimum shows too."""
+    base = ScenarioConfig(M=64, K=8, seed=0)
+    drops = [build_drop(base, derive_point_seed(base.seed, d)) for d in range(10)]
+    caps, worst = [], -np.inf
+    for dbm in (10.0, 20.0, 40.0):
+        config = ScenarioConfig(M=64, K=8, rho_total_dbm=dbm, seed=0)
+        for d, drop in enumerate(drops):
+            results = allocate_drop(config, ("rs", "no_rs"), drop)
+            rs_report, _, weights = results["rs"]
+            cap = common_rate_cap(closed_form_moments(drop[0], weights), config.prelog)
+            excess = rs_report.sum_se - results["no_rs"][0].sum_se - cap
+            assert excess <= 0.0, (dbm, d, rs_report.sum_se, results["no_rs"][0].sum_se, cap)
+            caps.append(cap)
+            worst = max(worst, excess)
+    announce(
+        6, "common-rate cap, rs <= no_rs + C at 10, 20 and 40 dBm", True,
+        f"30/30 rows, median C {np.median(caps):.3f} bit/s/Hz, largest C {max(caps):.3f}, "
+        f"largest rs - no_rs - C {worst:.3f}",
     )
 
 

@@ -10,7 +10,10 @@ from rssim.estimation import (
     simulate_batch,
 )
 from rssim.linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
-from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
+from rssim.moments import closed_form_moments
+from rssim.runner import derive_point_seed
+from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario, place_ues
+from rssim.units import db_to_linear
 from rssim.validation import (
     MC_BATCH,
     colinearity_identity_error,
@@ -20,7 +23,13 @@ from rssim.validation import (
     well_conditioned_covariances,
 )
 
-from conftest import cross_covariance, diagonal_covariances, make_scenario
+from conftest import (
+    cross_covariance,
+    diagonal_covariances,
+    make_scenario,
+    subnormal_parts,
+    unflushed_covariance,
+)
 
 
 def test_single_ue_diagonal_phi():
@@ -251,3 +260,36 @@ def test_r_phi_traces_hold_one_m_by_m_array():
         finally:
             tracemalloc.stop()
         assert peak <= traces.nbytes + 16 * cov.M**2 + 16 * 2**10
+
+
+def test_lag_flush_leaves_the_tables_bit_identical():
+    # the large_array drop at 200x20: the model built from the scenario's R,
+    # whose far lags are 0, has every table of the model built from the R
+    # that keeps them, bit for bit, and neither R nor W holds a subnormal
+    config = ScenarioConfig(M=200, K=20)
+    seed = derive_point_seed(0, 0)
+    cov = generate_scenario(config, np.random.default_rng(seed))
+    geometry = place_ues(config, np.random.default_rng(seed))
+    sigma_phi = np.radians(config.angular_spread_deg)
+    unflushed = CovarianceSet(R=np.stack([
+        unflushed_covariance(beta, angles, sigma_phi, config.M)
+        for beta, angles in zip(db_to_linear(geometry.beta_db), geometry.cluster_angles)
+    ]))
+    assert subnormal_parts(unflushed.R) > 0
+    kept = cov.R != 0
+    assert np.array_equal(cov.R[kept], unflushed.R[kept])
+    flushed_model = build_estimation_model(cov, config.rho_tr_effective)
+    model = build_estimation_model(unflushed, config.rho_tr_effective)
+    for name in ("cross_trace", "phi_trace", "r_phi_trace"):
+        assert np.array_equal(getattr(flushed_model, name), getattr(model, name)), name
+    flushed_table, table = closed_form_moments(flushed_model), closed_form_moments(model)
+    for name in ("g_private", "G_private", "g_common", "G_common"):
+        assert np.array_equal(getattr(flushed_table, name), getattr(table, name)), name
+    assert subnormal_parts(cov.R) == subnormal_parts(flushed_model.W) == 0
+
+
+def test_no_subnormal_in_r_or_w_at_256x32():
+    config = ScenarioConfig(M=256, K=32)
+    cov = generate_scenario(config, np.random.default_rng(derive_point_seed(0, 0)))
+    model = build_estimation_model(cov, config.rho_tr_effective)
+    assert subnormal_parts(cov.R) == subnormal_parts(model.W) == 0

@@ -3,6 +3,7 @@ import pytest
 
 from rssim.errors import ConfigError, InfeasibleGeometryError
 from rssim.scenario import (
+    LAG_FLUSH_MAGNITUDE,
     ScenarioConfig,
     generate_scenario,
     large_scale_gain_db,
@@ -10,6 +11,8 @@ from rssim.scenario import (
     place_ues,
 )
 from rssim.estimation import sample_channels
+
+from conftest import subnormal_parts, unflushed_covariance
 
 
 def test_large_scale_gain_reference_point():
@@ -156,6 +159,48 @@ def test_local_scattering_diagonal_exact():
     r = local_scattering_covariance(2.0, rng.uniform(-np.pi, np.pi, 6), np.radians(10), 8)
     assert np.allclose(np.diag(r).real, 2.0)
     assert np.allclose(np.diag(r).imag, 0.0)
+
+
+def test_lag_flush_constant_keeps_products_normal():
+    # the product of two kept magnitudes is at least the smallest normal float
+    assert LAG_FLUSH_MAGNITUDE == np.sqrt(np.finfo(float).tiny)
+    assert LAG_FLUSH_MAGNITUDE**2 >= np.finfo(float).tiny
+    assert np.nextafter(LAG_FLUSH_MAGNITUDE, 0.0) ** 2 < np.finfo(float).tiny
+
+
+@pytest.mark.parametrize(
+    "M, spread_deg, beta, clusters",
+    [
+        (200, 10.0, 3.2e-12, 6),  # a far UE's gain: the far lags underflow
+        (200, 10.0, 1.7, 6),
+        (200, 30.0, 2.5e-11, 3),
+        (64, 10.0, 2.5e-11, 6),   # no lag below the cutoff
+        (8, 10.0, 1e-160, 2),     # a gain below the cutoff: only lag 0 stays
+        (1, 10.0, 1.7, 2),
+    ],
+)
+def test_lag_flush_zeroes_exactly_the_lags_below_the_cutoff(M, spread_deg, beta, clusters):
+    angles = np.random.default_rng(M + clusters).uniform(-np.pi, np.pi, clusters)
+    sigma_phi = np.radians(spread_deg)
+    r = local_scattering_covariance(beta, angles, sigma_phi, M)
+    reference = unflushed_covariance(beta, angles, sigma_phi, M)
+    col, ref_col = r[:, 0], reference[:, 0]
+    below = np.abs(ref_col) < LAG_FLUSH_MAGNITUDE
+    below[0] = False
+    if M == 200 and spread_deg == 10.0:
+        assert below.any() and subnormal_parts(ref_col) > 0
+    if M == 64:
+        assert not below.any()
+    assert np.all(col[below] == 0.0)
+    assert np.array_equal(col[~below], ref_col[~below])
+    # lag 0 is untouched: (beta / S) summed over the S clusters, which is
+    # beta to within one rounding
+    assert col[0] == ref_col[0]
+    assert abs(col[0] - beta) <= np.spacing(beta)
+    assert subnormal_parts(r) == 0
+    # Hermitian Toeplitz, exactly
+    assert np.array_equal(r, r.conj().T)
+    assert np.array_equal(r[1:, 1:], r[:-1, :-1])
 
 
 def max_hermitian_asymmetry(a):

@@ -9,9 +9,10 @@ import rssim.validation
 from rssim.errors import ConfigError
 from rssim.moments import QuarticAdjudication
 from rssim.scenario import ScenarioConfig
-from rssim.link import PowerVector
+from rssim.link import PowerVector, se_report
 from rssim.moments import closed_form_moments
 from rssim.validation import (
+    common_rate_cap,
     run_validation,
     simplex_grid_max_min,
     sum_se_derivative_fd_errors,
@@ -28,6 +29,22 @@ def test_tolerance_excess_combined_rule():
     assert tolerance_excess(100.0, 110.0, 1.0) > 1.0
     # both sides zero contribute nothing
     assert tolerance_excess(0.0, 0.0, 0.0) == 0.0
+
+
+def test_common_rate_cap_is_the_limit_of_the_common_rate(small_setup):
+    # with no private power the common SINR rho_c |g_c,k|^2 / (rho_c delta_c,k
+    # + sigma^2) rises towards |g_c,k|^2 / delta_c,k, so the common rate that
+    # se_report gives climbs towards the cap from below as rho_c grows
+    config, _, model, weights = small_setup
+    table = closed_form_moments(model, weights)
+    cap = common_rate_cap(table, config.prelog)
+    rates = [
+        se_report(PowerVector(rho_c, np.zeros(config.K)), table, config).se_common
+        for rho_c in (1.0, 1e4, 1e8, 1e12)  # mW, against -94 dBm of noise
+    ]
+    assert rates == sorted(rates) and rates[-1] <= cap
+    assert rates[-1] == pytest.approx(cap, rel=1e-6)
+    assert rates[0] < 0.9 * cap
 
 
 def test_simplex_grid_enumerates_vertices():
