@@ -37,35 +37,34 @@ def outer_sums(a, b):
     """Sums over the leading sample axis of the outer products a b^H.
 
     a is (n, ..., M) and b is (n, ..., L), with the same middle (batch)
-    axes.  Returns (S, S_re2, S_im2), each (..., M, L): S = sum_n a b^H and
-    the sums of the squared real and imaginary parts of its per-sample
-    terms a_m conj(b_l).  The per-sample (n, ..., M, L) products are never
-    formed; with a = a_r + j a_i and b = b_r + j b_i,
+    axes and a contiguous last axis.  Returns (S, S_re2, S_im2), each
+    (..., M, L): S = sum_n a b^H and the sums of the squared real and
+    imaginary parts of its per-sample terms a_m conj(b_l).  The per-sample
+    (n, ..., M, L) products are never formed; with a = a_r + j a_i and
+    b = b_r + j b_i,
 
         Re(a conj(b))^2 = a_r^2 b_r^2 + a_i^2 b_i^2 + 2 a_r a_i b_r b_i
         Im(a conj(b))^2 = a_i^2 b_r^2 + a_r^2 b_i^2 - 2 a_r a_i b_r b_i,
 
-    so both squared sums come from two real products per batch index: the
-    squares [a_r^2; a_i^2] (2M x n) times [b_r^2; b_i^2]^T (n x 2L), and
-    the mixed terms a_r a_i (M x n) times (b_r b_i)^T (n x L).
+    so both squared sums come from two real products per batch index.  The
+    squares are taken on the float views of a and b, whose last axis holds
+    each real part next to its imaginary part, so the (2M x n) by (n x 2L)
+    product of the squares holds the four sums a_p^2 b_q^2 interleaved; the
+    mixed terms a_r a_i (M x n) times (b_r b_i)^T (n x L) give the rest.
     """
-    a = np.moveaxis(a, 0, -1)  # (..., M, n)
-    b = np.moveaxis(b, 0, -1)  # (..., L, n)
-    M, L = a.shape[-2], b.shape[-2]
-    total = a @ b.conj().swapaxes(-1, -2)
+    def summed(x, y):
+        """sum_n x_n y_n^T, the sample axis moved last and first as views."""
+        return np.moveaxis(x, 0, -1) @ np.moveaxis(y, 0, -2)
 
-    def squares(x):
-        re, im = x.real, x.imag
-        return np.concatenate([re * re, im * im], axis=-2), re * im
-
-    a_sq, a_mixed = squares(a)
-    b_sq, b_mixed = squares(b)
-    x = a_sq @ b_sq.swapaxes(-1, -2)
-    rr_rr = x[..., :M, :L]   # sum a_r^2 b_r^2
-    rr_ii = x[..., :M, L:]   # sum a_r^2 b_i^2
-    ii_rr = x[..., M:, :L]   # sum a_i^2 b_r^2
-    ii_ii = x[..., M:, L:]   # sum a_i^2 b_i^2
-    cross = 2.0 * (a_mixed @ b_mixed.swapaxes(-1, -2))  # 2 sum a_r a_i b_r b_i
+    total = summed(a, b.conj())
+    a_f, b_f = a.view(float), b.view(float)  # (n, ..., 2M), real and imaginary parts interleaved
+    x = summed(a_f * a_f, b_f * b_f)  # (..., 2M, 2L)
+    rr_rr = x[..., 0::2, 0::2]   # sum a_r^2 b_r^2
+    rr_ii = x[..., 0::2, 1::2]   # sum a_r^2 b_i^2
+    ii_rr = x[..., 1::2, 0::2]   # sum a_i^2 b_r^2
+    ii_ii = x[..., 1::2, 1::2]   # sum a_i^2 b_i^2
+    # 2 sum a_r a_i b_r b_i
+    cross = 2.0 * summed(a_f[..., 0::2] * a_f[..., 1::2], b_f[..., 0::2] * b_f[..., 1::2])
     return total, rr_rr + ii_ii + cross, ii_rr + rr_ii - cross
 
 

@@ -150,12 +150,18 @@ def closed_form_moments(model: EstimationModel, weights=None) -> MomentTable:
 
 def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator) -> SampleMean:
     """Monte Carlo estimate of E{c c^H B c c^H}, accumulated in draws of
-    ``QUARTIC_BATCH`` samples to bound memory."""
+    ``QUARTIC_BATCH`` samples to bound memory.  Each sample's q = c^H B c
+    is sum_k conj((c^T conj(B))_k) c_k: the product with the conjugated
+    M x M matrix is conjugated in place, and no conjugated copy of the
+    draw is made."""
     M = B.shape[0]
+    B_conj = B.conj()
     estimate = SampleMean()
     for m in batch_sizes(n, QUARTIC_BATCH):
         c = standard_complex_gaussian(rng, (m, M))
-        q = np.einsum("nm,mk,nk->n", c.conj(), B, c, optimize=True)
+        c_h_b = c @ B_conj
+        np.conjugate(c_h_b, out=c_h_b)  # row n is c_n^H B
+        q = np.einsum("nk,nk->n", c_h_b, c)
         estimate.add_sums(*outer_sums(q[:, None] * c, c), m)
     return estimate
 

@@ -133,4 +133,4 @@ def common_precoder(weights, batch: ChannelBatch, model: EstimationModel) -> np.
     root of their expected squared norm, ``moments.common_norm_squared``."""
     weights = np.asarray(weights, dtype=float)
     norm2 = common_norm_squared(weights, model)
-    return np.einsum("i,nim->nm", weights, batch.h_hat) / np.sqrt(norm2)
+    return weights @ batch.h_hat / np.sqrt(norm2)

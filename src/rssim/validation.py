@@ -16,11 +16,18 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import ConfigError
 from .estimation import EstimationModel, build_estimation_model, simulate_batch
 from .linalg import SampleMean, batch_sizes
-from .moments import QUARTIC_Z_LIMIT, MomentTable, closed_form_moments, select_quartic_variant
+from .moments import (
+    QUARTIC_Z_LIMIT,
+    MomentTable,
+    closed_form_moments,
+    common_norm_squared,
+    select_quartic_variant,
+)
 from .power import PowerVector, linearization_terms, sum_se_hessian
 from .precoding import (
     CommonWeightProblem,
@@ -86,10 +93,15 @@ def mc_moment_table(model: EstimationModel, n: int, rng: np.random.Generator, we
 
     Returns (MomentTable, info).  info carries the standard errors of the
     table's entries under "se", keyed by field name, and the empirical mean
-    squared norms of every precoder.
+    squared norms of every precoder.  Each draw's truth channels are
+    conjugated in place, so the inner products h_k^H hhat_i are one batched
+    product with no conjugated copy.  The common beam's, h_k^H w_c, are
+    those inner products weighted by w / sqrt(tr(Phi_w)); the
+    per-realization common beams are formed only for their squared norms.
     """
     sqrt_phi = np.sqrt(model.phi_trace)
     weights = np.asarray(weights, dtype=float)
+    scaled_weights = weights / np.sqrt(common_norm_squared(weights, model))
 
     # h_k^H hhat_i and |h_k^H hhat_i|^2; the same for the common precoder w_c
     hat, hat_sq, common, common_sq = (SampleMean() for _ in range(4))
@@ -97,15 +109,17 @@ def mc_moment_table(model: EstimationModel, n: int, rng: np.random.Generator, we
     sum_c_norm = 0.0
     for m in batch_sizes(n, MC_BATCH):
         batch = simulate_batch(model, m, rng)
-        inner_hat = np.einsum("nkm,nim->nki", batch.h.conj(), batch.h_hat, optimize=True)
+        np.conjugate(batch.h, out=batch.h)
+        inner_hat = batch.h @ batch.h_hat.transpose(0, 2, 1)  # (m, K, K), h_k^H hhat_i
         hat.add(inner_hat)
         hat_sq.add(np.abs(inner_hat) ** 2)
-        sum_norm += (np.abs(batch.h_hat) ** 2).sum(axis=(0, 2))
-        w_c = common_precoder(weights, batch, model)
-        inner_c = np.einsum("nkm,nm->nk", batch.h.conj(), w_c, optimize=True)
+        h_hat_f = batch.h_hat.view(float)  # (m, K, 2M)
+        sum_norm += np.einsum("nkj,nkj->k", h_hat_f, h_hat_f)
+        inner_c = inner_hat @ scaled_weights
         common.add(inner_c)
         common_sq.add(np.abs(inner_c) ** 2)
-        sum_c_norm += (np.abs(w_c) ** 2).sum()
+        w_c = common_precoder(weights, batch, model)
+        sum_c_norm += np.vdot(w_c, w_c).real
 
     table = MomentTable(
         g_private=np.diagonal(hat.mean) / sqrt_phi,
@@ -139,16 +153,30 @@ def worst_moment_excess(closed: MomentTable, mc: MomentTable, se: dict) -> float
 def mc_estimation_stats(model: EstimationModel, n: int, rng: np.random.Generator):
     """Empirical estimate cross-covariances E[hhat_i hhat_k^H] under "cross"
     and error covariances E[htilde_i htilde_i^H] under "err", with the error
-    htilde = h - hhat formed in place of each draw's truth channels."""
+    htilde = h - hhat formed in place of each draw's truth channels.
+
+    Each draw's (n, K M) rows, transposed, are a column-major (K M, n)
+    matrix, so both sums are Hermitian rank-n updates (``zherk``) of one
+    (K M, K M) accumulator each, upper triangles only; the lower triangles
+    are filled once, at the end, and "err" keeps the diagonal blocks.
+    """
     K, M = model.K, model.M
-    cross = np.zeros((K, K, M, M), dtype=complex)
-    err = np.zeros((K, M, M), dtype=complex)
+    cross = np.zeros((K * M, K * M), dtype=complex, order="F")
+    err = np.zeros((K * M, K * M), dtype=complex, order="F")
     for m in batch_sizes(n, MC_BATCH):
         batch = simulate_batch(model, m, rng)
-        cross += np.einsum("nim,nkl->ikml", batch.h_hat, batch.h_hat.conj(), optimize=True)
+        zherk(1.0, batch.h_hat.reshape(m, K * M).T, beta=1.0, c=cross, overwrite_c=1)
         h_tilde = np.subtract(batch.h, batch.h_hat, out=batch.h)
-        err += np.einsum("nim,nil->iml", h_tilde, h_tilde.conj(), optimize=True)
-    return {"cross": cross / n, "err": err / n}
+        zherk(1.0, h_tilde.reshape(m, K * M).T, beta=1.0, c=err, overwrite_c=1)
+
+    def blocks(upper):
+        """The (K, K, M, M) blocks of the Hermitian matrix with this upper
+        triangle, divided by n."""
+        full = (upper + np.triu(upper, 1).conj().T) / n
+        return full.reshape(K, M, K, M).transpose(0, 2, 1, 3)
+
+    ues = np.arange(K)
+    return {"cross": blocks(cross), "err": blocks(err)[ues, ues]}
 
 
 def explicit_cross_covariances(cov: CovarianceSet, rho_tr: float) -> np.ndarray:

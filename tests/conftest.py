@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rssim.estimation import build_estimation_model
+from rssim.linalg import SampleMean, batch_sizes, sampling_factor
 from rssim.moments import closed_form_moments
 from rssim.power import linearization_terms
 from rssim.precoding import build_common_weight_problem, solve_common_weights
@@ -66,6 +68,93 @@ def subnormal_parts(a):
     smallest normal float."""
     parts = np.stack([np.real(a), np.imag(a)])
     return int(np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+# Reference restatements of the Monte Carlo oracles in plain einsum
+# arithmetic, with conjugated copies and no in-place writes.  They draw every
+# normal straight from the generator, in the documented order and in draws of
+# the documented sizes, so a changed draw, draw size or draw order shows as a
+# mismatch.
+REFERENCE_MC_BATCH = 20_000
+REFERENCE_QUARTIC_BATCH = 50_000
+
+
+def reference_gaussian(rng, shape):
+    """CN(0, 1) entries as the complex expression: real parts, then imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def reference_batch(model, n, rng):
+    """Truth channels h_k = z_k L_k^T, drawn UE by UE, then the shared pilot
+    noise, and the estimates hhat_k = W_k^H L^{-1} y; returns (h, h_hat)."""
+    h = np.stack(
+        [reference_gaussian(rng, (n, model.M)) @ sampling_factor(r).T for r in model.cov.R], axis=1
+    )
+    y = h.sum(axis=1) + reference_gaussian(rng, (n, model.M)) / np.sqrt(model.rho_tr)
+    white = scipy.linalg.solve_triangular(model.Q_factor, y.T, trans="C")
+    return h, np.einsum("kml,mn->nkl", model.W.conj(), white, optimize=True)
+
+
+def reference_mc_moment_table(model, n, rng, weights):
+    """The four sample means of ``mc_moment_table`` (private h_k^H hhat_i and
+    its squared magnitude, common h_k^H w_c and its squared magnitude) and the
+    summed squared norms of the private and the common beams."""
+    norm2 = (weights @ model.cross_trace @ weights).real
+    hat, hat_sq, common, common_sq = (SampleMean() for _ in range(4))
+    sum_norm, sum_c_norm = np.zeros(model.K), 0.0
+    for m in batch_sizes(n, REFERENCE_MC_BATCH):
+        h, h_hat = reference_batch(model, m, rng)
+        inner_hat = np.einsum("nkm,nim->nki", h.conj(), h_hat, optimize=True)
+        hat.add(inner_hat)
+        hat_sq.add(np.abs(inner_hat) ** 2)
+        sum_norm += (np.abs(h_hat) ** 2).sum(axis=(0, 2))
+        w_c = np.einsum("i,nim->nm", weights, h_hat) / np.sqrt(norm2)
+        inner_c = np.einsum("nkm,nm->nk", h.conj(), w_c, optimize=True)
+        common.add(inner_c)
+        common_sq.add(np.abs(inner_c) ** 2)
+        sum_c_norm += (np.abs(w_c) ** 2).sum()
+    return (hat, hat_sq, common, common_sq), sum_norm, sum_c_norm
+
+
+def reference_mc_estimation_stats(model, n, rng):
+    """Sample means of hhat_i hhat_k^H and of htilde_i htilde_i^H."""
+    K, M = model.K, model.M
+    cross = np.zeros((K, K, M, M), dtype=complex)
+    err = np.zeros((K, M, M), dtype=complex)
+    for m in batch_sizes(n, REFERENCE_MC_BATCH):
+        h, h_hat = reference_batch(model, m, rng)
+        cross += np.einsum("nim,nkl->ikml", h_hat, h_hat.conj(), optimize=True)
+        h_tilde = h - h_hat
+        err += np.einsum("nim,nil->iml", h_tilde, h_tilde.conj(), optimize=True)
+    return {"cross": cross / n, "err": err / n}
+
+
+def reference_outer_sums(a, b):
+    """sum_n a_n b_n^H over the leading axis of (n, M) arrays, with the sums of
+    the squared real and imaginary parts of its terms, from the stacked
+    squares [a_r^2; a_i^2] and the mixed products a_r a_i."""
+    a, b = a.T, b.T  # (M, n), (L, n)
+    M, L = len(a), len(b)
+    a_sq = np.concatenate([a.real**2, a.imag**2])
+    b_sq = np.concatenate([b.real**2, b.imag**2])
+    x = a_sq @ b_sq.T
+    cross = 2.0 * ((a.real * a.imag) @ (b.real * b.imag).T)
+    return (
+        a @ b.conj().T,
+        x[:M, :L] + x[M:, L:] + cross,
+        x[M:, :L] + x[:M, L:] - cross,
+    )
+
+
+def reference_mc_c_quartic(B, n, rng):
+    """Sample mean of c c^H B c c^H, with q = c^H B c formed from a
+    conjugated copy of each draw."""
+    estimate = SampleMean()
+    for m in batch_sizes(n, REFERENCE_QUARTIC_BATCH):
+        c = reference_gaussian(rng, (m, B.shape[0]))
+        q = np.einsum("nm,mk,nk->n", c.conj(), B, c, optimize=True)
+        estimate.add_sums(*reference_outer_sums(q[:, None] * c, c), m)
+    return estimate
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,13 @@ from rssim.moments import (
 from rssim.scenario import CovarianceSet, ScenarioConfig, generate_scenario
 from rssim.validation import mc_moment_table, worst_moment_excess
 
-from conftest import cross_covariance, diagonal_covariances, make_scenario
+from conftest import (
+    REFERENCE_QUARTIC_BATCH,
+    cross_covariance,
+    diagonal_covariances,
+    make_scenario,
+    reference_mc_c_quartic,
+)
 
 MC_SAMPLES = 60_000
 
@@ -123,6 +129,18 @@ def test_quartic_variant_vote_is_unambiguous():
     assert result.winner == "circular"
     # the rejected variant must deviate by far more than Monte Carlo noise
     assert result.max_z["real"] > 10 * result.max_z["circular"]
+
+
+@pytest.mark.parametrize("M", [1, 4, 16, 32])
+def test_mc_c_quartic_matches_the_einsum_reference_on_the_same_draws(M):
+    # one full draw and a partial one, so the draw size is pinned too
+    B = np.random.default_rng(M).standard_normal((M, M, 2)) @ np.array([1.0, 1j])
+    n = REFERENCE_QUARTIC_BATCH + 1000
+    got = mc_c_quartic(B, n, np.random.default_rng(14))
+    want = reference_mc_c_quartic(B, n, np.random.default_rng(14))
+    assert got.n == want.n == n
+    for g, w in [(got.mean, want.mean), *zip(got.part_se, want.part_se)]:
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_mc_c_quartic_standard_errors_shrink():

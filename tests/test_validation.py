@@ -11,13 +11,33 @@ from rssim.moments import QuarticAdjudication
 from rssim.scenario import ScenarioConfig
 from rssim.link import PowerVector, se_report
 from rssim.moments import closed_form_moments
+from rssim.estimation import simulate_batch
 from rssim.validation import (
     common_rate_cap,
+    mc_estimation_stats,
+    mc_moment_table,
     run_validation,
     simplex_grid_max_min,
     sum_se_derivative_fd_errors,
     tolerance_excess,
 )
+
+from conftest import (
+    REFERENCE_MC_BATCH,
+    make_scenario,
+    reference_mc_estimation_stats,
+    reference_mc_moment_table,
+    solve_weights_for,
+)
+
+ORACLE_SIZES = [(1, 1), (1, 3), (16, 3), (32, 4)]
+
+
+def assert_matches_reference(got, want, rel=1e-12):
+    """Entrywise within ``rel`` of the reference's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 def test_tolerance_excess_combined_rule():
@@ -187,3 +207,61 @@ def test_cross_covariance_check_fails_a_scaled_whitened_stack(monkeypatch):
     checks = {c.name: c for c in run_validation(ScenarioConfig(), 10_000).checks}
     cross = checks["estimate cross-covariance vs closed form"]
     assert not cross.passed and cross.measured > 0.4
+
+
+@pytest.mark.parametrize("M, K", ORACLE_SIZES)
+def test_mc_moment_table_matches_the_einsum_reference_on_the_same_draws(M, K):
+    # one full draw and a partial one: the draw size and the order of the
+    # draws are part of what must agree
+    config, _, model = make_scenario(M=M, K=K)
+    weights = solve_weights_for(config, model)
+    n = REFERENCE_MC_BATCH + 500
+    table, info = mc_moment_table(model, n, np.random.default_rng(11), weights)
+    (hat, hat_sq, common, common_sq), sum_norm, sum_c_norm = reference_mc_moment_table(
+        model, n, np.random.default_rng(11), weights
+    )
+    phi = model.phi_trace
+    expected = [
+        (table.g_private, np.diagonal(hat.mean) / np.sqrt(phi)),
+        (table.G_private, hat_sq.mean / phi),
+        (table.g_common, common.mean),
+        (table.G_common, common_sq.mean),
+        (info["se"]["g_private"], np.diagonal(hat.se) / np.sqrt(phi)),
+        (info["se"]["G_private"], hat_sq.se / phi),
+        (info["se"]["g_common"], common.se),
+        (info["se"]["G_common"], common_sq.se),
+        (info["norm_private"], sum_norm / (n * phi)),
+        (info["norm_common"], sum_c_norm / n),
+    ]
+    for got, want in expected:
+        assert_matches_reference(got, want)
+
+
+@pytest.mark.parametrize("M, K", ORACLE_SIZES)
+def test_mc_estimation_stats_match_the_einsum_reference_on_the_same_draws(M, K):
+    _, _, model = make_scenario(M=M, K=K)
+    n = REFERENCE_MC_BATCH + 500
+    stats = mc_estimation_stats(model, n, np.random.default_rng(12))
+    reference = reference_mc_estimation_stats(model, n, np.random.default_rng(12))
+    for name in ("cross", "err"):
+        assert_matches_reference(stats[name], reference[name])
+
+
+@pytest.mark.parametrize("M, K", [(1, 1), (1, 3), (16, 3)])
+def test_mc_oracles_leave_the_model_inputs_unchanged(M, K):
+    # the oracles write their draws in place; none may write through a view
+    # into the covariances, the whitened stack or the factor of Q
+    config, cov, model = make_scenario(M=M, K=K)
+    weights = solve_weights_for(config, model)
+    inputs = {"cov.R": cov.R, "model.W": model.W, "model.Q_factor": model.Q_factor}
+    before = {name: a.tobytes() for name, a in inputs.items()}
+    rng = np.random.default_rng(13)
+    calls = {
+        "simulate_batch": lambda: simulate_batch(model, 300, rng),
+        "mc_moment_table": lambda: mc_moment_table(model, 300, rng, weights),
+        "mc_estimation_stats": lambda: mc_estimation_stats(model, 300, rng),
+    }
+    for call_name, call in calls.items():
+        call()
+        changed = [name for name, a in inputs.items() if a.tobytes() != before[name]]
+        assert not changed, f"{call_name} wrote to {changed}"
