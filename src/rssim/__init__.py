@@ -22,7 +22,6 @@ from .estimation import (
     ChannelBatch,
     EstimationModel,
     build_estimation_model,
-    sample_channels,
     simulate_batch,
 )
 from .link import PowerVector, SEReport, se_report

@@ -10,17 +10,22 @@ the closed-form moment engine consumes, all in O(K M^2) memory and built
 from one triangular solve; W_i^H W_k is a cross-covariance, W_i^H L^{-1} y
 a Monte Carlo estimate, and ``r_phi_traces`` every tr(R_k Phi_j) table,
 from the upper triangle of each Phi_j = W_j^H W_j, a Hermitian rank-k
-update of the column-major W_j.
+update of the column-major W_j, with every BLAS call of its loop in
+SciPy's OpenBLAS.  A sampled batch has two halves: the standard normals
+(``batch_shape``) and ``form_batch``, the arithmetic that turns them into
+channels and estimates; ``simulate_batch`` draws the normals and forms
+them, and the Monte Carlo oracles form each draw while the next one's
+normals are drawn.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import zgemm, zherk
+from scipy.linalg.blas import zgemm, zgemv, zherk
 
 from .errors import NumericalError
-from .linalg import sampling_factor, standard_complex_gaussian
+from .linalg import complex_normals, sampling_factor
 from .scenario import CovarianceSet
 
 
@@ -80,7 +85,8 @@ def r_phi_traces(R: np.ndarray, W: np.ndarray) -> np.ndarray:
     u_t = u.T.reshape(-1)
     for j, w in enumerate(W):
         zherk(1.0, w, trans=2, c=u, overwrite_c=1)
-        traces[:, j] = 2.0 * np.real(R_flat @ u_t) - R_diag @ np.real(np.diagonal(u))
+        r_u = zgemv(1.0, R_flat.T, u_t, trans=1)  # R_flat @ u_t, in scipy's BLAS as zherk is
+        traces[:, j] = 2.0 * np.real(r_u) - R_diag @ np.real(np.diagonal(u))
     return traces
 
 
@@ -119,32 +125,48 @@ def build_estimation_model(cov: CovarianceSet, rho_tr: float) -> EstimationModel
     )
 
 
-def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n correlated Rayleigh realizations h_i ~ CN(0, R_i) per UE, as
-    an (n, K, M) array; each UE's product is written straight into its slot."""
-    if n < 1:
-        raise ValueError("need at least one realization")
-    K, M = cov.K, cov.M
-    h = np.empty((n, K, M), dtype=complex)
-    for k in range(K):
-        z = standard_complex_gaussian(rng, (n, M))
-        np.matmul(z, sampling_factor(cov.R[k]).T, out=h[:, k, :])
+def batch_shape(model: EstimationModel, n: int) -> tuple:
+    """Shape (K + 1, 2, n, M) of the standard normals behind a batch of n
+    realizations, in the order they are drawn: the real, then the imaginary
+    parts of each UE's channel draw, then those of the pilot noise."""
+    return (model.K + 1, 2, n, model.M)
+
+
+def _channels(R: np.ndarray, normals: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Correlated Rayleigh realizations h_k = z_k F_k^T with F_k F_k^H = R_k,
+    as an (n, K, M) array, from the (K, 2, n, M) standard normals of the z_k;
+    each z_k is formed in the (n, M) complex buffer z, and each UE's product
+    is written straight into its slot."""
+    n, M = z.shape
+    h = np.empty((n, len(R), M), dtype=complex)
+    for k, r in enumerate(R):
+        np.matmul(complex_normals(normals[k], out=z), sampling_factor(r).T, out=h[:, k, :])
     return h
 
 
-def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> ChannelBatch:
-    """Sample truth channels from the model's covariances and their
-    shared-pilot MMSE estimates.
+def sample_channels(cov: CovarianceSet, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n correlated Rayleigh realizations h_i ~ CN(0, R_i) per UE, as
+    an (n, K, M) array, drawn UE by UE as ``simulate_batch`` draws them."""
+    if n < 1:
+        raise ValueError("need at least one realization")
+    normals = rng.standard_normal((cov.K, 2, n, cov.M))
+    return _channels(cov.R, normals, np.empty((n, cov.M), dtype=complex))
+
+
+def form_batch(model: EstimationModel, normals: np.ndarray) -> ChannelBatch:
+    """Truth channels and their shared-pilot MMSE estimates, formed from the
+    standard normals of a batch, shaped as ``batch_shape`` gives.
 
     Per realization the BS observes y = sum_k h_k + n / sqrt(rho_tr), one
     noise vector shared by all UEs, and forms h_hat_i = R_i Q^{-1} y for
     every UE as W_i^H L^{-1} y: one triangular solve for the draw, then one
-    product with the conjugated W stack.  The truth channels are drawn
-    first, then the noise, and y is formed in place of the noise draw.
+    product with the conjugated W stack.  One (n, M) complex buffer holds
+    each UE's complex normals in turn, then the noise, y and L^{-1} y.
     """
-    K, M = model.K, model.M
-    h = sample_channels(model.cov, n, rng)
-    y = standard_complex_gaussian(rng, (n, M))
+    K, M, n = model.K, model.M, normals.shape[2]
+    y = np.empty((n, M), dtype=complex)
+    h = _channels(model.cov.R, normals, y)
+    complex_normals(normals[K], out=y)
     # the float view times 1/sqrt(rho_tr) rounds as the complex division by
     # sqrt(rho_tr) does, at a fraction of its cost
     y_f = y.view(float)
@@ -158,3 +180,13 @@ def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> 
     stack = model.W.transpose(0, 2, 1).reshape(K * M, M).T
     h_hat = zgemm(1.0, stack, white, trans_a=2).T.reshape(n, K, M)
     return ChannelBatch(h=h, h_hat=h_hat)
+
+
+def simulate_batch(model: EstimationModel, n: int, rng: np.random.Generator) -> ChannelBatch:
+    """Sample n truth channels from the model's covariances and their
+    shared-pilot MMSE estimates: one draw of the normals, then
+    ``form_batch``.  The Monte Carlo oracles run the same two halves with
+    the draws made ahead into buffers of their own (``linalg.prefetched``)."""
+    if n < 1:
+        raise ValueError("need at least one realization")
+    return form_batch(model, rng.standard_normal(batch_shape(model, n)))

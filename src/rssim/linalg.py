@@ -5,9 +5,17 @@ so the sampling factor falls back to an eigendecomposition with clamped
 eigenvalues; clamping is logged because it changes the draw.  Both
 factorizations read one triangle of R, and every covariance the package
 builds is exactly Hermitian, so R is not symmetrized first.
+
+The Monte Carlo oracles split each draw into a fill, the standard normals
+drawn into a buffer the caller owns (``standard_normals``), and a form, the
+arithmetic on them; ``prefetched`` runs the fills on one worker thread, one
+draw ahead of the forms, so the draws overlap the arithmetic and consume
+the random stream in the serial order.
 """
 
 import logging
+import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -130,11 +138,52 @@ class SampleMean:
         )
 
 
-def standard_complex_gaussian(rng, shape):
-    """Draw i.i.d. CN(0, 1) entries (unit variance per complex entry), real
-    parts first.  Each part is scaled into place by 1/sqrt(2), which rounds
-    as dividing the complex array by sqrt(2) does, with no complex temporaries."""
-    out = np.empty(shape, dtype=complex)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=part)
+def complex_normals(parts, out=None):
+    """CN(0, 1) entries (unit variance per complex entry) from a (2, ...)
+    stack of standard normals, real parts first.  Each part is scaled into
+    place by 1/sqrt(2), which rounds as dividing the complex array by
+    sqrt(2) does, with no complex temporaries; ``out`` may be a buffer of
+    the entries' shape to write them into."""
+    if out is None:
+        out = np.empty(parts.shape[1:], dtype=complex)
+    for normals, part in zip(parts, (out.real, out.imag)):
+        np.multiply(normals, 1.0 / np.sqrt(2.0), out=part)
     return out
+
+
+def standard_complex_gaussian(rng, shape):
+    """Draw i.i.d. CN(0, 1) entries, real parts first."""
+    return complex_normals(rng.standard_normal((2, *shape)))
+
+
+def standard_normals(rng, shape, buffer):
+    """Draw standard normals of ``shape``, in C order, into the leading
+    entries of the flat float ``buffer``; returns them as a view of it.
+    One call draws what consecutive calls for the parts of the shape would."""
+    normals = buffer[: math.prod(shape)].reshape(shape)
+    rng.standard_normal(out=normals)
+    return normals
+
+
+def prefetched(fill, sizes, visit, buffers):
+    """visit(fill(buffer, m)) for each draw size m in ``sizes``, in order.
+
+    The fills run on one worker thread, one draw ahead of the visits on the
+    calling thread: while draw i is visited, draw i + 1 is filled into the
+    other of the two ``buffers`` (one is enough for a single draw), so a
+    fill writes only into a buffer whose visit has returned, and nothing is
+    filled past the last size.  As the fills keep their order on the one
+    thread, a random stream is consumed exactly as by a serial loop.  A
+    fill should allocate nothing large: each thread gets its own malloc
+    arena.  An exception from a fill is raised from the visit that would
+    have read it, and the worker is joined before this returns or raises.
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for i, m in enumerate(sizes):
+            filling = worker.submit(fill, buffers[i % 2], m)
+            if pending is not None:
+                visit(pending.result())
+            pending = filling
+        if pending is not None:
+            visit(pending.result())

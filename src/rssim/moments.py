@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import InvalidWeightsError, NumericalError
 from .estimation import EstimationModel, r_phi_traces
-from .linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
+from .linalg import (
+    SampleMean,
+    batch_sizes,
+    complex_normals,
+    outer_sums,
+    prefetched,
+    standard_complex_gaussian,
+    standard_normals,
+)
 
 QUARTIC_VARIANTS = ("real", "circular")
 
@@ -152,17 +160,29 @@ def mc_c_quartic(B: np.ndarray, n: int, rng: np.random.Generator) -> SampleMean:
     """Monte Carlo estimate of E{c c^H B c c^H}, accumulated in draws of
     ``QUARTIC_BATCH`` samples to bound memory.  Each sample's q = c^H B c
     is sum_k conj((c^T conj(B))_k) c_k: the product with the conjugated
-    M x M matrix is conjugated in place, and no conjugated copy of the
-    draw is made."""
+    M x M matrix is conjugated in place, q c is formed in its buffer, and
+    no conjugated copy of the draw is made.  The normals of the next draw
+    are drawn on one worker thread while this one is formed
+    (``linalg.prefetched``), on the same random stream."""
     M = B.shape[0]
     B_conj = B.conj()
     estimate = SampleMean()
-    for m in batch_sizes(n, QUARTIC_BATCH):
-        c = standard_complex_gaussian(rng, (m, M))
+
+    def visit(parts):
+        c = complex_normals(parts)
         c_h_b = c @ B_conj
         np.conjugate(c_h_b, out=c_h_b)  # row n is c_n^H B
         q = np.einsum("nk,nk->n", c_h_b, c)
-        estimate.add_sums(*outer_sums(q[:, None] * c, c), m)
+        q_c = np.multiply(q[:, None], c, out=c_h_b)
+        estimate.add_sums(*outer_sums(q_c, c), len(c))
+
+    sizes = batch_sizes(n, QUARTIC_BATCH)
+    prefetched(
+        lambda buffer, m: standard_normals(rng, (2, m, M), buffer),
+        sizes,
+        visit,
+        [np.empty(2 * sizes[0] * M) for _ in sizes[:2]],
+    )
     return estimate
 
 

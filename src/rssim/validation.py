@@ -8,10 +8,14 @@ grid search for the weight program, central finite differences for the
 sum-SE gradient and Hessian, and the fourth-moment vote for the quartic
 variant.  Every Monte Carlo mean, its standard error and its z-scores come
 from one streaming accumulator, ``linalg.SampleMean``, which no
-closed-form path reads.  The report lists one pass/fail line per check
+closed-form path reads.  The Monte Carlo oracles draw each batch's normals
+on one worker thread while the previous batch is formed and summed
+(``linalg.prefetched``), on the random stream of a serial loop, and no
+thread outlives the call.  The report lists one pass/fail line per check
 with the measured error.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -19,8 +23,14 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .errors import ConfigError
-from .estimation import EstimationModel, build_estimation_model, simulate_batch
-from .linalg import SampleMean, batch_sizes
+from .estimation import (
+    EstimationModel,
+    batch_shape,
+    build_estimation_model,
+    form_batch,
+    simulate_batch,
+)
+from .linalg import SampleMean, batch_sizes, prefetched, standard_normals
 from .moments import (
     QUARTIC_Z_LIMIT,
     MomentTable,
@@ -87,17 +97,35 @@ def tolerance_excess(closed, mc, se):
     return np.abs(closed - mc) / np.maximum(tol, 1e-300)
 
 
+def visit_batches(model: EstimationModel, n: int, rng: np.random.Generator, visit):
+    """visit(batch) for each of the ``simulate_batch`` draws of at most
+    ``MC_BATCH`` realizations that make up n, in order and on the same random
+    stream.  The normals of the next draw are drawn on one worker thread into
+    one of two buffers allocated here, while this thread forms and visits the
+    current one (``linalg.prefetched``); each batch is dropped when its visit
+    returns, before the next is formed."""
+    sizes = batch_sizes(n, MC_BATCH)
+    buffers = [np.empty(math.prod(batch_shape(model, sizes[0]))) for _ in sizes[:2]]
+    prefetched(
+        lambda buffer, m: standard_normals(rng, batch_shape(model, m), buffer),
+        sizes,
+        lambda normals: visit(form_batch(model, normals)),
+        buffers,
+    )
+
+
 def mc_moment_table(model: EstimationModel, n: int, rng: np.random.Generator, weights):
     """Streaming Monte Carlo moment table of the MR private beams and the
     common beam with the given weights, plus precoder-norm statistics.
 
     Returns (MomentTable, info).  info carries the standard errors of the
     table's entries under "se", keyed by field name, and the empirical mean
-    squared norms of every precoder.  Each draw's truth channels are
-    conjugated in place, so the inner products h_k^H hhat_i are one batched
-    product with no conjugated copy.  The common beam's, h_k^H w_c, are
-    those inner products weighted by w / sqrt(tr(Phi_w)); the
-    per-realization common beams are formed only for their squared norms.
+    squared norms of every precoder.  The draws come one at a time from
+    ``visit_batches``.  Each draw's truth channels are conjugated in place,
+    so the inner products h_k^H hhat_i are one batched product with no
+    conjugated copy.  The common beam's, h_k^H w_c, are those inner
+    products weighted by w / sqrt(tr(Phi_w)); the per-realization common
+    beams are formed only for their squared norms.
     """
     sqrt_phi = np.sqrt(model.phi_trace)
     weights = np.asarray(weights, dtype=float)
@@ -107,8 +135,9 @@ def mc_moment_table(model: EstimationModel, n: int, rng: np.random.Generator, we
     hat, hat_sq, common, common_sq = (SampleMean() for _ in range(4))
     sum_norm = np.zeros(model.K)
     sum_c_norm = 0.0
-    for m in batch_sizes(n, MC_BATCH):
-        batch = simulate_batch(model, m, rng)
+
+    def visit(batch):
+        nonlocal sum_norm, sum_c_norm
         np.conjugate(batch.h, out=batch.h)
         inner_hat = batch.h @ batch.h_hat.transpose(0, 2, 1)  # (m, K, K), h_k^H hhat_i
         hat.add(inner_hat)
@@ -121,6 +150,7 @@ def mc_moment_table(model: EstimationModel, n: int, rng: np.random.Generator, we
         w_c = common_precoder(weights, batch, model)
         sum_c_norm += np.vdot(w_c, w_c).real
 
+    visit_batches(model, n, rng, visit)
     table = MomentTable(
         g_private=np.diagonal(hat.mean) / sqrt_phi,
         G_private=hat_sq.mean / sqrt_phi[None, :] ** 2,
@@ -153,7 +183,8 @@ def worst_moment_excess(closed: MomentTable, mc: MomentTable, se: dict) -> float
 def mc_estimation_stats(model: EstimationModel, n: int, rng: np.random.Generator):
     """Empirical estimate cross-covariances E[hhat_i hhat_k^H] under "cross"
     and error covariances E[htilde_i htilde_i^H] under "err", with the error
-    htilde = h - hhat formed in place of each draw's truth channels.
+    htilde = h - hhat formed in place of the truth channels of each draw of
+    ``visit_batches``.
 
     Each draw's (n, K M) rows, transposed, are a column-major (K M, n)
     matrix, so both sums are Hermitian rank-n updates (``zherk``) of one
@@ -163,11 +194,14 @@ def mc_estimation_stats(model: EstimationModel, n: int, rng: np.random.Generator
     K, M = model.K, model.M
     cross = np.zeros((K * M, K * M), dtype=complex, order="F")
     err = np.zeros((K * M, K * M), dtype=complex, order="F")
-    for m in batch_sizes(n, MC_BATCH):
-        batch = simulate_batch(model, m, rng)
+
+    def visit(batch):
+        m = len(batch.h)
         zherk(1.0, batch.h_hat.reshape(m, K * M).T, beta=1.0, c=cross, overwrite_c=1)
         h_tilde = np.subtract(batch.h, batch.h_hat, out=batch.h)
         zherk(1.0, h_tilde.reshape(m, K * M).T, beta=1.0, c=err, overwrite_c=1)
+
+    visit_batches(model, n, rng, visit)
 
     def blocks(upper):
         """The (K, K, M, M) blocks of the Hermitian matrix with this upper

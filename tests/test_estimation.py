@@ -170,9 +170,10 @@ def test_empirical_estimate_statistics():
 
 
 def test_estimation_stats_memory_bounded_per_draw():
-    # one 20,000-sample draw at 16x3: h and h_hat hold 15 MiB each, and the
-    # error is formed in place of h, for a traced peak near 44 MiB; per-sample
-    # (n, K, M, M) estimate/error products would need about 530 MiB
+    # one 20,000-sample draw at 16x3: its normals hold 20 MiB, h and h_hat
+    # 15 MiB each, and the error is formed in place of h, for a traced peak
+    # near 54 MiB; per-sample (n, K, M, M) estimate/error products would need
+    # about 530 MiB
     _, _, model = make_scenario(M=16, K=3)
     tracemalloc.start()
     try:

@@ -1,7 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
-from rssim.linalg import SampleMean, batch_sizes, outer_sums, standard_complex_gaussian
+from rssim.linalg import (
+    SampleMean,
+    batch_sizes,
+    outer_sums,
+    prefetched,
+    standard_complex_gaussian,
+    standard_normals,
+)
 
 
 def explicit_outer_sums(a, b):
@@ -93,3 +102,39 @@ def test_sample_mean_zero_se_entries_give_finite_z_scores():
     assert np.all(np.isfinite(z))
     assert z[0] == 0.0
     assert np.isfinite(acc.z_scores(np.array([2.5, 0.0]))[0])
+
+
+def test_prefetched_fills_one_draw_ahead_on_one_worker_thread():
+    events = []
+    buffers = [np.zeros(1), np.zeros(1)]
+
+    def fill(buffer, m):
+        events.append(("fill", m, threading.get_ident()))
+        buffer[0] = m
+        return buffer
+
+    def visit(buffer):
+        events.append(("visit", int(buffer[0]), id(buffer)))
+
+    before = threading.enumerate()
+    prefetched(fill, [5, 6, 7, 8], visit, buffers)
+    assert threading.enumerate() == before
+    fills = [e for e in events if e[0] == "fill"]
+    visits = [e for e in events if e[0] == "visit"]
+    assert [e[1] for e in fills] == [5, 6, 7, 8]
+    assert len({e[2] for e in fills}) == 1 and fills[0][2] != threading.get_ident()
+    # the visits see every draw in order, in alternating buffers, and a
+    # buffer is filled again only after the visit of its previous draw
+    assert [e[1] for e in visits] == [5, 6, 7, 8]
+    assert [e[2] for e in visits] == [id(b) for b in buffers * 2]
+    for m in (7, 8):
+        assert events.index(("visit", m - 2, id(buffers[(m - 5) % 2]))) < events.index(fills[m - 5])
+
+
+def test_standard_normals_draw_into_the_buffer_as_one_call_does():
+    buffer = np.full(40, np.nan)
+    got = standard_normals(np.random.default_rng(3), (2, 3, 4), buffer)
+    assert np.shares_memory(got, buffer) and np.isnan(buffer[24:]).all()
+    rng = np.random.default_rng(3)
+    want = np.stack([rng.standard_normal((3, 4)) for _ in range(2)])
+    assert got.tobytes() == want.tobytes()

@@ -1,18 +1,22 @@
 import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rssim.cli
+import rssim.moments
 import rssim.validation
 from rssim.errors import ConfigError
-from rssim.moments import QuarticAdjudication
+from rssim.linalg import batch_sizes
+from rssim.moments import QuarticAdjudication, mc_c_quartic
 from rssim.scenario import ScenarioConfig
 from rssim.link import PowerVector, se_report
 from rssim.moments import closed_form_moments
 from rssim.estimation import simulate_batch
 from rssim.validation import (
+    MC_BATCH,
     common_rate_cap,
     mc_estimation_stats,
     mc_moment_table,
@@ -20,11 +24,15 @@ from rssim.validation import (
     simplex_grid_max_min,
     sum_se_derivative_fd_errors,
     tolerance_excess,
+    visit_batches,
 )
 
 from conftest import (
     REFERENCE_MC_BATCH,
+    REFERENCE_QUARTIC_BATCH,
     make_scenario,
+    reference_batch,
+    reference_gaussian,
     reference_mc_estimation_stats,
     reference_mc_moment_table,
     solve_weights_for,
@@ -265,3 +273,126 @@ def test_mc_oracles_leave_the_model_inputs_unchanged(M, K):
         call()
         changed = [name for name, a in inputs.items() if a.tobytes() != before[name]]
         assert not changed, f"{call_name} wrote to {changed}"
+
+
+# The draw-stream and failure checks run the three Monte Carlo oracles on one
+# small scenario and one 4x4 matrix of the vote, so full draws stay cheap.
+ORACLES = ("mc_moment_table", "mc_estimation_stats", "mc_c_quartic")
+QUARTIC_B = np.random.default_rng(4).standard_normal((4, 4, 2)) @ np.array([1.0, 1j])
+
+
+@pytest.fixture(scope="module")
+def stream_setup():
+    config, _, model = make_scenario(M=4, K=2)
+    return model, solve_weights_for(config, model)
+
+
+def run_oracle(name, model, weights, n, rng):
+    if name == "mc_moment_table":
+        return mc_moment_table(model, n, rng, weights)
+    if name == "mc_estimation_stats":
+        return mc_estimation_stats(model, n, rng)
+    return mc_c_quartic(QUARTIC_B, n, rng)
+
+
+def oracle_draw_size(name):
+    return REFERENCE_QUARTIC_BATCH if name == "mc_c_quartic" else REFERENCE_MC_BATCH
+
+
+class RecordingGenerator:
+    """Passes standard_normal calls to a seeded generator, records the thread
+    of each call, and raises from the call numbered ``fail_at`` (from 0)."""
+
+    def __init__(self, seed, fail_at=None):
+        self._rng = np.random.default_rng(seed)
+        self.fail_at = fail_at
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("draw failed")
+        self.threads.append(threading.get_ident())
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def fail_on_call(fn, index):
+    """``fn``, except that its call numbered ``index`` (from 0) raises."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == index:
+            raise RuntimeError("visit failed")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("extra", [0, 700])
+def test_mc_oracles_leave_the_stream_where_the_reference_draws_do(stream_setup, oracle, extra):
+    # a last draw that is full (extra = 0) and one that is partial: every
+    # draw is made, and none is made ahead past the last one
+    model, weights = stream_setup
+    size = oracle_draw_size(oracle)
+    n = 2 * size + extra
+    rng = np.random.default_rng(30)
+    run_oracle(oracle, model, weights, n, rng)
+    replay = np.random.default_rng(30)
+    for m in batch_sizes(n, size):
+        if oracle == "mc_c_quartic":
+            reference_gaussian(replay, (m, len(QUARTIC_B)))
+        else:
+            reference_batch(model, m, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_prefetched_batches_equal_simulate_batch(stream_setup):
+    model, _ = stream_setup
+    n = 2 * MC_BATCH + 300
+    got = []
+    visit_batches(model, n, np.random.default_rng(31), got.append)
+    replay = np.random.default_rng(31)
+    assert [len(batch.h) for batch in got] == batch_sizes(n, MC_BATCH)
+    for batch in got:
+        want = simulate_batch(model, len(batch.h), replay)
+        assert np.array_equal(batch.h, want.h) and np.array_equal(batch.h_hat, want.h_hat)
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_mc_oracles_draw_on_one_worker_thread(stream_setup, oracle):
+    model, weights = stream_setup
+    rng = RecordingGenerator(32)
+    before = threading.enumerate()
+    run_oracle(oracle, model, weights, 3 * oracle_draw_size(oracle), rng)
+    assert len(rng.threads) == 3
+    assert len(set(rng.threads)) == 1 and rng.threads[0] != threading.get_ident()
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("fail_at", [0, 1, 2])
+def test_mc_oracles_raise_a_failed_draw_and_leave_no_thread(stream_setup, oracle, fail_at):
+    model, weights = stream_setup
+    before = threading.enumerate()
+    rng = RecordingGenerator(33, fail_at)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_oracle(oracle, model, weights, 3 * oracle_draw_size(oracle), rng)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("fail_at", [0, 1, 2])
+def test_mc_oracles_raise_a_failed_visit_and_leave_no_thread(
+    stream_setup, oracle, fail_at, monkeypatch
+):
+    # the channel oracles' visits form each batch, the vote's sums each draw
+    model, weights = stream_setup
+    if oracle == "mc_c_quartic":
+        module, name = rssim.moments, "outer_sums"
+    else:
+        module, name = rssim.validation, "form_batch"
+    monkeypatch.setattr(module, name, fail_on_call(getattr(module, name), fail_at))
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="visit failed"):
+        run_oracle(oracle, model, weights, 3 * oracle_draw_size(oracle), np.random.default_rng(34))
+    assert threading.enumerate() == before
